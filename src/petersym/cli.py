@@ -2,9 +2,11 @@
 
 Exit codes: 2 for usage errors, 3 for violated mathematical
 preconditions (odd weight with -Id, weight-2 data not vanishing at the
-origin, ...), 4 for numeric verification failures.  Output is
-deterministic: cosets in discovery order, arcs in symbol order, basis
-vectors in echelon order.
+origin, a Hecke index that is not prime, ...), 4 for numeric
+verification failures.  A ValueError or FareyError raised by the
+library on the given arguments is reported as a violated precondition.
+Output is deterministic: cosets in discovery order, arcs in symbol
+order, basis vectors in echelon order.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .dims import dim_cusp_forms_gamma0
 from .eisenstein import EisSymbol, TorsionFunction
 from .exact import frac_str, parse_frac
 from .farey import (
+    FareyError,
     base_symbol_sl2z,
     gamma0_group,
     gamma1_group,
@@ -102,6 +106,8 @@ def cmd_modsym_space(args):
 
 
 def cmd_eisbasis(args):
+    if args.level < 1:
+        raise MathPreconditionError("level must be positive")
     if args.weight < 2:
         raise MathPreconditionError("weight must be at least 2")
     triples = basis_v(args.level, args.weight)
@@ -125,17 +131,13 @@ def cmd_eis_symbol(args):
     f = _load_fn(args.fn)
     if f.n != args.level:
         raise MathPreconditionError("function level does not match --level")
-    try:
-        sym = EisSymbol(f, args.weight)
-        data = {
-            "level": args.level,
-            "weight": args.weight,
-            "base_value": sym.p_mod.to_json(),
-            "infinity_moment": frac_str(sym.c_inf),
-        }
-    except ValueError as exc:
-        raise MathPreconditionError(str(exc))
-    return data
+    sym = EisSymbol(f, args.weight)
+    return {
+        "level": args.level,
+        "weight": args.weight,
+        "base_value": sym.p_mod.to_json(),
+        "infinity_moment": frac_str(sym.c_inf),
+    }
 
 
 def cmd_pairing_matrix(args):
@@ -156,7 +158,16 @@ def cmd_pairing_matrix(args):
     }
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % p for p in range(2, isqrt(n) + 1))
+
+
 def cmd_hecke(args):
+    if not _is_prime(args.ell):
+        raise MathPreconditionError(
+            f"--ell must be a prime (got {args.ell}); only the prime Hecke "
+            "operators are built"
+        )
     sym, space = _space(args)
     if args.group != "gamma0":
         raise MathPreconditionError("Hecke matrices are wired for the gamma0 family")
@@ -170,6 +181,10 @@ def cmd_hecke(args):
 
 
 def cmd_cuspidal(args):
+    if args.level < 1:
+        raise MathPreconditionError("level must be positive")
+    if args.weight < 2:
+        raise MathPreconditionError("weight must be at least 2")
     if args.weight % 2:
         raise MathPreconditionError("cuspidal extraction needs even weight")
     space, basis = cuspidal_subspace(args.level, args.weight)
@@ -341,7 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.func(args)
-    except MathPreconditionError as exc:
+    except (MathPreconditionError, ValueError, FareyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_ERROR
     code = 0

@@ -8,6 +8,12 @@ infinitesimal symbols at infinity.  Values on arbitrary cocycle paths
 are assembled from these by the continued-fraction decomposition, with
 all twists of f taken modulo the level and memoized.
 
+The moments of a twist f|g are never tabulated over (Z/NZ)^2: since
+(f|g)-(x, y) = f(u, v) exactly when (x, y) = -(u, v) g mod N, all k of
+them are summed in one pass over the nonzero cells of f, so their cost
+follows the support of f (30 points for a basis orbit at N = 31, not
+961) rather than N^2.
+
 The transcendental boundary part of the full period symbol (the
 L'-coefficient multiples of x^(k-2) and y^(k-2)) is deliberately
 dropped: it is a coboundary, lies in the radical of the pairing, and
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .cyclo import CycVec
 from .exact import bernoulli_poly, frac_str
@@ -223,6 +229,12 @@ def _beta_row(h: int, n: int) -> tuple:
     return tuple(out)
 
 
+def _integer_row(row) -> tuple[list[int], int]:
+    """Numerators of a row of Fractions over their least common denominator."""
+    den = lcm(*(q.denominator for q in row))
+    return [q.numerator * (den // q.denominator) for q in row], den
+
+
 def beta_value(h: int, r: int, n: int) -> Fraction:
     """The Bernoulli distribution of index h at the residue r mod n."""
     if h < 0:
@@ -300,23 +312,49 @@ class EisSymbol:
             raise ValueError("weight 2 requires the value at (0, 0) to vanish")
         self.f = f
         self.k = k
+        # nonzero cells of f, and the Bernoulli rows of the k moments, as
+        # integer numerators; the third entry of a row pair is the common
+        # denominator of its products with the support
+        n = f.n
+        support_den = lcm(*(c.denominator for row in f.values for c in row if c))
+        self._support = [(u, v, c.numerator * (support_den // c.denominator))
+                         for u, row in enumerate(f.values) for v, c in enumerate(row) if c]
+        self._moment_rows = []
+        for hx, hy in [(k - 1 - j, j + 1) for j in range(k - 1)] + [(k, 0)]:
+            nums_x, den_x = _integer_row(_beta_row(hx, n))
+            nums_y, den_y = _integer_row(_beta_row(hy, n))
+            self._moment_rows.append((nums_x, nums_y, den_x * den_y * support_den))
         self._twists: dict = {}
         self._cocycles: dict = {}
 
     def _twist_data(self, g: Mat):
-        """(p_mod, c_inf) of f|g, keyed by g modulo the level."""
+        """(p_mod, c_inf) of f|g, keyed by g modulo the level.
+
+        Entry j of p_mod is (-1)^j C(k-2, j) times the moment of (f|g)-
+        against beta_(k-1-j) x beta_(j+1), and c_inf is its moment
+        against beta_k x beta_0.  A cell (u, v) of the support of f
+        lands at (x, y) = -(u, v) g mod N in (f|g)-, so one pass over
+        the support adds its value times every product of Bernoulli
+        rows at (x, y); the sums run over integer numerators.
+        """
+        if mdet(g) not in (1, -1):
+            raise ValueError("twisting matrix must have determinant +-1")
         n = self.f.n
         key = tuple(x % n for x in g)
         hit = self._twists.get(key)
         if hit is not None:
             return hit
         k = self.k
-        fg = self.f.act(g) if key != (1 % n, 0, 0, 1 % n) else self.f
-        coeffs = []
-        for j in range(k - 1):
-            m = beta_moment(fg, k - 1 - j, j + 1, minus=True)
-            coeffs.append((-1) ** j * comb(k - 2, j) * m)
-        data = (Vk(k, coeffs), beta_moment(fg, k, 0, minus=True))
+        a, b, c, d = key
+        sums = [0] * k
+        for u, v, val in self._support:
+            x = (-u * a - v * c) % n
+            y = (-u * b - v * d) % n
+            for i, (nums_x, nums_y, _) in enumerate(self._moment_rows):
+                sums[i] += val * nums_x[x] * nums_y[y]
+        acc = [Fraction(s, den) for s, (_, _, den) in zip(sums, self._moment_rows)]
+        coeffs = [(-1) ** j * comb(k - 2, j) * acc[j] for j in range(k - 1)]
+        data = (Vk(k, coeffs), acc[k - 1])
         self._twists[key] = data
         return data
 

@@ -141,15 +141,12 @@ def pair_eis_via_cusps(symbol: ExtendedFareySymbol, eis: EisSymbol,
     over a system of cusp classes; agrees with the general pairing of
     the period cocycle against the embedded boundary element.
     """
-    from .eisenstein import beta_moment
-
     total = Fraction(0)
-    k = eis.k
     for cls in symbol.cusp_classes():
         c = boundary.coeffs.get(cls.vertex, Fraction(0))
         if not c:
             continue
-        moment = beta_moment(eis.f.act(cls.g0), k, 0, minus=True)
+        _, moment = eis._twist_data(cls.g0)
         total += cls.width * moment * c
     return total
 
@@ -308,13 +305,26 @@ def epsilon_conjugate_cocycle(cocycle):
 
 def eisenstein_pairing_matrix(symbol: ExtendedFareySymbol, n: int, k: int,
                               space: ModularSymbolSpace):
-    """Rows: basis orbits; columns: pairings against the space basis."""
-    ctx = PairingContext(symbol, k)
-    rows = []
+    """Rows: basis orbits; columns: pairings against the space basis.
+
+    Entry (t, b) is pair(ctx, eis_t.cocycle, b), batched: the cocycle of
+    each Eisenstein symbol at each inverse glue is computed once, and
+    the value of each basis element on a tilde arc once, only on arcs
+    where some cocycle value is nonzero.
+    """
+    tilde = symbol.tilde()
+    glues = [minv(ta.glue) for ta in tilde]
+    lefts = []
     for t in basis_v(n, k):
-        eis = EisSymbol(orbit_indicator(t, n), k)
-        rows.append([pair(ctx, eis.cocycle, b) for b in space.basis])
-    return rows
+        cocycle = EisSymbol(orbit_indicator(t, n), k).cocycle
+        lefts.append([(a, left) for a, left in enumerate(map(cocycle, glues)) if left])
+    used = sorted({a for row in lefts for a, _ in row})
+    cols = []
+    for b in space.basis:
+        right = {a: eval_tilde_arc(b, symbol, tilde[a]) for a in used}
+        cols.append([sum((left.pair(right[a]) for a, left in row), Fraction(0)) / 2
+                     for row in lefts])
+    return [list(row) for row in zip(*cols)]
 
 
 def cuspidal_subspace(n: int, k: int) -> tuple[ModularSymbolSpace, list[SymbolElement]]:

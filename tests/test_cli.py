@@ -78,6 +78,23 @@ def test_math_precondition_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["hecke", "--level", "11", "--weight", "2", "--ell", "0"],
+    ["hecke", "--level", "11", "--weight", "2", "--ell", "-3"],
+    ["hecke", "--level", "11", "--weight", "2", "--ell", "4"],
+    ["hecke", "--level", "11", "--weight", "2", "--ell", "1"],
+    ["cuspidal", "--level", "11", "--weight", "0"],
+    ["cuspidal", "--level", "0", "--weight", "2"],
+    ["eisbasis", "--level", "0", "--weight", "2"],
+])
+def test_bad_arguments_exit_code(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petersym.eisenstein import (
     EisSymbol,
@@ -15,7 +17,8 @@ from petersym.eisenstein import (
     hecke_fn,
 )
 from petersym.exact import bernoulli_number
-from petersym.modgroup import EPS, ID, SIGMA, minv, mmul, translation
+from petersym.modgroup import EPS, ID, SIGMA, T_MAT, minv, mmul, translation
+from petersym.polyspace import Vk
 from .test_modgroup import random_sl2
 
 
@@ -232,3 +235,48 @@ def test_eval_inf_difference_via_translation():
             lhs = e.eval_inf(r) - e.eval_inf(m)
             rhs = e.twist(t).eval_inf(r - m).act(_minv(t))
             assert lhs == rhs
+
+
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def torsion_fns(draw):
+    """Sparse or dense rational functions on (Z/NZ)^2, N <= 12."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        values = [[draw(small_fracs) for _ in range(n)] for _ in range(n)]
+    else:
+        values = [[0] * n for _ in range(n)]
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for x, y in draw(st.lists(cells, max_size=6)):
+            values[x][y] = draw(small_fracs)
+    return TorsionFunction(n, values)
+
+
+# words in generators of GL2(Z), so every product has determinant +-1
+unimodular = st.lists(
+    st.sampled_from([SIGMA, T_MAT, minv(T_MAT), EPS, translation(5)]), max_size=12
+).map(lambda word: mmul(ID, *word))
+
+
+@settings(deadline=None)
+@given(f=torsion_fns(), g=unimodular, k=st.integers(2, 6))
+def test_twist_data_matches_dense_moments(f, g, k):
+    if k == 2:
+        f.values[0][0] = Fraction(0)
+    fg = f.act(g)
+    coeffs = [(-1) ** j * comb(k - 2, j) * beta_moment(fg, k - 1 - j, j + 1, minus=True)
+              for j in range(k - 1)]
+    dense = (Vk(k, coeffs), beta_moment(fg, k, 0, minus=True))
+    eis = EisSymbol(f, k)
+    assert eis._twist_data(g) == dense
+    assert eis._twist_data(g) == dense  # memoized entry
+
+
+def test_twist_data_rejects_non_unimodular():
+    eis = EisSymbol(TorsionFunction.indicator(5, (1, 2)), 4)
+    for g in [(2, 0, 0, 1), (1, 0, 0, 6), (1, 1, 1, 3)]:
+        with pytest.raises(ValueError):
+            eis._twist_data(g)
+    assert not eis._twists

@@ -310,6 +310,18 @@ def test_eisenstein_boundary_nondegenerate(n):
         assert rank(rows) == len(basis_v(n, k))
 
 
+@pytest.mark.parametrize("n,k", [(11, 2), (12, 4), (6, 6)])
+def test_batched_eisenstein_matrix_matches_entrywise_pairing(n, k):
+    sym = gamma0_symbol(n)
+    sp = modular_symbol_space(sym, k)
+    ctx = PairingContext(sym, k)
+    entrywise = []
+    for t in basis_v(n, k):
+        eis = EisSymbol(orbit_indicator(t, n), k)
+        entrywise.append([pair(ctx, eis.cocycle, b) for b in sp.basis])
+    assert eisenstein_pairing_matrix(sym, n, k, sp) == entrywise
+
+
 def test_noncusp_route_matches_direct_pairing():
     from petersym.pairing import noncusp_pair
 
