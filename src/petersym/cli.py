@@ -1,10 +1,13 @@
 """Command-line front end; every subcommand prints a JSON document.
 
-Exit codes: 2 for usage errors, 3 for violated mathematical
-preconditions (odd weight with -Id, weight-2 data not vanishing at the
-origin, a Hecke index that is not prime, ...), 4 for numeric
-verification failures.  A ValueError or FareyError raised by the
-library on the given arguments is reported as a violated precondition.
+Exit codes: 2 for usage errors (including an input file that cannot
+be read, is not JSON, or lacks a field or has one of the wrong type),
+3 for violated mathematical preconditions (odd weight with -Id,
+weight-2 data not vanishing at the origin, a Hecke index that is not
+prime, a group whose index exceeds the coset bound, ...), 4 for
+numeric verification failures.  A ValueError or FareyError raised by
+the library on the given arguments is reported as a violated
+precondition.
 Output is deterministic: cosets in discovery order, arcs in symbol
 order, basis vectors in echelon order.
 """
@@ -16,11 +19,13 @@ import json
 import sys
 from fractions import Fraction
 from math import isqrt
+from operator import index
 
-from .dims import dim_cusp_forms_gamma0
+from .dims import dim_cusp_forms_gamma0, gamma0_index, gamma1_index, gamma_full_index
 from .eisenstein import EisSymbol, TorsionFunction
-from .exact import frac_str, parse_frac
+from .exact import frac_str
 from .farey import (
+    MAX_INDEX,
     FareyError,
     base_symbol_sl2z,
     gamma0_group,
@@ -30,31 +35,60 @@ from .farey import (
 )
 from .orbits import basis_v, orbit_indicator
 from .pairing import (
-    PairingContext,
     cuspidal_subspace,
     eisenstein_pairing_matrix,
     hecke_matrix,
-    pair_hom,
+    pairing_matrix,
 )
-from .spaces import modular_symbol_space
+from .spaces import build_space
 
 USAGE_ERROR = 2
 MATH_ERROR = 3
 PRECISION_ERROR = 4
 
 
+class UsageError(Exception):
+    pass
+
+
 class MathPreconditionError(Exception):
     pass
 
 
-def _group_spec(kind: str, level: int):
-    if kind == "gamma0":
-        return gamma0_group(level)
-    if kind == "gamma1":
-        return gamma1_group(level)
-    if kind == "gamma":
-        return gamma_full_group(level)
-    raise MathPreconditionError(f"unknown group kind {kind!r}")
+def _read_input(path: str, build):
+    """build(data) for the JSON document data of an input file.
+
+    A file that cannot be read or parsed, lacks a field, or holds a
+    value of the wrong type for `build` is a usage error.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        return build(data)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise UsageError(f"input file {path}: {type(exc).__name__}: {exc}") from exc
+
+
+_GROUPS = {
+    "gamma0": (gamma0_group, gamma0_index),
+    "gamma1": (gamma1_group, gamma1_index),
+    "gamma": (gamma_full_group, gamma_full_index),
+}
+
+
+def _check_index(kind: str, level: int, parent_index: int = 1) -> None:
+    """Refuse a group whose unfolding would discover too many cosets.
+
+    Every index is at least the level, so a huge level is refused
+    before it is factored.
+    """
+    if kind not in _GROUPS:
+        raise MathPreconditionError(f"unknown group kind {kind!r}")
+    group_index = _GROUPS[kind][1]
+    if level > MAX_INDEX * parent_index or group_index(level) // parent_index > MAX_INDEX:
+        raise MathPreconditionError(
+            f"{kind}({level}) has more than {MAX_INDEX} cosets in its parent group"
+        )
 
 
 def _symbol(kind: str, level: int, parent=None):
@@ -64,7 +98,8 @@ def _symbol(kind: str, level: int, parent=None):
         parent = base_symbol_sl2z()
     if kind == "gamma0" and level == 1:
         return parent
-    sym, _ = subgroup_farey(parent, _group_spec(kind, level))
+    _check_index(kind, level, parent.index)
+    sym, _ = subgroup_farey(parent, _GROUPS[kind][0](level))
     return sym
 
 
@@ -76,15 +111,14 @@ def _space(args):
         raise MathPreconditionError(
             "odd weight with -Id in the group: the space is zero"
         )
-    return sym, modular_symbol_space(sym, args.weight)
+    return sym, build_space(sym, args.weight)
 
 
 def cmd_farey(args):
     parent = None
     if args.parent:
-        with open(args.parent) as fh:
-            pdata = json.load(fh)
-        parent = _symbol(pdata["group"], pdata["level"])
+        group, level = _read_input(args.parent, lambda d: (str(d["group"]), index(d["level"])))
+        parent = _symbol(group, level)
     sym = _symbol(args.group, args.level, parent)
     data = sym.to_json()
     data["invariants"] = sym.invariants()
@@ -120,11 +154,8 @@ def cmd_eisbasis(args):
 
 
 def _load_fn(path: str) -> TorsionFunction:
-    with open(path) as fh:
-        data = json.load(fh)
-    return TorsionFunction(
-        data["N"], [[parse_frac(v) for v in row] for row in data["values"]]
-    )
+    return _read_input(path, lambda d: TorsionFunction(
+        index(d["N"]), [[Fraction(v) for v in row] for row in d["values"]]))
 
 
 def cmd_eis_symbol(args):
@@ -145,10 +176,7 @@ def cmd_pairing_matrix(args):
     if args.eisenstein:
         rows = eisenstein_pairing_matrix(sym, args.level, args.weight, space)
     else:
-        ctx = PairingContext(sym, args.weight)
-        rows = [
-            [pair_hom(ctx, b1, b2) for b2 in space.basis] for b1 in space.basis
-        ]
+        rows = pairing_matrix(sym, space.basis, space.basis)
     return {
         "level": args.level,
         "weight": args.weight,
@@ -187,6 +215,7 @@ def cmd_cuspidal(args):
         raise MathPreconditionError("weight must be at least 2")
     if args.weight % 2:
         raise MathPreconditionError("cuspidal extraction needs even weight")
+    _check_index("gamma0", args.level)
     space, basis = cuspidal_subspace(args.level, args.weight)
     return {
         "level": args.level,
@@ -293,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact modular symbols, Farey symbols and the algebraic pairing",
     )
     parser.add_argument("--output", help="write the JSON result to this file")
-    parser.add_argument("--format", choices=["json"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, weight=True, group=True):
@@ -356,6 +384,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (MathPreconditionError, ValueError, FareyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_ERROR

@@ -78,9 +78,6 @@ class CycVec:
     def rational(cls, n: int, value) -> "CycVec":
         return cls.root_power(n, 0, Fraction(value))
 
-    def copy(self) -> "CycVec":
-        return CycVec(self.n, list(self.coeffs))
-
     def add_root_multiple(self, j: int, c) -> None:
         """In-place self += c * z^j (the one mutating hot-path helper)."""
         self.coeffs[j % self.n] += c

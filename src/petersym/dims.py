@@ -37,12 +37,38 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def gamma0_index(n: int) -> int:
+    """Projective index of Gamma0(N) in PSL2(Z)."""
+    mu = n
+    for p in _prime_factors(n):
+        mu = mu // p * (p + 1)
+    return mu
+
+
+def gamma1_index(n: int) -> int:
+    """Projective index of Gamma1(N) in PSL2(Z)."""
+    if n in (1, 2):
+        return gamma0_index(n)
+    mu = n * n
+    for p in _prime_factors(n):
+        mu = mu // (p * p) * (p * p - 1)
+    return mu // 2
+
+
+def gamma_full_index(n: int) -> int:
+    """Projective index of Gamma(N) in PSL2(Z)."""
+    if n == 1:
+        return 1
+    mu = n ** 3
+    for p in _prime_factors(n):
+        mu = mu // (p * p) * (p * p - 1)
+    return mu // 2 if n > 2 else mu
+
+
 def gamma0_invariants(n: int) -> dict:
     """Projective index, elliptic counts, cusps and genus of Gamma0(N)."""
     primes = _prime_factors(n)
-    mu = n
-    for p in primes:
-        mu = mu // p * (p + 1)
+    mu = gamma0_index(n)
     if n % 4 == 0:
         nu2 = 0
     else:
@@ -70,10 +96,7 @@ def gamma1_invariants(n: int) -> dict:
         return _pack(4, 0, 1, 2)
     if n == 4:
         return _pack(6, 0, 0, 3)
-    mu = n * n
-    for p in _prime_factors(n):
-        mu = mu // (p * p) * (p * p - 1)
-    mu //= 2
+    mu = gamma1_index(n)
     nuinf = sum(euler_phi(d) * euler_phi(n // d) for d in divisors(n)) // 2
     return _pack(mu, 0, 0, nuinf)
 
@@ -81,11 +104,7 @@ def gamma1_invariants(n: int) -> dict:
 def gamma_full_invariants(n: int) -> dict:
     if n == 1:
         return gamma0_invariants(1)
-    mu = n ** 3
-    for p in _prime_factors(n):
-        mu = mu // (p * p) * (p * p - 1)
-    if n > 2:
-        mu //= 2
+    mu = gamma_full_index(n)
     return _pack(mu, 0, 0, mu // n)
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "fourier2",
     "hecke_fn",
     "EisSymbol",
-    "eis_symbol",
     "distribution_check",
 ]
 
@@ -89,9 +88,6 @@ class TorsionFunction:
     def scale(self, c) -> "TorsionFunction":
         c = Fraction(c)
         return TorsionFunction(self.n, [[c * v for v in row] for row in self.values])
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.values for v in row)
 
     def act(self, g: Mat) -> "TorsionFunction":
         """f|g (x, y) = f((x, y) g^-1); g integral of determinant +-1."""
@@ -410,10 +406,6 @@ class EisSymbol:
         if self.p_mod or self.c_inf:
             return False
         return all(not self.cocycle(g) for g in probes)
-
-
-def eis_symbol(f: TorsionFunction, k: int) -> EisSymbol:
-    return EisSymbol(f, k)
 
 
 def distribution_check(n: int, m: int, point, k: int, probes=()) -> bool:

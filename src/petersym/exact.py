@@ -17,7 +17,6 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "frac_str",
-    "parse_frac",
     "kernel_basis",
     "rank",
     "solve_in_span",
@@ -66,10 +65,6 @@ def frac_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _echelonize(rows):

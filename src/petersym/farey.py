@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .modgroup import (
@@ -40,6 +39,7 @@ from .modgroup import (
 )
 
 __all__ = [
+    "MAX_INDEX",
     "FareyError",
     "GroupSpec",
     "ExtendedFareySymbol",
@@ -56,6 +56,10 @@ __all__ = [
     "gamma_full_symbol",
     "coset_decompose",
 ]
+
+
+# Most cosets a subgroup unfolding may discover before it gives up.
+MAX_INDEX = 100_000
 
 
 class FareyError(Exception):
@@ -496,7 +500,7 @@ def base_symbol_sl2z() -> ExtendedFareySymbol:
 def subgroup_farey(
     parent: ExtendedFareySymbol,
     spec: GroupSpec,
-    max_index: int = 100_000,
+    max_index: int = MAX_INDEX,
 ) -> tuple[ExtendedFareySymbol, CosetTable]:
     """Farey symbol and coset system of a finite-index subgroup.
 
@@ -655,19 +659,16 @@ def _is_projective_identity(g: Mat) -> bool:
     return g == ID or g == mneg(ID)
 
 
-@lru_cache(maxsize=None)
 def gamma0_symbol(n: int) -> ExtendedFareySymbol:
     sym, _ = subgroup_farey(base_symbol_sl2z(), gamma0_group(n))
     return sym
 
 
-@lru_cache(maxsize=None)
 def gamma1_symbol(n: int) -> ExtendedFareySymbol:
     sym, _ = subgroup_farey(base_symbol_sl2z(), gamma1_group(n))
     return sym
 
 
-@lru_cache(maxsize=None)
 def gamma_full_symbol(n: int) -> ExtendedFareySymbol:
     sym, _ = subgroup_farey(base_symbol_sl2z(), gamma_full_group(n))
     return sym

@@ -94,11 +94,6 @@ def cusp(p: int, q: int) -> CuspT:
     return (p, q)
 
 
-def cusp_from_rational(r) -> CuspT:
-    r = Fraction(r)
-    return cusp(r.numerator, r.denominator)
-
-
 def cusp_is_infinity(c: CuspT) -> bool:
     return c[1] == 0
 
@@ -111,11 +106,6 @@ def cusp_rational(c: CuspT) -> Fraction:
 
 def cusp_str(c: CuspT) -> str:
     return f"{c[0]}/{c[1]}"
-
-
-def parse_cusp(s: str) -> CuspT:
-    p, q = s.split("/")
-    return cusp(int(p), int(q))
 
 
 def act(m: Mat, c: CuspT) -> CuspT:

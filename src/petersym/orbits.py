@@ -17,7 +17,6 @@ symbol machinery, but no minimal basis is provided for them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .dims import _prime_factors, divisors, euler_phi
@@ -222,7 +221,6 @@ def cusp_to_basis(c: CuspT, n: int) -> Triple:
     return (n // g, (n // d) // g, u)
 
 
-@lru_cache(maxsize=None)
 def orbit_indicator(t: Triple, n: int) -> TorsionFunction:
     """Indicator torsion function of the orbit, by direct classification."""
     f = TorsionFunction.zero(n)

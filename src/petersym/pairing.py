@@ -8,8 +8,9 @@ sum over the tilde arcs of a Farey symbol
 
     1/2 sum_a < cocycle(glue_a^-1), value of the right argument on a >
 
-covers every combination the theory produces.  All values are exact
-rationals.
+covers every combination the theory produces.  `pairing_matrix`
+evaluates it for lists of left and right arguments at once, and `pair`
+is its 1x1 case.  All values are exact rationals.
 """
 
 from __future__ import annotations
@@ -35,15 +36,14 @@ from .spaces import (
     BoundarySymbol,
     ModularSymbolSpace,
     SymbolElement,
+    build_space,
     eval_tilde_arc,
-    modular_symbol_space,
 )
 
 __all__ = [
-    "PairingContext",
     "hom_cocycle",
+    "pairing_matrix",
     "pair",
-    "pair_hom",
     "pair_alt",
     "pair_eis_via_cusps",
     "HeckeContext",
@@ -51,23 +51,14 @@ __all__ = [
     "hecke_cocycle",
     "hecke_path_map",
     "hecke_matrix",
-    "hecke_adjoint_check",
     "noncusp_pair",
     "epsilon_conjugate_hom",
     "epsilon_conjugate_cocycle",
+    "eisenstein_pairing_matrix",
     "cuspidal_subspace",
     "haberland_pair",
     "lambda_coeffs",
 ]
-
-
-@dataclass
-class PairingContext:
-    symbol: ExtendedFareySymbol
-    k: int
-
-    def __post_init__(self):
-        self.tilde = self.symbol.tilde()
 
 
 def hom_cocycle(phi, base: CuspT = (1, 0)):
@@ -79,29 +70,42 @@ def hom_cocycle(phi, base: CuspT = (1, 0)):
     return cocycle
 
 
-def pair(ctx: PairingContext, phi1, phi2) -> Fraction:
-    """Pairing of a cocycle (or path map) against a symbol-space element.
+def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
+    """Matrix of the pairing of each left against each right argument.
 
-    phi1 may be a callable on group matrices or anything with an
-    eval_path method, in which case its based cocycle at infinity is
-    used (the value does not depend on the base point).
+    A left is a cocycle (a callable on group matrices) or anything with
+    an eval_path method, in which case its based cocycle at infinity is
+    used (the value does not depend on the base point); a right is a
+    path map.  Entry (i, j) is
+
+        1/2 sum_a < left_i(glue_a^-1), value of right_j on tilde arc a >.
+
+    Each left value at each inverse glue is computed once, and the value
+    of each right on a tilde arc once, only on arcs where some left
+    value is nonzero.  With no rights the result has no rows.
     """
-    cocycle = phi1 if callable(phi1) else hom_cocycle(phi1)
-    total = Fraction(0)
-    for ta in ctx.tilde:
-        left = cocycle(minv(ta.glue))
-        if not left:
-            continue
-        right = eval_tilde_arc(phi2, ctx.symbol, ta)
-        total += left.pair(right)
-    return total / 2
+    tilde = symbol.tilde()
+    glues = [minv(ta.glue) for ta in tilde]
+    rows = []
+    for left in lefts:
+        cocycle = left if callable(left) else hom_cocycle(left)
+        rows.append([(a, value) for a, value in enumerate(map(cocycle, glues)) if value])
+    used = sorted({a for row in rows for a, _ in row})
+    cols = []
+    for right in rights:
+        values = {a: eval_tilde_arc(right, symbol, tilde[a]) for a in used}
+        cols.append([sum((value.pair(values[a]) for a, value in row), Fraction(0)) / 2
+                     for row in rows])
+    return [list(row) for row in zip(*cols)]
 
 
-def pair_hom(ctx: PairingContext, phi1, phi2, base: CuspT = (1, 0)) -> Fraction:
-    return pair(ctx, hom_cocycle(phi1, base), phi2)
+def pair(symbol: ExtendedFareySymbol, left, right) -> Fraction:
+    """Pairing of a cocycle (or path map) against a path map."""
+    return pairing_matrix(symbol, [left], [right])[0][0]
 
 
-def _hat_value(ctx: PairingContext, phi, endpoint, base: CuspT, half_cache: dict) -> Vk:
+def _hat_value(symbol: ExtendedFareySymbol, phi, endpoint, base: CuspT,
+               half_cache: dict) -> Vk:
     """phi((base, t)) for a tilde endpoint t, cusp or elliptic point."""
     kind, data = endpoint
     if kind == "c":
@@ -110,25 +114,26 @@ def _hat_value(ctx: PairingContext, phi, endpoint, base: CuspT, half_cache: dict
     # and add the value on the half arc into the fixed point
     key = data
     if key not in half_cache:
-        for ta in ctx.tilde:
+        for ta in symbol.tilde():
             if ta.base == data and ta.half == "u":
-                half_cache[key] = eval_tilde_arc(phi, ctx.symbol, ta)
+                half_cache[key] = eval_tilde_arc(phi, symbol, ta)
                 break
-    start = ctx.symbol.arcs[data][0]
+    start = symbol.arcs[data][0]
     return phi.eval_path(base, start) + half_cache[key]
 
 
-def pair_alt(ctx: PairingContext, phi1, phi2, base: CuspT = (1, 0)) -> Fraction:
+def pair_alt(symbol: ExtendedFareySymbol, phi1, phi2, base: CuspT = (1, 0)) -> Fraction:
     """Endpoint form of the pairing on two symbol-space elements."""
+    tilde = symbol.tilde()
     cache1: dict = {}
     cache2: dict = {}
     total = Fraction(0)
-    for ta in ctx.tilde:
-        star = ctx.tilde[ta.star]
-        a1 = _hat_value(ctx, phi1, star.start, base, cache1)
-        b1 = _hat_value(ctx, phi2, star.end, base, cache2)
-        a2 = _hat_value(ctx, phi1, ta.end, base, cache1)
-        b2 = _hat_value(ctx, phi2, ta.start, base, cache2)
+    for ta in tilde:
+        star = tilde[ta.star]
+        a1 = _hat_value(symbol, phi1, star.start, base, cache1)
+        b1 = _hat_value(symbol, phi2, star.end, base, cache2)
+        a2 = _hat_value(symbol, phi1, ta.end, base, cache1)
+        b2 = _hat_value(symbol, phi2, ta.start, base, cache2)
         total += a1.pair(b1) - a2.pair(b2)
     return total / 2
 
@@ -250,23 +255,6 @@ def hecke_matrix(space: ModularSymbolSpace, ell: int,
 # -- reflection conjugation -------------------------------------------
 
 
-def hecke_adjoint_check(symbol: ExtendedFareySymbol, k: int, alpha: Mat,
-                        group: GroupSpec, cocycle, phi2) -> tuple[Fraction, Fraction]:
-    """Both sides of the double-coset adjointness, for a test to compare.
-
-    Left: the transported cocycle paired against phi2; right: the plain
-    cocycle against the image of phi2 under the adjugate double coset.
-    """
-    space = modular_symbol_space(symbol, k)
-    ctx = PairingContext(symbol, k)
-    h_fwd = hecke_context(symbol, alpha, group)
-    h_bwd = hecke_context(symbol, madj(alpha), group)
-    lhs = pair(ctx, hecke_cocycle(cocycle, h_fwd), phi2)
-    rhs = pair(ctx, cocycle,
-               space.from_path_evaluator(hecke_path_map(phi2, h_bwd).eval_path))
-    return lhs, rhs
-
-
 def noncusp_pair(symbol: ExtendedFareySymbol, cocycle, boundary: BoundarySymbol) -> Fraction:
     """Pairing against an embedded boundary symbol via stabilizer generators.
 
@@ -305,26 +293,9 @@ def epsilon_conjugate_cocycle(cocycle):
 
 def eisenstein_pairing_matrix(symbol: ExtendedFareySymbol, n: int, k: int,
                               space: ModularSymbolSpace):
-    """Rows: basis orbits; columns: pairings against the space basis.
-
-    Entry (t, b) is pair(ctx, eis_t.cocycle, b), batched: the cocycle of
-    each Eisenstein symbol at each inverse glue is computed once, and
-    the value of each basis element on a tilde arc once, only on arcs
-    where some cocycle value is nonzero.
-    """
-    tilde = symbol.tilde()
-    glues = [minv(ta.glue) for ta in tilde]
-    lefts = []
-    for t in basis_v(n, k):
-        cocycle = EisSymbol(orbit_indicator(t, n), k).cocycle
-        lefts.append([(a, left) for a, left in enumerate(map(cocycle, glues)) if left])
-    used = sorted({a for row in lefts for a, _ in row})
-    cols = []
-    for b in space.basis:
-        right = {a: eval_tilde_arc(b, symbol, tilde[a]) for a in used}
-        cols.append([sum((left.pair(right[a]) for a, left in row), Fraction(0)) / 2
-                     for row in lefts])
-    return [list(row) for row in zip(*cols)]
+    """Rows: basis orbits; columns: pairings against the space basis."""
+    lefts = [EisSymbol(orbit_indicator(t, n), k).cocycle for t in basis_v(n, k)]
+    return pairing_matrix(symbol, lefts, space.basis)
 
 
 def cuspidal_subspace(n: int, k: int) -> tuple[ModularSymbolSpace, list[SymbolElement]]:
@@ -334,7 +305,7 @@ def cuspidal_subspace(n: int, k: int) -> tuple[ModularSymbolSpace, list[SymbolEl
     from .farey import base_symbol_sl2z
 
     symbol = gamma0_symbol(n) if n > 1 else base_symbol_sl2z()
-    space = modular_symbol_space(symbol, k)
+    space = build_space(symbol, k)
     rows = eisenstein_pairing_matrix(symbol, n, k, space)
     dim = space.dimension()
     cut = kernel_basis(rows, dim)

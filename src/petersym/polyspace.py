@@ -6,15 +6,18 @@ bilinear form is the (anti)symmetric pairing normalized by
 
     <(t x + y)^(k-2), (t' x + y)^(k-2)> = (t - t')^(k-2).
 
-Coefficients may be Fractions or complex floats; all operations are
-generic in the coefficient type (the numeric period oracle reuses the
-same class with complex entries).
+Coefficients may be Fractions or complex floats (the numeric period
+oracle reuses the same class with complex entries).  The action of g
+is one integer matrix, `action_matrix(k, g)`, in a bounded memo:
+rational coefficients are multiplied as integer numerators over a
+common denominator, complex ones by a plain sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
 
 from .exact import frac_str
 from .modgroup import Mat
@@ -84,20 +87,16 @@ class Vk:
 
     def act(self, g: Mat) -> "Vk":
         """Right action P|g; includes the det(g)^(k-2) normalization."""
-        a, b, c, d = g
-        n = self.k - 2
-        out = [0 * self.coeffs[0]] * (n + 1)
-        # x -> d x - c y, y -> -b x + a y, expanded monomial by monomial
-        for i, coef in enumerate(self.coeffs):
-            if not coef:
-                continue
-            first = _binom_pows(d, -c, i)
-            second = _binom_pows(-b, a, n - i)
-            for s, cs in enumerate(first):
-                base = coef * cs
-                for t, ct in enumerate(second):
-                    out[s + t] += base * ct
-        return Vk(self.k, out)
+        mat = action_matrix(self.k, g)
+        coeffs = self.coeffs
+        if all(isinstance(c, (int, Fraction)) for c in coeffs):
+            # exact coefficients: integer numerators over one common denominator
+            den = lcm(*(c.denominator for c in coeffs))
+            nums = [(s, c.numerator * (den // c.denominator))
+                    for s, c in enumerate(coeffs) if c]
+            return Vk(self.k, [Fraction(sum(row[s] * num for s, num in nums), den)
+                               for row in mat])
+        return Vk(self.k, [sum(m * c for m, c in zip(row, coeffs)) for row in mat])
 
     def pair(self, other: "Vk"):
         """The weight-k bilinear form; symmetric iff k is even."""
@@ -117,17 +116,32 @@ class Vk:
         return {"k": self.k, "coeffs": [frac_str(c) for c in self.coeffs]}
 
 
-def _binom_pows(u, v, m):
-    """Coefficients of (u x + v y)^m as a list indexed by the power of x."""
-    out = []
-    for s in range(m + 1):
-        out.append(comb(m, s) * u**s * v ** (m - s))
+@lru_cache(maxsize=512)
+def action_matrix(k: int, g: Mat) -> tuple[tuple[int, ...], ...]:
+    """Integer (k-1)x(k-1) matrix of P -> P|g on monomial coordinates.
+
+    Entry [r][s] is the coefficient of x^r y^(k-2-r) in
+    (d x - c y)^s (-b x + a y)^(k-2-s), the image of x^s y^(k-2-s), so
+    the coordinates of P|g are this matrix times those of P.
+    """
+    n = k - 2
+    a, b, c, d = g
+    first = _linear_powers(d, -c, n)
+    second = _linear_powers(-b, a, n)
+    cols = []
+    for s in range(n + 1):
+        col = [0] * (n + 1)
+        for i, u in enumerate(first[s]):
+            for j, v in enumerate(second[n - s]):
+                col[i + j] += u * v
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+def _linear_powers(u: int, v: int, n: int) -> list[list[int]]:
+    """Coefficients of (u x + v y)^m for m = 0..n, indexed by the power of x."""
+    out = [[1]]
+    for _ in range(n):
+        prev = out[-1]
+        out.append([v * hi + u * lo for hi, lo in zip(prev + [0], [0] + prev)])
     return out
-
-
-def vk_act(p: Vk, g: Mat) -> Vk:
-    return p.act(g)
-
-
-def vk_pair(p: Vk, q: Vk):
-    return p.pair(q)

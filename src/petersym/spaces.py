@@ -28,7 +28,7 @@ from .modgroup import (
     mmul,
     mneg,
 )
-from .polyspace import Vk
+from .polyspace import Vk, action_matrix
 
 __all__ = [
     "ModularSymbolSpace",
@@ -121,20 +121,6 @@ class ModularSymbolSpace:
         return coords
 
 
-_act_matrix_cache: dict = {}
-
-
-def _action_matrix(k: int, h: Mat):
-    """(k-1)x(k-1) matrix of P -> P|h on monomial coordinates."""
-    key = (k, h)
-    if key not in _act_matrix_cache:
-        cols = [Vk.monomial(k, s).act(h).coeffs for s in range(k - 1)]
-        _act_matrix_cache[key] = [
-            [cols[s][r] for s in range(k - 1)] for r in range(k - 1)
-        ]
-    return _act_matrix_cache[key]
-
-
 def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     """Solve the coset-transported two-term and three-term relations."""
     if k < 2:
@@ -149,48 +135,30 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     ncols = nc * n
 
     def add_relation(parts):
-        # parts: list of (coset index, (k-1)x(k-1) matrix or None for identity)
+        # parts: list of (coset index, transport matrix h); each adds
+        # the action matrix of h on that coset's block of columns
         block = [[Fraction(0)] * ncols for _ in range(n)]
-        for idx, mat in parts:
+        for idx, h in parts:
             off = idx * n
-            if mat is None:
-                for r in range(n):
-                    block[r][off + r] += 1
-            else:
-                for r in range(n):
-                    row = block[r]
-                    mrow = mat[r]
-                    for s in range(n):
-                        if mrow[s]:
-                            row[off + s] += mrow[s]
+            for row, mrow in zip(block, action_matrix(k, h)):
+                for s in range(n):
+                    if mrow[s]:
+                        row[off + s] += mrow[s]
         rows.extend(block)
 
     for i in range(nc):
         rep = table.reps[i]
-        j, h = _transport(symbol, mmul(rep, SIGMA))
-        add_relation([(i, None), (j, _action_matrix(k, h))])
-        j1, h1 = _transport(symbol, mmul(rep, TAU))
-        j2, h2 = _transport(symbol, mmul(rep, TAU, TAU))
+        add_relation([(i, ID), _transport(symbol, mmul(rep, SIGMA))])
         add_relation([
-            (i, None),
-            (j1, _action_matrix(k, h1)),
-            (j2, _action_matrix(k, h2)),
+            (i, ID),
+            _transport(symbol, mmul(rep, TAU)),
+            _transport(symbol, mmul(rep, TAU, TAU)),
         ])
 
     space = ModularSymbolSpace(symbol, k, [])
     for vec in kernel_basis(rows, ncols):
         space.basis.append(space.from_vector(vec))
     return space
-
-
-_space_cache: dict = {}
-
-
-def modular_symbol_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
-    key = (id(symbol), k)
-    if key not in _space_cache:
-        _space_cache[key] = build_space(symbol, k)
-    return _space_cache[key]
 
 
 def eval_tilde_arc(phi, symbol: ExtendedFareySymbol, tilde_arc) -> Vk:

@@ -32,7 +32,6 @@ from petersym.farey import (
 from petersym.modgroup import madj
 from petersym.orbits import all_orbits, basis_v, member_basis, orbit_card, orbit_indicator, reduce_orbit
 from petersym.pairing import (
-    PairingContext,
     cuspidal_subspace,
     hecke_context,
     hecke_cocycle,
@@ -43,7 +42,6 @@ from petersym.pairing import (
     pair,
     pair_alt,
     pair_eis_via_cusps,
-    pair_hom,
 )
 from petersym.polyspace import Vk
 from petersym.qexp import (
@@ -56,7 +54,7 @@ from petersym.qexp import (
     period_haberland,
     petersson_norm_delta,
 )
-from petersym.spaces import boundary_space, modular_symbol_space
+from petersym.spaces import boundary_space, build_space
 from .test_modgroup import random_sl2
 from .test_spaces import symbol_for
 
@@ -112,22 +110,21 @@ def test_acceptance_3_pairing_structure():
     rng = random.Random(101)
     for n, k in _grid3():
         sym = symbol_for(n)
-        sp = modular_symbol_space(sym, k)
-        ctx = PairingContext(sym, k)
+        sp = build_space(sym, k)
         # (a) boundary images in the radical, both slots
         for b0 in boundary_space(sym, k):
             emb = b0.embed()
             emb_elem = sp.from_path_evaluator(emb.eval_path)
             for b in sp.basis:
-                assert pair_hom(ctx, emb, b) == 0
-                assert pair_hom(ctx, b, emb_elem) == 0
+                assert pair(sym, emb, b) == 0
+                assert pair(sym, b, emb_elem) == 0
         # (b) antisymmetry for even weight, (c) endpoint-form agreement
         for b1 in sp.basis:
-            assert pair_hom(ctx, b1, b1) == 0
+            assert pair(sym, b1, b1) == 0
             for b2 in sp.basis:
-                v = pair_hom(ctx, b1, b2)
-                assert v == -pair_hom(ctx, b2, b1)
-                assert v == pair_alt(ctx, b1, b2)
+                v = pair(sym, b1, b2)
+                assert v == -pair(sym, b2, b1)
+                assert v == pair_alt(sym, b1, b2)
         # (e) cocycle-coboundary invariance
         cvec = Vk(k, [Fraction(rng.randrange(-3, 4)) for _ in range(k - 1)])
         for b1 in sp.basis[:2]:
@@ -137,7 +134,7 @@ def test_acceptance_3_pairing_structure():
                 return coc(g) + cvec.act(g) - cvec
 
             for b2 in sp.basis[:3]:
-                assert pair(ctx, shifted, b2) == pair(ctx, coc, b2)
+                assert pair(sym, shifted, b2) == pair(sym, coc, b2)
     # (d) independence of the Farey symbol: two tower routes to level 6
     base = base_symbol_sl2z()
     g2, _ = subgroup_farey(base, gamma0_group(2))
@@ -146,14 +143,13 @@ def test_acceptance_3_pairing_structure():
     route_b, _ = subgroup_farey(g3, gamma0_group(6))
     direct = gamma0_symbol(6)
     for k in (2, 4):
-        sp = modular_symbol_space(direct, k)
+        sp = build_space(direct, k)
         eis = EisSymbol(orbit_indicator(basis_v(6, k)[0], 6), k)
-        ctxs = [PairingContext(s, k) for s in (direct, route_a, route_b)]
         for b1 in sp.basis:
-            vals = [pair(c, eis.cocycle, b1) for c in ctxs]
+            vals = [pair(s, eis.cocycle, b1) for s in (direct, route_a, route_b)]
             assert vals[0] == vals[1] == vals[2]
             for b2 in sp.basis:
-                vals = [pair_hom(c, b1, b2) for c in ctxs]
+                vals = [pair(s, b1, b2) for s in (direct, route_a, route_b)]
                 assert vals[0] == vals[1] == vals[2]
     report(3, "radical/antisymmetry/endpoint-form/coboundary checks exact on "
               "the N in {1,2,3,5,6,11}, k in {2,4,12} grid; symbol-independent "
@@ -164,10 +160,9 @@ def test_acceptance_4_hecke_adjointness_and_stability():
     for n in (1, 5, 11):
         sym = symbol_for(n)
         for k in (2, 4, 12):
-            sp = modular_symbol_space(sym, k)
+            sp = build_space(sym, k)
             if sp.dimension() == 0:
                 continue
-            ctx = PairingContext(sym, k)
             eis = EisSymbol(orbit_indicator(basis_v(n, k)[0], n), k)
             for ell in (2, 3, 5):
                 alpha = (1, 0, 0, ell)
@@ -176,13 +171,13 @@ def test_acceptance_4_hecke_adjointness_and_stability():
                 probes = sp.basis[:2]
                 for b1 in probes:
                     for b2 in probes:
-                        lhs = pair(ctx, hecke_cocycle(hom_cocycle(b1), h_fwd), b2)
-                        rhs = pair(ctx, hom_cocycle(b1), sp.from_path_evaluator(
+                        lhs = pair(sym, hecke_cocycle(hom_cocycle(b1), h_fwd), b2)
+                        rhs = pair(sym, hom_cocycle(b1), sp.from_path_evaluator(
                             hecke_path_map(b2, h_bwd).eval_path))
                         assert lhs == rhs, (n, k, ell)
                 for b2 in probes:
-                    lhs = pair(ctx, hecke_cocycle(eis.cocycle, h_fwd), b2)
-                    rhs = pair(ctx, eis.cocycle, sp.from_path_evaluator(
+                    lhs = pair(sym, hecke_cocycle(eis.cocycle, h_fwd), b2)
+                    rhs = pair(sym, eis.cocycle, sp.from_path_evaluator(
                         hecke_path_map(b2, h_bwd).eval_path))
                     assert lhs == rhs, ("eis", n, k, ell)
     # cuspidal subspace stability and commutation
@@ -193,7 +188,7 @@ def test_acceptance_4_hecke_adjointness_and_stability():
         for b in cusp_basis:
             img = space.from_path_evaluator(hecke_path_map(b, hctx).eval_path)
             assert solve_in_span(vecs, img.coset_vector()) is not None
-    sp5 = modular_symbol_space(gamma0_symbol(5), 4)
+    sp5 = build_space(gamma0_symbol(5), 4)
     m2, m3 = hecke_matrix(sp5, 2), hecke_matrix(sp5, 3)
     size = len(m2)
     prod_a = [[sum(m2[i][t] * m3[t][j] for t in range(size)) for j in range(size)]
@@ -210,12 +205,11 @@ def test_acceptance_5_eisenstein_duality():
     for n in (3, 5, 11):
         sym = gamma0_symbol(n)
         for k in (2, 4):
-            ctx = PairingContext(sym, k)
             for t in basis_v(n, k):
                 eis = EisSymbol(orbit_indicator(t, n), k)
                 for b0 in boundary_space(sym, k):
                     assert pair_eis_via_cusps(sym, eis, b0) \
-                        == pair(ctx, eis.cocycle, b0.embed())
+                        == pair(sym, eis.cocycle, b0.embed())
     # nondegeneracy of the Eisenstein-versus-boundary matrix
     for n in range(1, 31):
         sym = symbol_for(n)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from petersym.cli import main
-from petersym.farey import gamma0_symbol
+from petersym.farey import FareyError, gamma0_symbol, subgroup_farey
 
 
 def run(capsys, *argv):
@@ -93,6 +93,72 @@ def test_bad_arguments_exit_code(capsys, argv):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,content", [
+    ("qexp", None),
+    ("eis-symbol", None),
+    ("farey", None),
+    ("qexp", json.dumps({"values": [["0"]]})),
+    ("farey", json.dumps({"group": "gamma0"})),
+    ("eis-symbol", json.dumps(["N", 1])),
+    ("eis-symbol", "{not json"),
+    ("qexp", json.dumps({"N": "1", "values": [["0"]]})),
+    ("qexp", json.dumps({"N": 1, "values": [[["0"]]]})),
+    ("farey", json.dumps({"group": "gamma0", "level": "2"})),
+])
+def test_bad_input_file_exit_code(capsys, tmp_path, command, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    if command == "farey":
+        argv = ["farey", "--level", "6", "--parent", str(path)]
+    else:
+        argv = [command, "--level", "1", "--weight", "4", "--fn", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["farey", "--group", "gamma", "--level", "100"],
+    ["modsym-space", "--group", "gamma1", "--level", "1000", "--weight", "2"],
+    ["cuspidal", "--level", "100003", "--weight", "2"],
+    ["farey", "--level", "10000000000000000000000"],
+])
+def test_coset_bound_checked_before_unfolding(capsys, monkeypatch, argv):
+    def unfold(*args, **kwargs):
+        raise AssertionError("unfolding started")
+
+    monkeypatch.setattr("petersym.cli.subgroup_farey", unfold)
+    monkeypatch.setattr("petersym.farey.subgroup_farey", unfold)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ")
+
+
+def test_coset_bound_counts_cosets_in_the_parent(capsys, tmp_path, monkeypatch):
+    # Gamma0(99998) has 150000 cosets in SL2(Z) but 50000 in Gamma0(2);
+    # Gamma0(200006) has 100004 in Gamma0(2)
+    parent = tmp_path / "parent.json"
+    parent.write_text(json.dumps({"group": "gamma0", "level": 2}))
+    calls = []
+
+    def unfold(parent, spec):
+        calls.append(spec.name)
+        if spec.name != "gamma0(2)":
+            raise FareyError("unfolding stopped by the test")
+        return subgroup_farey(parent, spec)
+
+    monkeypatch.setattr("petersym.cli.subgroup_farey", unfold)
+    for level, started in [(99998, True), (200006, False)]:
+        calls.clear()
+        assert main(["farey", "--level", str(level), "--parent", str(parent)]) == 3
+        assert calls == ["gamma0(2)"] + [f"gamma0({level})"] * started
+    capsys.readouterr()
 
 
 def test_usage_exit_code():

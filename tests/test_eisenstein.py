@@ -12,7 +12,6 @@ from petersym.eisenstein import (
     beta_moment,
     beta_value,
     distribution_check,
-    eis_symbol,
     fourier2,
     hecke_fn,
 )
@@ -97,7 +96,7 @@ def test_hecke_fn_level_one_and_coprime_simplification():
 
 
 def test_level_one_weight_12_values():
-    e = eis_symbol(TorsionFunction.constant(1), 12)
+    e = EisSymbol(TorsionFunction.constant(1), 12)
     b12 = bernoulli_number(12)
     assert e.c_inf == -b12 / 12
     assert e.c_inf / 11 == Fraction(691, 360360)
@@ -111,20 +110,20 @@ def test_level_one_weight_12_values():
 
 def test_weight2_guard():
     with pytest.raises(ValueError):
-        eis_symbol(TorsionFunction.constant(1), 2)
+        EisSymbol(TorsionFunction.constant(1), 2)
     f = TorsionFunction.indicator(4, (1, 0))
-    eis_symbol(f, 2)  # fine: vanishes at the origin
+    EisSymbol(f, 2)  # fine: vanishes at the origin
 
 
 def test_eval_inf_edge_cases():
-    e = eis_symbol(TorsionFunction.constant(1), 12)
+    e = EisSymbol(TorsionFunction.constant(1), 12)
     assert not e.eval_inf(0)
-    e2 = eis_symbol(TorsionFunction.indicator(4, (1, 0)), 2)
+    e2 = EisSymbol(TorsionFunction.indicator(4, (1, 0)), 2)
     assert e2.eval_inf(Fraction(5, 7)).coeffs[0] == e2.c_inf * Fraction(5, 7)
 
 
 def test_cocycle_base_cases():
-    e = eis_symbol(TorsionFunction.constant(1), 12)
+    e = EisSymbol(TorsionFunction.constant(1), 12)
     assert not e.cocycle(ID)
     assert e.cocycle(SIGMA) == e.p_mod
     assert e.cocycle(translation(7)) == e.eval_inf(-7)
@@ -132,7 +131,7 @@ def test_cocycle_base_cases():
 
 def test_cocycle_sign_blindness():
     rng = random.Random(53)
-    e = eis_symbol(random_fn(rng, 4), 3)
+    e = EisSymbol(random_fn(rng, 4), 3)
     for _ in range(10):
         g = random_sl2(rng, 6)
         assert e.cocycle(g) == e.cocycle(tuple(-x for x in g))
@@ -142,7 +141,7 @@ def test_cocycle_law():
     rng = random.Random(59)
     f = random_fn(rng, 4)
     for k in (3, 4):
-        e = eis_symbol(f, k)
+        e = EisSymbol(f, k)
         for _ in range(10):
             g1, g2 = random_sl2(rng, 6), random_sl2(rng, 6)
             lhs = e.cocycle(mmul(g1, g2))
@@ -153,8 +152,8 @@ def test_cocycle_law():
 def test_level_independence_of_symbols():
     rng = random.Random(61)
     f = random_fn(rng, 4)
-    e1 = eis_symbol(f, 4)
-    e2 = eis_symbol(f.pullback(12), 4)
+    e1 = EisSymbol(f, 4)
+    e2 = EisSymbol(f.pullback(12), 4)
     assert e1.p_mod == e2.p_mod and e1.c_inf == e2.c_inf
     for _ in range(6):
         g = random_sl2(rng, 6)
@@ -165,8 +164,8 @@ def test_epsilon_twist_even_weight():
     rng = random.Random(67)
     f = random_fn(rng, 4)
     for k in (4, 6):
-        e = eis_symbol(f, k)
-        e_eps = eis_symbol(f.act(EPS), k)
+        e = EisSymbol(f, k)
+        e_eps = EisSymbol(f.act(EPS), k)
         for _ in range(8):
             g = random_sl2(rng, 5)
             rhs = e.cocycle(mmul(EPS, g, EPS)).act(EPS).scale((-1) ** (k - 1))
@@ -227,7 +226,7 @@ def test_eval_inf_difference_via_translation():
 
     f = random_fn(rng, 4)
     for k in (3, 4):
-        e = eis_symbol(f, k)
+        e = EisSymbol(f, k)
         for _ in range(6):
             m = rng.randrange(-4, 5)
             r = Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))

@@ -153,3 +153,11 @@ def test_descent_weight_strictly_decreases_along_reduction():
     red = reduce_orbit(t, n, 2)
     assert red and all(member_basis(s, n) for s in red)
     assert all(descent_weight(s, n) < descent_weight(t, n) for s in red)
+
+
+def test_orbit_indicator_returns_a_fresh_function():
+    t = basis_v(12, 4)[0]
+    first = orbit_indicator(t, 12)
+    expected = [row[:] for row in first.values]
+    first.values[0][0] += 5
+    assert orbit_indicator(t, 12).values == expected

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from petersym.modgroup import ID, SIGMA, madj, mdet, mmul
 from petersym.polyspace import Vk
 from .test_modgroup import random_sl2
@@ -90,3 +93,58 @@ def test_weight2_degenerates():
 def test_json_roundtrip():
     p = Vk(4, [Fraction(1, 2), Fraction(-3), Fraction(0)])
     assert p.to_json() == {"k": 4, "coeffs": ["1/2", "-3", "0"]}
+
+
+def _poly_mul(p, q):
+    """Product of polynomials in x, y stored as {(i, j): coefficient of x^i y^j}."""
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return out
+
+
+def substituted(p, g):
+    """P(d x - c y, -b x + a y), expanded by repeated products, no binomials."""
+    a, b, c, d = g
+    n = p.k - 2
+    new_x = {(1, 0): d, (0, 1): -c}
+    new_y = {(1, 0): -b, (0, 1): a}
+    total = {}
+    for i, coef in enumerate(p.coeffs):
+        term = {(0, 0): coef}
+        for _ in range(i):
+            term = _poly_mul(term, new_x)
+        for _ in range(n - i):
+            term = _poly_mul(term, new_y)
+        for key, v in term.items():
+            total[key] = total.get(key, 0) + v
+    return Vk(p.k, [total.get((i, n - i), 0) for i in range(n + 1)])
+
+
+def integer_matrices(bound):
+    entry = st.integers(-bound, bound)
+    return st.tuples(entry, entry, entry, entry).filter(lambda m: mdet(m) != 0)
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(deadline=None)
+@given(data=st.data(), k=st.integers(2, 24), g=integer_matrices(6), h=integer_matrices(6))
+def test_act_matches_direct_substitution(data, k, g, h):
+    p = Vk(k, data.draw(st.lists(fractions, min_size=k - 1, max_size=k - 1)))
+    assert p.act(g) == substituted(p, g)
+    assert p.act(g).act(h) == p.act(mmul(g, h))
+
+
+@settings(deadline=None)
+@given(data=st.data(), k=st.integers(2, 12), g=integer_matrices(3))
+def test_complex_coefficients_use_the_same_matrix(data, k, g):
+    # small integers keep every float product and sum exact
+    ints = st.lists(st.integers(-9, 9), min_size=k - 1, max_size=k - 1)
+    re, im = data.draw(ints), data.draw(ints)
+    image = Vk(k, [complex(x, y) for x, y in zip(re, im)]).act(g)
+    real_part, imag_part = Vk(k, re).act(g), Vk(k, im).act(g)
+    assert image.coeffs == tuple(complex(x, y) for x, y in
+                                 zip(real_part.coeffs, imag_part.coeffs))

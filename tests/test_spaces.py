@@ -7,7 +7,7 @@ from petersym.dims import dim_modular_symbols_gamma0
 from petersym.farey import base_symbol_sl2z, gamma0_symbol
 from petersym.modgroup import ID, act, cusp, madj, mmul
 from petersym.polyspace import Vk
-from petersym.spaces import boundary_space, build_space, modular_symbol_space
+from petersym.spaces import boundary_space, build_space
 
 
 def symbol_for(n):
@@ -30,14 +30,14 @@ def random_cusp(rng):
     (1, 12), (1, 10), (11, 2), (2, 8), (5, 4), (6, 2), (37, 2),
 ])
 def test_dimension_matches_classical(n, k):
-    sp = modular_symbol_space(symbol_for(n), k)
+    sp = build_space(symbol_for(n), k)
     assert sp.dimension() == dim_modular_symbols_gamma0(n, k)
 
 
 def test_dimension_grid():
     for n in range(1, 16):
         for k in (2, 4, 6):
-            sp = modular_symbol_space(symbol_for(n), k)
+            sp = build_space(symbol_for(n), k)
             assert sp.dimension() == dim_modular_symbols_gamma0(n, k), (n, k)
 
 
@@ -50,7 +50,7 @@ def test_eval_path_basic_identities():
     rng = random.Random(31)
     for (n, k) in [(1, 12), (11, 2), (5, 4)]:
         sym = symbol_for(n)
-        sp = modular_symbol_space(sym, k)
+        sp = build_space(sym, k)
         for phi in sp.basis:
             r, s, t = (random_cusp(rng) for _ in range(3))
             assert not phi.eval_path(r, r)
@@ -61,7 +61,7 @@ def test_eval_path_basic_identities():
 
 
 def test_basis_vectors_reproduce_their_coset_values():
-    sp = modular_symbol_space(gamma0_symbol(6), 2)
+    sp = build_space(gamma0_symbol(6), 2)
     table = sp.symbol.require_direct_table()
     for phi in sp.basis:
         for i, rep in enumerate(table.reps):
@@ -69,7 +69,7 @@ def test_basis_vectors_reproduce_their_coset_values():
 
 
 def test_coordinates_roundtrip():
-    sp = modular_symbol_space(gamma0_symbol(11), 2)
+    sp = build_space(gamma0_symbol(11), 2)
     combo = sp.basis[0].scale(Fraction(2, 3)) + sp.basis[2].scale(Fraction(-5))
     coords = sp.coordinates(combo)
     assert coords == [Fraction(2, 3), Fraction(0), Fraction(-5)]
@@ -113,7 +113,7 @@ def test_boundary_embed_weight2_constants_die():
 def test_space_elements_satisfy_two_and_three_term_relations():
     from petersym.modgroup import SIGMA, TAU
 
-    sp = modular_symbol_space(gamma0_symbol(5), 4)
+    sp = build_space(gamma0_symbol(5), 4)
     table = sp.symbol.require_direct_table()
     for phi in sp.basis:
         for rep in table.reps:
@@ -130,7 +130,7 @@ def test_elliptic_half_arcs_sum_to_whole_arc():
 
     # Gamma0(7) has two order-3 arcs; the base symbol has one of each order
     for sym, k in [(gamma0_symbol(7), 4), (base_symbol_sl2z(), 12)]:
-        sp = modular_symbol_space(sym, k)
+        sp = build_space(sym, k)
         tilde = sym.tilde()
         for phi in sp.basis:
             for ta in tilde:
@@ -151,7 +151,7 @@ def test_eval_path_invariance_hundred_samples():
     while samples < 100:
         n, k = rng.choice([(1, 12), (11, 2), (5, 4), (6, 2)])
         sym = symbol_for(n)
-        sp = modular_symbol_space(sym, k)
+        sp = build_space(sym, k)
         if not sp.basis:
             continue
         phi = rng.choice(sp.basis)

@@ -1,0 +1,40 @@
+"""Static checks of the package source with the standard-library parser.
+
+No linter is a dependency of the project, so the two checks that keep
+deletions honest are made here: every name a module exports in
+`__all__` exists, and no module imports a name it never uses.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import petersym
+
+PACKAGE = Path(petersym.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"petersym.{name}")
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, bound) for bound, line in imported.items() if bound not in used)
+    assert unused == []
