@@ -33,7 +33,7 @@ from .farey import (
     gamma_full_group,
     subgroup_farey,
 )
-from .orbits import basis_v, orbit_indicator
+from .orbits import basis_v, orbit_indicators
 from .pairing import (
     cuspidal_subspace,
     eisenstein_pairing_matrix,
@@ -45,6 +45,10 @@ from .spaces import build_space
 USAGE_ERROR = 2
 MATH_ERROR = 3
 PRECISION_ERROR = 4
+
+# Most indicator values (basis orbits times N^2) `eisbasis` may print,
+# about 15 MB of JSON.
+MAX_INDICATOR_CELLS = 10**6
 
 
 class UsageError(Exception):
@@ -144,12 +148,19 @@ def cmd_eisbasis(args):
         raise MathPreconditionError("level must be positive")
     if args.weight < 2:
         raise MathPreconditionError("weight must be at least 2")
-    triples = basis_v(args.level, args.weight)
+    cells = args.level ** 2
+    # one N x N table per basis orbit; a level whose single table is over
+    # the bound is refused before basis_v lists its divisors
+    triples = basis_v(args.level, args.weight) if cells <= MAX_INDICATOR_CELLS else None
+    if triples is None or len(triples) * cells > MAX_INDICATOR_CELLS:
+        raise MathPreconditionError(
+            f"level {args.level} needs more than {MAX_INDICATOR_CELLS} indicator values"
+        )
     return {
         "level": args.level,
         "weight": args.weight,
         "triples": [list(t) for t in triples],
-        "indicators": [orbit_indicator(t, args.level).to_json() for t in triples],
+        "indicators": [f.to_json() for f in orbit_indicators(triples, args.level)],
     }
 
 

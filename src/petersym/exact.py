@@ -1,17 +1,20 @@
-"""Exact rational arithmetic: Bernoulli numbers and dense linear algebra.
+"""Exact rational arithmetic: Bernoulli numbers and linear algebra over Q.
 
 Rationals are `fractions.Fraction` throughout; the stdlib type already
 maintains the lowest-terms, positive-denominator normal form.  Matrices
-are plain lists of lists of Fractions, row major.  Everything here is
-dense Gaussian elimination with full pivoting on nonzero entries, which
-is plenty for the few-hundred-row systems this package produces.
+are plain lists of lists of ints or Fractions, row major.  The one
+elimination routine is sparse and fraction-free over Z: each row is
+scaled to a primitive integer row and kept as a dict of its nonzero
+entries, so the Manin relations, which touch at most three blocks of
+columns each, stay sparse.  Fractions appear only in the results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import compress, count
+from math import comb, gcd, lcm
 
 __all__ = [
     "bernoulli_number",
@@ -60,77 +63,102 @@ def bernoulli_poly(h: int, x: Fraction) -> Fraction:
 
 
 def frac_str(q: Fraction) -> str:
-    """Serialize as "num/den", or "num" when the denominator is 1."""
-    q = Fraction(q)
+    """Serialize an int or Fraction as "num/den", or "num" when the denominator is 1."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
-def _echelonize(rows):
-    """Reduce a list of Fraction rows in place; return {pivot_col: row}."""
-    pivots: dict[int, list[Fraction]] = {}
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide an integer row by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
+
+
+def _int_row(row) -> dict[int, int]:
+    """The primitive integer multiple of a rational row, as {col: value}."""
+    vals = list(compress(row, row))
+    den = lcm(*(v.denominator for v in vals))
+    return _primitive(dict(zip(
+        compress(count(), row),
+        (v.numerator * (den // v.denominator) for v in vals),
+    )))
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """Primitive a*row - b*prow with the entry at `col` cancelled."""
+    g = gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    out = {j: a * v for j, v in row.items()}
+    for j, v in prow.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _echelonize(rows) -> dict[int, dict[int, int]]:
+    """Sparse, fraction-free reduction of rational rows over Z.
+
+    Returns {pivot col: row}, each row a primitive integer row
+    {col: value} that is zero at every other pivot column; divided by
+    its entry at the pivot column it is a row of the reduced row
+    echelon form, which is unique.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = list(row)
-        while True:
-            lead = next((j for j, v in enumerate(row) if v), None)
-            if lead is None:
+        row = _int_row(row)
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
                 break
-            if lead in pivots:
-                prow = pivots[lead]
-                factor = row[lead] / prow[lead]
-                for j in range(lead, len(row)):
-                    if prow[j]:
-                        row[j] -= factor * prow[j]
-                continue
-            inv = 1 / row[lead]
-            for j in range(lead, len(row)):
-                if row[j]:
-                    row[j] *= inv
-            pivots[lead] = row
-            break
-    # back-substitute so pivot columns are cleared above as well
+            row = _eliminate(row, prow, lead)
+    # back-substitute from the last pivot up: the pivot rows used are
+    # already reduced, so clearing one pivot column adds only free ones
     for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for other_lead, orow in pivots.items():
-            if other_lead >= lead:
-                continue
-            factor = orow[lead]
-            if factor:
-                for j in range(lead, len(prow)):
-                    if prow[j]:
-                        orow[j] -= factor * prow[j]
+        row = pivots[lead]
+        for j in [j for j in row if j != lead and j in pivots]:
+            row = _eliminate(row, pivots[j], j)
+        pivots[lead] = row
     return pivots
 
 
 def kernel_basis(rows, ncols: int):
     """Exact basis of the right null space of the matrix given by `rows`.
 
-    Rows may be any iterable of length-`ncols` Fraction sequences.
-    Returns a list of Fraction vectors; rank + len(result) == ncols.
-    The basis is in echelon order: basis vector i has a 1 in the i-th
-    free column and 0 in the other free columns.
+    Rows may be any iterable of length-`ncols` sequences of ints or
+    Fractions.  Returns a list of Fraction vectors; rank + len(result)
+    == ncols.  The basis is in echelon order: basis vector i has a 1 in
+    the i-th free column and 0 in the other free columns.
     """
-    pivots = _echelonize([list(r) for r in rows])
-    free_cols = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for lead, prow in pivots.items():
-            vec[lead] = -prow[fc]
-        basis.append(vec)
-    return basis
+    pivots = _echelonize(rows)
+    by_free_col = {}
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            by_free_col[fc] = vec
+    for lead, prow in pivots.items():
+        for fc, v in prow.items():
+            if fc != lead:
+                by_free_col[fc][lead] = Fraction(-v, prow[lead])
+    return list(by_free_col.values())
 
 
 def rank(rows) -> int:
-    return len(_echelonize([list(r) for r in rows]))
+    return len(_echelonize(rows))
 
 
 def solve_in_span(basis, target):
     """Coordinates of `target` in the span of `basis` vectors, or None.
 
-    `basis` is a list of equal-length Fraction vectors; solves the
+    `basis` is a list of equal-length rational vectors; solves the
     overdetermined system exactly.
     """
     if not basis:
@@ -138,13 +166,13 @@ def solve_in_span(basis, target):
     n = len(basis[0])
     m = len(basis)
     # augmented columns: basis vectors as columns, then the target
-    rows = [[basis[i][r] for i in range(m)] + [Fraction(target[r])] for r in range(n)]
+    rows = [[b[r] for b in basis] + [target[r]] for r in range(n)]
     pivots = _echelonize(rows)
+    if m in pivots:
+        return None  # inconsistent
     coords = [Fraction(0)] * m
     for lead, prow in pivots.items():
-        if lead == m:
-            return None  # inconsistent
-        coords[lead] = prow[m]
+        coords[lead] = Fraction(prow.get(m, 0), prow[lead])
     # verify (guards against rank-deficient basis input)
     for r in range(n):
         if sum(basis[i][r] * coords[i] for i in range(m)) != target[r]:

@@ -98,14 +98,23 @@ class GroupSpec:
 def gamma0_group(n: int) -> GroupSpec:
     if n < 1:
         raise ValueError("level must be positive")
-    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
 
     def member(g):
         return g[2] % n == 0
 
     def key(g):
+        # Canonical form of the point (c : d) of P^1(Z/N) under scaling by
+        # units: with h = gcd(c, N) and m = N/h, a unit u = (c/h)^-1 mod m
+        # sends the point to (h : d'); what is left is scaling by the units
+        # w = 1 mod m, which fix h, so the key costs O(h), not O(phi(N)).
         c, d = g[2] % n, g[3] % n
-        return min(((u * c) % n, (u * d) % n) for u in units)
+        h = gcd(c, n)
+        m = n // h
+        u = pow(c // h, -1, m)
+        while gcd(u, n) != 1:
+            u += m
+        d = u * d % n
+        return h, min(d * w % n for w in range(1, n + 1, m) if gcd(w, n) == 1)
 
     return GroupSpec(member, key, f"gamma0({n})")
 

@@ -31,6 +31,7 @@ __all__ = [
     "reduce_orbit",
     "cusp_to_basis",
     "orbit_indicator",
+    "orbit_indicators",
     "descent_weight",
     "all_orbits",
 ]
@@ -221,15 +222,23 @@ def cusp_to_basis(c: CuspT, n: int) -> Triple:
     return (n // g, (n // d) // g, u)
 
 
-def orbit_indicator(t: Triple, n: int) -> TorsionFunction:
-    """Indicator torsion function of the orbit, by direct classification."""
-    f = TorsionFunction.zero(n)
-    hit = False
+def orbit_indicators(triples, n: int) -> list[TorsionFunction]:
+    """Indicator torsion functions of distinct orbits, one per triple.
+
+    Each of the N^2 points is classified once for all the orbits.
+    """
+    fns = {t: TorsionFunction.zero(n) for t in triples}
     for x in range(n):
         for y in range(n):
-            if orbit_of(x, y, n) == t:
+            f = fns.get(orbit_of(x, y, n))
+            if f is not None:
                 f.values[x][y] = Fraction(1)
-                hit = True
-    if not hit:
-        raise ValueError(f"{t} labels no orbit at level {n}")
-    return f
+    for t, f in fns.items():
+        if not any(map(any, f.values)):
+            raise ValueError(f"{t} labels no orbit at level {n}")
+    return list(fns.values())
+
+
+def orbit_indicator(t: Triple, n: int) -> TorsionFunction:
+    """Indicator torsion function of the orbit, by direct classification."""
+    return orbit_indicators([t], n)[0]

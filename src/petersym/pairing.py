@@ -30,7 +30,7 @@ from .farey import (
     subgroup_farey,
 )
 from .modgroup import EPS, T_MAT, CuspT, Mat, act, madj, mdet, minv, mmul
-from .orbits import basis_v, orbit_indicator
+from .orbits import basis_v, orbit_indicators
 from .polyspace import Vk
 from .spaces import (
     BoundarySymbol,
@@ -294,7 +294,7 @@ def epsilon_conjugate_cocycle(cocycle):
 def eisenstein_pairing_matrix(symbol: ExtendedFareySymbol, n: int, k: int,
                               space: ModularSymbolSpace):
     """Rows: basis orbits; columns: pairings against the space basis."""
-    lefts = [EisSymbol(orbit_indicator(t, n), k).cocycle for t in basis_v(n, k)]
+    lefts = [EisSymbol(f, k).cocycle for f in orbit_indicators(basis_v(n, k), n)]
     return pairing_matrix(symbol, lefts, space.basis)
 
 

@@ -12,6 +12,7 @@ steps.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import kernel_basis
 from .farey import CuspClass, ExtendedFareySymbol
@@ -88,10 +89,26 @@ class SymbolElement:
 
 
 class ModularSymbolSpace:
-    def __init__(self, symbol: ExtendedFareySymbol, k: int, basis):
+    """A symbol space with a basis in echelon order.
+
+    `vectors` are the basis coset vectors as `kernel_basis` returns them:
+    vector i is 1 at its free column, which is its last nonzero entry,
+    and 0 at the free columns of the others.
+    """
+
+    def __init__(self, symbol: ExtendedFareySymbol, k: int, vectors):
         self.symbol = symbol
         self.k = k
-        self.basis: list[SymbolElement] = basis
+        self.basis: list[SymbolElement] = [self.from_vector(v) for v in vectors]
+
+    @cached_property
+    def _supports(self) -> list[list[tuple[int, Fraction]]]:
+        """Nonzero (column, value) pairs of each basis coset vector."""
+        return [[(j, x) for j, x in enumerate(b.coset_vector()) if x] for b in self.basis]
+
+    @property
+    def free_cols(self) -> list[int]:
+        return [support[-1][0] for support in self._supports]
 
     def dimension(self) -> int:
         return len(self.basis)
@@ -114,9 +131,17 @@ class ModularSymbolSpace:
         return SymbolElement(self, values)
 
     def coordinates(self, elem: SymbolElement):
-        from .exact import solve_in_span
-        coords = solve_in_span([b.coset_vector() for b in self.basis], elem.coset_vector())
-        if coords is None:
+        """Coordinates of `elem` in the basis: its values at the free columns.
+
+        Raises ValueError unless the basis combination equals `elem`.
+        """
+        residual = elem.coset_vector()
+        coords = [Fraction(residual[j]) for j in self.free_cols]
+        for c, support in zip(coords, self._supports):
+            if c:
+                for j, x in support:
+                    residual[j] -= c * x
+        if any(residual):
             raise ValueError("element is not in the space")
         return coords
 
@@ -137,7 +162,7 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     def add_relation(parts):
         # parts: list of (coset index, transport matrix h); each adds
         # the action matrix of h on that coset's block of columns
-        block = [[Fraction(0)] * ncols for _ in range(n)]
+        block = [[0] * ncols for _ in range(n)]
         for idx, h in parts:
             off = idx * n
             for row, mrow in zip(block, action_matrix(k, h)):
@@ -155,10 +180,7 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
             _transport(symbol, mmul(rep, TAU, TAU)),
         ])
 
-    space = ModularSymbolSpace(symbol, k, [])
-    for vec in kernel_basis(rows, ncols):
-        space.basis.append(space.from_vector(vec))
-    return space
+    return ModularSymbolSpace(symbol, k, kernel_basis(rows, ncols))
 
 
 def eval_tilde_arc(phi, symbol: ExtendedFareySymbol, tilde_arc) -> Vk:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from petersym.cli import main
+import petersym
+from petersym.cli import MAX_INDICATOR_CELLS, main
+from petersym.orbits import basis_v
 from petersym.farey import FareyError, gamma0_symbol, subgroup_farey
 
 
@@ -159,6 +165,41 @@ def test_coset_bound_counts_cosets_in_the_parent(capsys, tmp_path, monkeypatch):
         assert main(["farey", "--level", str(level), "--parent", str(parent)]) == 3
         assert calls == ["gamma0(2)"] + [f"gamma0({level})"] * started
     capsys.readouterr()
+
+
+def test_eisbasis_below_the_size_bound(capsys):
+    # 23 basis orbits times 150^2 points: 517500 indicator values
+    code, data = run(capsys, "eisbasis", "--level", "150", "--weight", "2")
+    assert code == 0
+    assert len(data["indicators"]) == len(data["triples"]) == 23
+
+
+@pytest.mark.parametrize("level", [300, 10**9])
+def test_eisbasis_size_bound_checked_before_classifying(capsys, monkeypatch, level):
+    def classify(*args):
+        raise AssertionError("classification started")
+
+    def listing(n, k):
+        assert n * n <= MAX_INDICATOR_CELLS, "divisors listed for a refused level"
+        return basis_v(n, k)
+
+    monkeypatch.setattr("petersym.cli.orbit_indicators", classify)
+    monkeypatch.setattr("petersym.orbits.orbit_of", classify)
+    monkeypatch.setattr("petersym.cli.basis_v", listing)
+    code = main(["eisbasis", "--level", str(level), "--weight", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(petersym.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "petersym", "--help"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: petersym")
 
 
 def test_usage_exit_code():

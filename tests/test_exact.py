@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from petersym.exact import (
     bernoulli_number,
     bernoulli_poly,
@@ -82,3 +85,116 @@ def test_charpoly_companion():
 def test_frac_str():
     assert frac_str(Fraction(3, 4)) == "3/4"
     assert frac_str(Fraction(-5)) == "-5"
+
+
+def test_kernel_takes_int_rows_and_returns_fractions():
+    basis = kernel_basis([[2, 0, -4], [0, 0, 0], [-3, 0, 6]], 3)
+    assert basis == [[0, 1, 0], [2, 0, 1]]
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+# -- the dense Fraction elimination this package used before, as a reference
+
+
+def _dense_echelonize(rows):
+    pivots = {}
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        while True:
+            lead = next((j for j, v in enumerate(row) if v), None)
+            if lead is None:
+                break
+            if lead in pivots:
+                prow = pivots[lead]
+                factor = row[lead] / prow[lead]
+                for j in range(lead, len(row)):
+                    row[j] -= factor * prow[j]
+                continue
+            inv = 1 / row[lead]
+            pivots[lead] = [v * inv for v in row]
+            break
+    for lead in sorted(pivots, reverse=True):
+        prow = pivots[lead]
+        for other_lead, orow in pivots.items():
+            if other_lead < lead and orow[lead]:
+                factor = orow[lead]
+                for j in range(lead, len(prow)):
+                    orow[j] -= factor * prow[j]
+    return pivots
+
+
+def _dense_kernel_basis(rows, ncols):
+    pivots = _dense_echelonize(rows)
+    basis = []
+    for fc in (j for j in range(ncols) if j not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for lead, prow in pivots.items():
+            vec[lead] = -prow[fc]
+        basis.append(vec)
+    return basis
+
+
+def _dense_solve_in_span(basis, target):
+    m = len(basis)
+    rows = [[b[r] for b in basis] + [target[r]] for r in range(len(target))]
+    pivots = _dense_echelonize(rows)
+    if m in pivots:
+        return None
+    coords = [Fraction(0)] * m
+    for lead, prow in pivots.items():
+        coords[lead] = prow[m]
+    for r in range(len(target)):
+        if sum(b[r] * c for b, c in zip(basis, coords)) != target[r]:
+            return None
+    return coords
+
+
+BIG = 10**9
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-BIG, BIG),
+    st.fractions(-BIG, BIG, max_denominator=BIG),
+    st.fractions(-5, 5, max_denominator=6),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Dense or sparse rows with zero, duplicate and scaled rows mixed in."""
+    ncols = draw(st.integers(1, 7))
+    entry = ENTRIES
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), ENTRIES)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    if rows:
+        for r in draw(st.lists(st.sampled_from(rows), max_size=2)):
+            rows.append([draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)])) * x for x in r])
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_elimination_matches_dense_fraction_reference(mat):
+    rows, ncols = mat
+    basis = kernel_basis(rows, ncols)
+    assert basis == _dense_kernel_basis(rows, ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)
+    assert rank(rows) == len(_dense_echelonize(rows)) == ncols - len(basis)
+
+
+@settings(deadline=None)
+@given(data=st.data(), mat=matrices())
+def test_solve_in_span_matches_dense_fraction_reference(data, mat):
+    rows, ncols = mat
+    if not rows:
+        return
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+        target = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+    else:
+        target = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    assert solve_in_span(rows, target) == _dense_solve_in_span(rows, target)

@@ -1,9 +1,12 @@
 import random
+from math import gcd
 
 import pytest
 
 from petersym.dims import (
+    gamma0_index,
     gamma0_invariants,
+    gamma1_index,
     gamma1_invariants,
     gamma_full_invariants,
 )
@@ -16,6 +19,7 @@ from petersym.farey import (
     gamma0_symbol,
     gamma1_group,
     gamma_full_group,
+    intersection_group,
     subgroup_farey,
 )
 from petersym.modgroup import ID, SIGMA, T_MAT, TAU, act, minv, mmul, mneg, mpow, psl2_order
@@ -90,6 +94,35 @@ def test_glue_matrices_satisfy_membership():
     for n in [5, 6, 10]:
         sym = gamma0_symbol(n)
         assert all(sym.member(g) for g in sym.glue)
+
+
+def test_gamma0_key_is_a_perfect_coset_key():
+    # brute force: the points of P^1(Z/N) with one coset are an orbit
+    # under scaling by all units; the key must be constant on each orbit
+    # and differ between orbits
+    for n in range(1, 121):
+        key = gamma0_group(n).key
+        units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+        seen, keys = set(), set()
+        for c in range(n):
+            for d in range(n):
+                if gcd(c, d, n) != 1 or (c, d) in seen:
+                    continue
+                orbit = {(u * c % n, u * d % n) for u in units}
+                seen |= orbit
+                k = key((0, 0, c, d))
+                assert k not in keys
+                assert {key((0, 0) + point) for point in orbit} == {k}
+                keys.add(k)
+        assert len(keys) == gamma0_index(n)
+
+
+def test_intersection_group_of_gamma0_and_gamma1():
+    g0, g1 = gamma0_group(4), gamma1_group(3)
+    sym, table = subgroup_farey(base_symbol_sl2z(), intersection_group(g0, g1))
+    sym.validate()
+    assert len(table) == sym.index == gamma0_index(4) * gamma1_index(3)
+    assert all(g0.member(g) and g1.member(g) for g in sym.glue)
 
 
 def test_tower_construction_agrees_with_direct():

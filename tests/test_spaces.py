@@ -73,6 +73,11 @@ def test_coordinates_roundtrip():
     combo = sp.basis[0].scale(Fraction(2, 3)) + sp.basis[2].scale(Fraction(-5))
     coords = sp.coordinates(combo)
     assert coords == [Fraction(2, 3), Fraction(0), Fraction(-5)]
+    # a unit vector at a pivot column is zero at every free column
+    pivot = min(set(range(len(combo.coset_vector()))) - set(sp.free_cols))
+    outside = [Fraction(int(j == pivot)) for j in range(len(combo.coset_vector()))]
+    with pytest.raises(ValueError):
+        sp.coordinates(sp.from_vector(outside))
 
 
 def test_boundary_space_dimensions():
