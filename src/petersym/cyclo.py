@@ -69,6 +69,14 @@ class CycVec:
             self.coeffs = coeffs
 
     @classmethod
+    def _of(cls, n: int, coeffs: list) -> "CycVec":
+        """Wrap a list of n Fractions already built, without converting it."""
+        v = cls.__new__(cls)
+        v.n = n
+        v.coeffs = coeffs
+        return v
+
+    @classmethod
     def root_power(cls, n: int, j: int, scale=Fraction(1)) -> "CycVec":
         v = cls(n)
         v.coeffs[j % n] = Fraction(scale)
@@ -85,24 +93,24 @@ class CycVec:
     def __add__(self, other: "CycVec") -> "CycVec":
         if self.n != other.n:
             raise ValueError("mixed moduli")
-        return CycVec(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycVec._of(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "CycVec") -> "CycVec":
         if self.n != other.n:
             raise ValueError("mixed moduli")
-        return CycVec(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycVec._of(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "CycVec":
-        return CycVec(self.n, [-a for a in self.coeffs])
+        return CycVec._of(self.n, [-a for a in self.coeffs])
 
     def scale(self, c) -> "CycVec":
         c = Fraction(c)
-        return CycVec(self.n, [c * a for a in self.coeffs])
+        return CycVec._of(self.n, [c * a for a in self.coeffs])
 
     def rotate(self, j: int) -> "CycVec":
         """Multiplication by z^j."""
         j %= self.n
-        return CycVec(self.n, self.coeffs[-j:] + self.coeffs[:-j] if j else list(self.coeffs))
+        return CycVec._of(self.n, self.coeffs[-j:] + self.coeffs[:-j] if j else list(self.coeffs))
 
     def reduced(self) -> tuple[Fraction, ...]:
         """Canonical form: remainder modulo the N-th cyclotomic polynomial."""

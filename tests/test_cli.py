@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 import petersym
-from petersym.cli import MAX_INDICATOR_CELLS, main
+from petersym.cli import MAX_INDICATOR_CELLS, MAX_QEXP_CELLS, main
+from petersym.cyclo import CycVec
+from petersym.eisenstein import TorsionFunction
 from petersym.orbits import basis_v
+from petersym.qexp import QExpansion
 from petersym.farey import FareyError, gamma0_symbol, subgroup_farey
 
 
@@ -92,6 +95,9 @@ def test_math_precondition_exit_code(capsys, tmp_path):
     ["cuspidal", "--level", "11", "--weight", "0"],
     ["cuspidal", "--level", "0", "--weight", "2"],
     ["eisbasis", "--level", "0", "--weight", "2"],
+    # refused before the (missing) --fn file is read
+    ["qexp", "--level", "5", "--weight", "4", "--terms", "0", "--fn", "missing.json"],
+    ["qexp", "--level", "5", "--weight", "4", "--terms", "-3", "--fn", "missing.json"],
 ])
 def test_bad_arguments_exit_code(capsys, argv):
     code = main(argv)
@@ -190,6 +196,47 @@ def test_eisbasis_size_bound_checked_before_classifying(capsys, monkeypatch, lev
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra,accepted", [(-1, True), (0, False)])
+def test_qexp_terms_bound(capsys, tmp_path, monkeypatch, extra, accepted):
+    calls = []
+
+    def expansion(f, k, terms):
+        # a zero expansion of the asked length, without the exact work
+        calls.append(terms)
+        return QExpansion(f.n, k, terms, CycVec(f.n), [CycVec(f.n)] * (terms + 1))
+
+    monkeypatch.setattr("petersym.qexp.eis_qexp", expansion)
+    level = 7
+    terms = MAX_QEXP_CELLS // level + extra  # (terms + 1) * level crosses the bound here
+    fn_file = tmp_path / "fn.json"
+    fn_file.write_text(json.dumps(TorsionFunction.indicator(level, (1, 2)).to_json()))
+    code = main(["qexp", "--level", str(level), "--weight", "6",
+                 "--terms", str(terms), "--fn", str(fn_file)])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0
+        assert calls == [terms]
+        assert len(json.loads(captured.out)["coefficients"]) == terms
+    else:
+        assert code == 3
+        assert calls == []
+        assert captured.err.startswith("error: ")
+
+
+def test_verify_petersson_quadrature_failure_exit_code(capsys, monkeypatch):
+    def norm():
+        raise ArithmeticError("quadrature error estimate too large: 1e-3")
+
+    monkeypatch.setattr("petersym.qexp.petersson_norm_delta", norm)
+    code, data = run(capsys, "verify", "--suite", "petersson")
+    assert code == 4
+    assert data["status"] == "fail"
+    failed, self_pairing = data["checks"]
+    assert failed["status"] == "fail" and failed["residual"] is None
+    assert "quadrature" in failed["error"]
+    assert self_pairing["status"] == "pass"
 
 
 def test_python_dash_m_runs_the_cli():

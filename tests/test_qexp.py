@@ -3,11 +3,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from petersym.cyclo import CycVec
 from petersym.eisenstein import TorsionFunction, beta_moment
 from petersym.exact import bernoulli_number
 from petersym.pairing import lambda_coeffs
 from petersym.qexp import (
+    _p2,
+    _upper_gamma_integral,
     delta_periods,
     delta_qexp,
     eis_qexp,
@@ -20,7 +25,7 @@ from petersym.qexp import (
     period_haberland,
     petersson_norm_delta,
 )
-from .test_eisenstein import random_fn
+from .test_eisenstein import random_fn, small_fracs
 
 
 def test_l_special_zeta_value():
@@ -161,3 +166,52 @@ def test_period_self_pairing_abs_1e8():
     r = delta_periods()
     scale = max(abs(x) for x in r)
     assert abs(period_haberland(r, r)) / scale ** 2 < 1e-8
+
+
+def test_petersson_norm_known_value():
+    # <Delta, Delta> = 1.03536205680432092...e-6 (integrated over SL2(Z)\H)
+    assert petersson_norm_delta() == pytest.approx(1.0353620568043209e-6, rel=1e-12)
+
+
+def test_upper_gamma_integral_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = [0.05 * 1.25 ** i for i in range(42)] + [700.0]
+    with mpmath.workdps(40):
+        for s in range(1, 25):
+            for x in xs:
+                ref = mpmath.mpf(x) ** -s * mpmath.gammainc(s, mpmath.mpf(x))
+                assert abs(_upper_gamma_integral(s, x) / ref - 1) < 1e-13, (s, x)
+
+
+@pytest.mark.parametrize("s", [0, 2.5, -1])
+def test_upper_gamma_integral_rejects_non_integer_orders(s):
+    with pytest.raises(ValueError):
+        _upper_gamma_integral(s, 1.0)
+
+
+def per_pair_coeffs(f, k, terms):
+    """The higher coefficients of eis_qexp, two partial transforms per pair."""
+    n = f.n
+    fm = f.minus()
+    coeffs = [CycVec(n) for _ in range(terms + 1)]
+    for nn in range(1, terms + 1):
+        for m in range(1, terms // nn + 1):
+            val = _p2(f, nn % n, (-m) % n) + _p2(fm, nn % n, (-m) % n).scale((-1) ** k)
+            coeffs[nn * m] = coeffs[nn * m] + val.scale(Fraction(m) ** (k - 1))
+    return coeffs
+
+
+@st.composite
+def qexp_fns(draw):
+    """Rational functions on (Z/NZ)^2, N <= 8, or their normalized transforms."""
+    n = draw(st.integers(1, 8))
+    f = TorsionFunction(n, [[draw(small_fracs) for _ in range(n)] for _ in range(n)])
+    return normalized_transform(f) if draw(st.booleans()) else f
+
+
+@settings(deadline=None, max_examples=40)
+@given(f=qexp_fns(), k=st.integers(2, 8), terms=st.integers(1, 40))
+def test_eis_qexp_equals_the_per_pair_loop(f, k, terms):
+    q = eis_qexp(f, k, terms)
+    ref = per_pair_coeffs(f, k, terms)
+    assert [c.coeffs for c in q.coeffs] == [c.coeffs for c in ref]

@@ -2,11 +2,15 @@
 
 No linter is a dependency of the project, so the two checks that keep
 deletions honest are made here: every name a module exports in
-`__all__` exists, and no module imports a name it never uses.
+`__all__` exists, and no module imports a name it never uses.  A third
+check keeps the package free of third-party numeric libraries.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,15 @@ def test_no_unused_imports(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, bound) for bound, line in imported.items() if bound not in used)
     assert unused == []
+
+
+def test_no_numeric_libraries_imported():
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, petersym.cli, petersym.qexp; "
+            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
