@@ -5,7 +5,7 @@ be read, is not JSON, or lacks a field or has one of the wrong type),
 3 for violated mathematical preconditions (odd weight with -Id,
 weight-2 data not vanishing at the origin, a Hecke index that is not
 prime, a group whose index exceeds the coset bound, a `qexp` length
-outside its bound, ...), 4 for numeric verification failures,
+or weight outside its bound, ...), 4 for numeric verification failures,
 including a quadrature that misses its error target.  A ValueError or
 FareyError raised by the library on the given arguments is reported as
 a violated precondition.
@@ -53,6 +53,11 @@ MAX_INDICATOR_CELLS = 10**6
 
 # Most group-ring coefficients ((terms + 1) times N) `qexp` may compute.
 MAX_QEXP_CELLS = 10**5
+
+# Highest weight `qexp` accepts.  The Bernoulli numbers behind the
+# constant term cost about k^2.5: at level 1 with 5 terms weight 1000
+# takes 3.5 s, weight 1500 takes 16 s.
+MAX_QEXP_WEIGHT = 1000
 
 
 class UsageError(Exception):
@@ -214,7 +219,7 @@ def cmd_hecke(args):
     sym, space = _space(args)
     if args.group != "gamma0":
         raise MathPreconditionError("Hecke matrices are wired for the gamma0 family")
-    mat = hecke_matrix(space, args.ell)
+    mat = hecke_matrix(space, args.level, args.ell)
     return {
         "level": args.level,
         "weight": args.weight,
@@ -252,6 +257,10 @@ def cmd_qexp(args):
         raise MathPreconditionError(
             f"--terms {args.terms} at level {args.level} needs more than "
             f"{MAX_QEXP_CELLS} coefficients"
+        )
+    if args.weight > MAX_QEXP_WEIGHT:
+        raise MathPreconditionError(
+            f"--weight {args.weight} is above the bound {MAX_QEXP_WEIGHT}"
         )
     f = _load_fn(args.fn)
     if f.n != args.level:
@@ -306,9 +315,9 @@ def cmd_verify(args):
             for k in (4, 6):
                 f = TorsionFunction.indicator(n, (1, 0)) \
                     + TorsionFunction.indicator(n, (1, 2)).scale(Fraction(1, 2))
-                for j in range(1, k - 2):
+                js = range(1, k - 2)
+                for j, numeric in zip(js, mellin_numeric(f, k, js)):
                     exact = complex(float(mellin_rational(f, k, j)))
-                    numeric = mellin_numeric(f, k, j)
                     rel = abs(numeric - exact) / max(1.0, abs(exact))
                     record(f"mellin N={n} k={k} j={j} (relative)", rel, 1e-8)
         for n in range(1, 7):

@@ -6,7 +6,9 @@ together with a side-pairing involution, elliptic markings mu in
 unfolds a parent symbol across its arcs, discovering coset
 representatives of the subgroup with a FIFO worklist; order-3 elliptic
 arcs get queue priority, and leftover order-3 orbits of the induced
-pairing are rectified into four plain arcs.
+pairing are rectified into four plain arcs.  An order-3 triangle that
+still lacks one coset when the worklists are empty gets it attached
+across half of its arc, leaving one pair of plain sides.
 
 Groups are treated projectively: a membership predicate on matrices is
 symmetrized over +/-Id for all geometry, while stored gluing matrices
@@ -30,7 +32,6 @@ from .modgroup import (
     Mat,
     act,
     cusp_str,
-    madj,
     matrix_to_cusp,
     minv,
     mmul,
@@ -49,7 +50,6 @@ __all__ = [
     "gamma0_group",
     "gamma1_group",
     "gamma_full_group",
-    "conjugated_group",
     "intersection_group",
     "gamma0_symbol",
     "gamma1_symbol",
@@ -87,7 +87,7 @@ class GroupSpec:
     The key must satisfy key(g) == key(h) iff the projective cosets
     G(+/-)g and G(+/-)h agree; it turns coset detection into a dict
     lookup.  Without a key the engine falls back to a linear scan,
-    which is fine for small indices (Hecke intersections).
+    which is fine for small indices.
     """
 
     member: callable
@@ -151,22 +151,6 @@ def gamma_full_group(n: int) -> GroupSpec:
         return min(red, tuple((-x) % n for x in g))
 
     return GroupSpec(member, key, f"gamma({n})")
-
-
-def conjugated_group(alpha: Mat, inner: GroupSpec, name: str | None = None) -> GroupSpec:
-    """Matrices g with alpha g alpha^-1 integral and inside `inner`."""
-    det = alpha[0] * alpha[3] - alpha[1] * alpha[2]
-    if det <= 0:
-        raise ValueError("conjugating matrix must have positive determinant")
-    aadj = madj(alpha)
-
-    def member(g):
-        m = mmul(alpha, g, aadj)
-        if any(x % det for x in m):
-            return False
-        return inner.member(tuple(x // det for x in m))
-
-    return GroupSpec(member, None, name or f"conj({inner.name})")
 
 
 def intersection_group(*specs: GroupSpec) -> GroupSpec:
@@ -528,17 +512,13 @@ def subgroup_farey(
     work = deque((0, a) for a in range(n_parent) if a not in ell3)
     layout = [(0, a) for a in range(n_parent)]
     positions = {lab: i for i, lab in enumerate(layout)}
+    bent = {}  # label -> endpoints of the remaining side of a partial triangle
 
-    def circular_from(after: int, skip: int):
-        return [b % n_parent for b in range(after, after + n_parent) if b % n_parent != skip]
+    def arcs_of(ci: int, attach: int):
+        return [(ci, b % n_parent) for b in range(attach + 1, attach + n_parent)]
 
-    def splice(label, new_coset_indices, order3: bool, attach: int):
+    def splice(label, fresh, new_coset_indices):
         pos = positions.pop(label)
-        fresh = []
-        for ci in new_coset_indices:
-            start = (attach + 1) % n_parent
-            for b in circular_from(start, attach):
-                fresh.append((ci, b))
         layout[pos:pos + 1] = fresh
         for i, lab in enumerate(layout[pos:], start=pos):
             positions[lab] = i
@@ -552,30 +532,53 @@ def subgroup_farey(
                 if b not in ell3:
                     work.append((ci, b))
 
-    while work3 or work:
-        if work3:
-            ci, a = work3.popleft()
-            g = mmul(table.reps[ci], pg[a])
+    def add_rep(g: Mat) -> int:
+        i = table.add_rep(g)
+        if len(table) > max_index:
+            raise FareyError("coset bound exceeded; index too large or not a subgroup")
+        return i
+
+    while True:
+        while work3 or work:
+            if work3:
+                ci, a = work3.popleft()
+                g = mmul(table.reps[ci], pg[a])
+                g2 = mmul(g, pg[a])
+                if table.class_index(g) is not None or table.class_index(g2) is not None:
+                    # full or partial triangle: leave the arc in place; a
+                    # partially present triangle mostly completes through
+                    # other arcs and is rectified as an order-3 pairing orbit
+                    continue
+                i1 = add_rep(g)
+                i2 = add_rep(g2)
+                splice((ci, a), arcs_of(i1, a) + arcs_of(i2, a), [i1, i2])
+            else:
+                ci, a = work.popleft()
+                g = mmul(table.reps[ci], pg[a])
+                if table.class_index(g) is not None:
+                    continue
+                i1 = add_rep(g)
+                splice((ci, a), arcs_of(i1, pstar[a]), [i1])
+        # Only elliptic and partial triangles keep an order-3 arc in the
+        # layout.  A partial one whose missing coset no other arc reached
+        # gets that copy attached across one half of the arc; the other
+        # half and the copy's far half leave a plain side, which pairs
+        # with the known copy's arc.
+        for ci, a in [lab for lab in layout if lab[1] in ell3]:
+            xi = table.reps[ci]
+            s, e = parent.arcs[a]
+            g = mmul(xi, pg[a])
             g2 = mmul(g, pg[a])
-            if table.class_index(g) is not None or table.class_index(g2) is not None:
-                # full or partial triangle: leave the arc in place; a
-                # partially present triangle completes through other
-                # arcs and is rectified as an order-3 pairing orbit
-                continue
-            i1 = table.add_rep(g)
-            i2 = table.add_rep(g2)
-            if len(table) > max_index:
-                raise FareyError("coset bound exceeded; index too large or not a subgroup")
-            splice((ci, a), [i1, i2], True, a)
-        else:
-            ci, a = work.popleft()
-            g = mmul(table.reps[ci], pg[a])
-            if table.class_index(g) is not None:
-                continue
-            i1 = table.add_rep(g)
-            if len(table) > max_index:
-                raise FareyError("coset bound exceeded; index too large or not a subgroup")
-            splice((ci, a), [i1], False, pstar[a])
+            if table.class_index(g) is None:
+                i1 = add_rep(g)
+                bent[(ci, a)] = (act(g, s), act(xi, e))
+                splice((ci, a), arcs_of(i1, a) + [(ci, a)], [i1])
+            elif table.class_index(g2) is None:
+                i1 = add_rep(g2)
+                bent[(ci, a)] = (act(xi, s), act(g, s))
+                splice((ci, a), [(ci, a)] + arcs_of(i1, a), [i1])
+        if not (work3 or work):
+            break
 
     # assemble arcs, the induced pairing and gluing data
     arcs, star, mu, glue = [], [], [], []
@@ -586,6 +589,10 @@ def subgroup_farey(
         g = mmul(xi, pg[a])
         j, gamma = table.locate(g)
         partner = (j, pstar[a])
+        if partner not in pos_of and a in ell3:
+            # the known copy of a partial triangle pairs back with the bent side
+            j, gamma = table.locate(mmul(g, pg[a]))
+            partner = (j, a)
         if partner not in pos_of:
             raise FareyError("induced pairing leaves the polygon")
         ast[(ci, a)] = partner
@@ -598,7 +605,7 @@ def subgroup_farey(
         partner = ast[(ci, a)]
         m = pmu[a] if partner == (ci, a) else 1
         records.append({
-            "arc": (act(xi, s), act(xi, e)),
+            "arc": bent.get((ci, a), (act(xi, s), act(xi, e))),
             "mu": m,
             "glue": raw_glue[(ci, a)],
             "partner": partner,
@@ -613,7 +620,7 @@ def subgroup_farey(
         if lab in done:
             continue
         partner = r["partner"]
-        if partner == lab or pmu[lab[1]] != 3:
+        if partner == lab or pmu[lab[1]] != 3 or by_label[partner]["partner"] == lab:
             done.add(lab)
             continue
         lab_b = partner

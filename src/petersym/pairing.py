@@ -11,27 +11,25 @@ sum over the tilde arcs of a Farey symbol
 covers every combination the theory produces.  `pairing_matrix`
 evaluates it for lists of left and right arguments at once, and `pair`
 is its 1x1 case.  All values are exact rationals.
+
+Hecke operators on Gamma0(N) act on the coset values directly, through
+Merel's set of Heilbronn matrices of determinant ell; no second Farey
+symbol is unfolded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
+from .dims import gamma0_index
 from .eisenstein import EisSymbol
 from .exact import bernoulli_number, kernel_basis
-from .farey import (
-    CosetTable,
-    ExtendedFareySymbol,
-    GroupSpec,
-    conjugated_group,
-    gamma0_symbol,
-    subgroup_farey,
-)
-from .modgroup import EPS, T_MAT, CuspT, Mat, act, madj, mdet, minv, mmul
+from .farey import ExtendedFareySymbol, gamma0_symbol
+from .modgroup import EPS, T_MAT, CuspT, Mat, act, madj, minv, mmul
 from .orbits import basis_v, orbit_indicators
-from .polyspace import Vk
+from .polyspace import Vk, action_matrix
 from .spaces import (
     BoundarySymbol,
     ModularSymbolSpace,
@@ -46,10 +44,7 @@ __all__ = [
     "pair",
     "pair_alt",
     "pair_eis_via_cusps",
-    "HeckeContext",
-    "hecke_context",
-    "hecke_cocycle",
-    "hecke_path_map",
+    "heilbronn_merel",
     "hecke_matrix",
     "noncusp_pair",
     "epsilon_conjugate_hom",
@@ -159,97 +154,73 @@ def pair_eis_via_cusps(symbol: ExtendedFareySymbol, eis: EisSymbol,
 # -- Hecke operators ---------------------------------------------------
 
 
-@dataclass
-class HeckeContext:
-    """Double-coset data for an integral matrix between two groups.
+def heilbronn_merel(ell: int) -> list[Mat]:
+    """Merel's set X_ell of (a b; c d) with ad - bc = ell, a > b >= 0, d > c >= 0.
 
-    `table` holds representatives of (target cap alpha^-1 source alpha)
-    backslash target, obtained from the subgroup algorithm over the
-    target symbol, so the double coset is the disjoint union of the
-    source-translates of alpha times the representatives.
+    From b c <= (a-1)(d-1) it follows that a + d <= ell + 1; for b c = m
+    > 0, c = m / b < d means b > m / d.
     """
-
-    alpha: Mat
-    source_member: callable
-    target_symbol: ExtendedFareySymbol
-    table: CosetTable
-
-    def degree(self) -> int:
-        return len(self.table)
-
-
-def hecke_context(target_symbol: ExtendedFareySymbol, alpha: Mat,
-                  source: GroupSpec) -> HeckeContext:
-    if mdet(alpha) <= 0:
-        raise ValueError("the double-coset matrix must have positive determinant")
-    spec = conjugated_group(alpha, source)
-    _, table = subgroup_farey(target_symbol, spec)
-    return HeckeContext(alpha, source.member, target_symbol, table)
+    out = []
+    for a in range(1, ell + 1):
+        for d in range(1, ell + 2 - a):
+            m = a * d - ell  # = b c
+            if m == 0:
+                out.extend((a, 0, c, d) for c in range(d))
+                out.extend((a, b, 0, d) for b in range(1, a))
+            elif m > 0:
+                out.extend((a, b, m // b, d) for b in range(m // d + 1, a) if m % b == 0)
+    return out
 
 
-def _conjugate_down(alpha: Mat, m: Mat) -> Mat:
-    """alpha m alpha^-1, which must be integral of determinant 1."""
-    det = mdet(alpha)
-    raw = mmul(alpha, m, madj(alpha))
-    if any(x % det for x in raw):
-        raise ArithmeticError("conjugation left the integer matrices")
-    return tuple(x // det for x in raw)
+def hecke_matrix(space: ModularSymbolSpace, level: int, ell: int) -> list:
+    """Matrix of T_ell on the basis of a Gamma0(level) space (columns act).
 
+    By Merel's theorem the image of phi has, on the coset path of rep_i,
+    the value
 
-def hecke_cocycle(base_cocycle, hctx: HeckeContext):
-    """Transport of a source-group cocycle through the double coset."""
+        sum over h in X_ell of  phi(coset path of rep_j) | rep_j adj(h) rep_i^-1,
 
-    def transported(g: Mat) -> Vk:
-        total = None
-        for xi in hctx.table.reps:
-            prod = mmul(xi, g)
-            j, m = hctx.table.locate(prod)
-            gamma = _conjugate_down(hctx.alpha, m)
-            term = base_cocycle(gamma).act(mmul(hctx.alpha, hctx.table.reps[j]))
-            total = term if total is None else total + term
-        return total
-
-    return transported
-
-
-class hecke_path_map:
-    """The image of a path map under the double-coset operator."""
-
-    def __init__(self, phi, hctx: HeckeContext):
-        self.phi = phi
-        self.hctx = hctx
-
-    def eval_path(self, r: CuspT, s: CuspT) -> Vk:
-        total = None
-        for xi in self.hctx.table.reps:
-            m = mmul(self.hctx.alpha, xi)
-            term = self.phi.eval_path(act(m, r), act(m, s)).act(m)
-            total = term if total is None else total + term
-        return total
-
-
-def hecke_matrix(space: ModularSymbolSpace, ell: int,
-                 source: GroupSpec | None = None) -> list:
-    """Matrix of the prime Hecke operator on the space basis (columns act)."""
+    where j is the coset of the bottom row of rep_i h, and h is skipped
+    when that row is not a point of P^1(Z/level).  Coordinates are the
+    values at the free columns, so only the cosets holding one are
+    evaluated.
+    """
     symbol = space.symbol
-    if source is None:
-        from .farey import gamma0_group
-
-        name = symbol.name
-        if name == "sl2z":
-            source = gamma0_group(1)
-        elif name.startswith("gamma0("):
-            source = gamma0_group(int(name[7:-1]))
-        else:
-            raise ValueError("pass the source group explicitly for this symbol")
-    alpha = (1, 0, 0, ell)
-    hctx = hecke_context(symbol, alpha, source)
+    if level < 1 or symbol.index != gamma0_index(level) \
+            or any(g[2] % level for g in symbol.glue):
+        raise ValueError(f"the space is not over the symbol of Gamma0({level})")
+    table = symbol.require_direct_table()
+    k = space.k
+    n = k - 1
+    heil = heilbronn_merel(ell)
+    terms = {}  # coset i -> [(coset j, action matrix of rep_j adj(h) rep_i^-1)]
+    weights = defaultdict(list)  # coset-vector column -> [(coordinate, integer weight)]
+    free_cols = space.free_cols
+    for r, col in enumerate(free_cols):
+        i, s = divmod(col, n)
+        if i not in terms:
+            rep = table.reps[i]
+            terms[i] = []
+            for h in heil:
+                g = mmul(rep, h)
+                if gcd(g[2], g[3], level) == 1:
+                    j = table.class_index(g)
+                    terms[i].append((j, action_matrix(k, mmul(table.reps[j], madj(h), minv(rep)))))
+        for j, mat in terms[i]:
+            for t, x in enumerate(mat[s]):
+                if x:
+                    weights[j * n + t].append((r, x))
     cols = []
-    for b in space.basis:
-        image = space.from_path_evaluator(hecke_path_map(b, hctx).eval_path)
-        cols.append(space.coordinates(image))
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))] \
-        if cols else []
+    for support in space.supports:
+        # integer numerators over one denominator, as in Vk.act
+        den = lcm(*(x.denominator for _, x in support))
+        acc = [0] * len(free_cols)
+        for c, x in support:
+            num = x.numerator * (den // x.denominator)
+            for r, w in weights.get(c, ()):
+                acc[r] += w * num
+        cols.append([Fraction(v, den) for v in acc])
+    return [list(row) for row in zip(*cols)]
 
 
 # -- reflection conjugation -------------------------------------------

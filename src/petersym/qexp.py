@@ -204,12 +204,13 @@ def _terms_for_tail(n: int, k: int, tol: float) -> int:
     return m + n  # a full extra period of margin
 
 
-def mellin_numeric(f: TorsionFunction, k: int, j: int, terms: int | None = None) -> complex:
-    """Numeric Mellin value at j+1 by splitting the line integral at i.
+def mellin_numeric(f: TorsionFunction, k: int, js, terms: int | None = None) -> list[complex]:
+    """Numeric Mellin values at j+1 for each j in `js`, splitting the line integral at i.
 
     The lower half is folded through the weight-k inversion, leaving
     two exponentially convergent sums plus the elementary continuation
-    terms of the constants.
+    terms of the constants.  The two exact expansions are built once
+    for all j.
     """
     n = f.n
     if terms is None:
@@ -220,12 +221,17 @@ def mellin_numeric(f: TorsionFunction, k: int, j: int, terms: int | None = None)
     qh = eis_qexp(h, k, terms)
     a = qg.constant.to_complex()
     b = qh.constant.to_complex()
-    s = j + 1
+    fg = qg.floats()
+    fh = qh.floats()
     rate = 2 * math.pi / n
-    big_a = _qseries_tail_sum(qg.floats(), s, rate)
-    big_b = _qseries_tail_sum(qh.floats(), k - s, rate)
     ik = 1j ** k
-    return 1j ** s * (big_a + ik * big_b + ik * b / (s - k) - a / s)
+    out = []
+    for j in js:
+        s = j + 1
+        big_a = _qseries_tail_sum(fg, s, rate)
+        big_b = _qseries_tail_sum(fh, k - s, rate)
+        out.append(1j ** s * (big_a + ik * big_b + ik * b / (s - k) - a / s))
+    return out
 
 
 # -- level-one oracle ---------------------------------------------------

@@ -102,13 +102,13 @@ class ModularSymbolSpace:
         self.basis: list[SymbolElement] = [self.from_vector(v) for v in vectors]
 
     @cached_property
-    def _supports(self) -> list[list[tuple[int, Fraction]]]:
+    def supports(self) -> list[list[tuple[int, Fraction]]]:
         """Nonzero (column, value) pairs of each basis coset vector."""
         return [[(j, x) for j, x in enumerate(b.coset_vector()) if x] for b in self.basis]
 
     @property
     def free_cols(self) -> list[int]:
-        return [support[-1][0] for support in self._supports]
+        return [support[-1][0] for support in self.supports]
 
     def dimension(self) -> int:
         return len(self.basis)
@@ -137,7 +137,7 @@ class ModularSymbolSpace:
         """
         residual = elem.coset_vector()
         coords = [Fraction(residual[j]) for j in self.free_cols]
-        for c, support in zip(coords, self._supports):
+        for c, support in zip(coords, self.supports):
             if c:
                 for j, x in support:
                     residual[j] -= c * x

@@ -1,0 +1,130 @@
+"""Test-side reference implementations of the Hecke operators.
+
+The package computes T_ell on Gamma0(N) by Merel's Heilbronn formula.
+The helpers here compute the same operators from their definition, a
+double coset Gamma alpha Gamma: the intersection Gamma cap alpha^-1
+Gamma alpha is unfolded as a conjugated subgroup of the target symbol,
+and the image of a path map is sampled on every coset path.  They are
+the reference for the formula and for the adjointness tests.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from petersym.farey import (
+    CosetTable,
+    ExtendedFareySymbol,
+    GroupSpec,
+    gamma0_group,
+    subgroup_farey,
+)
+from petersym.modgroup import CuspT, Mat, act, madj, mdet, mmul
+from petersym.polyspace import Vk
+
+__all__ = [
+    "conjugated_group",
+    "HeckeContext",
+    "hecke_context",
+    "hecke_cocycle",
+    "hecke_path_map",
+    "double_coset_hecke_matrix",
+]
+
+
+def conjugated_group(alpha: Mat, inner: GroupSpec, name: str | None = None) -> GroupSpec:
+    """Matrices g with alpha g alpha^-1 integral and inside `inner`."""
+    det = alpha[0] * alpha[3] - alpha[1] * alpha[2]
+    if det <= 0:
+        raise ValueError("conjugating matrix must have positive determinant")
+    aadj = madj(alpha)
+
+    def member(g):
+        m = mmul(alpha, g, aadj)
+        if any(x % det for x in m):
+            return False
+        return inner.member(tuple(x // det for x in m))
+
+    return GroupSpec(member, None, name or f"conj({inner.name})")
+
+
+@dataclass
+class HeckeContext:
+    """Double-coset data for an integral matrix between two groups.
+
+    `table` holds representatives of (target cap alpha^-1 source alpha)
+    backslash target, obtained from the subgroup algorithm over the
+    target symbol, so the double coset is the disjoint union of the
+    source-translates of alpha times the representatives.
+    """
+
+    alpha: Mat
+    source_member: callable
+    target_symbol: ExtendedFareySymbol
+    table: CosetTable
+
+    def degree(self) -> int:
+        return len(self.table)
+
+
+def hecke_context(target_symbol: ExtendedFareySymbol, alpha: Mat,
+                  source: GroupSpec) -> HeckeContext:
+    if mdet(alpha) <= 0:
+        raise ValueError("the double-coset matrix must have positive determinant")
+    spec = conjugated_group(alpha, source)
+    _, table = subgroup_farey(target_symbol, spec)
+    return HeckeContext(alpha, source.member, target_symbol, table)
+
+
+def _conjugate_down(alpha: Mat, m: Mat) -> Mat:
+    """alpha m alpha^-1, which must be integral of determinant 1."""
+    det = mdet(alpha)
+    raw = mmul(alpha, m, madj(alpha))
+    if any(x % det for x in raw):
+        raise ArithmeticError("conjugation left the integer matrices")
+    return tuple(x // det for x in raw)
+
+
+def hecke_cocycle(base_cocycle, hctx: HeckeContext):
+    """Transport of a source-group cocycle through the double coset."""
+
+    def transported(g: Mat) -> Vk:
+        total = None
+        for xi in hctx.table.reps:
+            prod = mmul(xi, g)
+            j, m = hctx.table.locate(prod)
+            gamma = _conjugate_down(hctx.alpha, m)
+            term = base_cocycle(gamma).act(mmul(hctx.alpha, hctx.table.reps[j]))
+            total = term if total is None else total + term
+        return total
+
+    return transported
+
+
+class hecke_path_map:
+    """The image of a path map under the double-coset operator."""
+
+    def __init__(self, phi, hctx: HeckeContext):
+        self.phi = phi
+        self.hctx = hctx
+
+    def eval_path(self, r: CuspT, s: CuspT) -> Vk:
+        total = None
+        for xi in self.hctx.table.reps:
+            m = mmul(self.hctx.alpha, xi)
+            term = self.phi.eval_path(act(m, r), act(m, s)).act(m)
+            total = term if total is None else total + term
+        return total
+
+
+def double_coset_hecke_matrix(space, level: int, ell: int, columns=None) -> list:
+    """Matrix of T_ell on the space basis through the double coset (columns act).
+
+    With `columns`, only the images of those basis elements are computed
+    and the result has one column for each, in that order.
+    """
+    hctx = hecke_context(space.symbol, (1, 0, 0, ell), gamma0_group(level))
+    basis = space.basis if columns is None else [space.basis[c] for c in columns]
+    cols = [space.coordinates(space.from_path_evaluator(hecke_path_map(b, hctx).eval_path))
+            for b in basis]
+    return [list(row) for row in zip(*cols)]

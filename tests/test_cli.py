@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import petersym
-from petersym.cli import MAX_INDICATOR_CELLS, MAX_QEXP_CELLS, main
+from petersym.cli import MAX_INDICATOR_CELLS, MAX_QEXP_CELLS, MAX_QEXP_WEIGHT, main
 from petersym.cyclo import CycVec
+from petersym.dims import gamma0_invariants
 from petersym.eisenstein import TorsionFunction
 from petersym.orbits import basis_v
 from petersym.qexp import QExpansion
@@ -37,6 +38,16 @@ def test_farey_through_parent(tmp_path, capsys):
     assert data["invariants"] == gamma0_symbol(6).invariants()
 
 
+def test_farey_tower_over_gamma0_7(tmp_path, capsys):
+    # the parent has two order-3 arcs whose triangles are left partial
+    parent = tmp_path / "parent.json"
+    parent.write_text(json.dumps({"group": "gamma0", "level": 7}))
+    code, data = run(capsys, "farey", "--group", "gamma0", "--level", "28",
+                     "--parent", str(parent))
+    assert code == 0
+    assert data["invariants"] == gamma0_invariants(28)
+
+
 def test_cuspidal_dimension_field(capsys):
     code, data = run(capsys, "cuspidal", "--level", "11", "--weight", "2")
     assert code == 0
@@ -56,6 +67,13 @@ def test_hecke_command(capsys):
                      "--ell", "2")
     assert code == 0
     assert len(data["matrix"]) == 3
+
+
+def test_hecke_command_at_gamma0_7_ell_5(capsys):
+    # the double-coset unfolding used to fail on this level
+    code, data = run(capsys, "hecke", "--level", "7", "--weight", "2", "--ell", "5")
+    assert code == 0
+    assert data["matrix"] == [["6"]]
 
 
 def test_eisbasis_and_qexp_roundtrip(tmp_path, capsys):
@@ -219,6 +237,33 @@ def test_qexp_terms_bound(capsys, tmp_path, monkeypatch, extra, accepted):
         assert code == 0
         assert calls == [terms]
         assert len(json.loads(captured.out)["coefficients"]) == terms
+    else:
+        assert code == 3
+        assert calls == []
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
+def test_qexp_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted):
+    calls = []
+
+    def expansion(f, k, terms):
+        calls.append(k)
+        return QExpansion(f.n, k, terms, CycVec(f.n), [CycVec(f.n)] * (terms + 1))
+
+    monkeypatch.setattr("petersym.qexp.eis_qexp", expansion)
+    weight = MAX_QEXP_WEIGHT + extra
+    fn_file = tmp_path / "fn.json"
+    if accepted:
+        fn_file.write_text(json.dumps(TorsionFunction.constant(1).to_json()))
+    # a refused weight exits before the (here missing) file is read
+    code = main(["qexp", "--level", "1", "--weight", str(weight),
+                 "--terms", "3", "--fn", str(fn_file)])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0
+        assert calls == [weight]
+        assert json.loads(captured.out)["weight"] == weight
     else:
         assert code == 3
         assert calls == []

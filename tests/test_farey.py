@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petersym.dims import (
     gamma0_index,
@@ -23,6 +25,7 @@ from petersym.farey import (
     subgroup_farey,
 )
 from petersym.modgroup import ID, SIGMA, T_MAT, TAU, act, minv, mmul, mneg, mpow, psl2_order
+from .oracles import conjugated_group, hecke_context
 from .test_modgroup import random_sl2
 
 
@@ -146,6 +149,58 @@ def test_rectification_of_order3_orbits():
     g14.validate()
     assert g14.invariants() == gamma0_invariants(14)
     assert all(m == 1 for m in g14.mu)
+
+
+@pytest.mark.parametrize("spec,invariants", [
+    (gamma0_group(28), gamma0_invariants(28)),
+    (gamma1_group(28), gamma1_invariants(28)),
+    # Gamma0(7) cap Gamma^0(5), the double coset of diag(1, 5); conjugate
+    # to Gamma0(35) by diag(5, 1)
+    (conjugated_group((1, 0, 0, 5), gamma0_group(7)), gamma0_invariants(35)),
+], ids=["gamma0(28)", "gamma1(28)", "double coset of diag(1, 5)"])
+def test_tower_over_gamma0_7(spec, invariants):
+    # triangles around the two order-3 arcs of Gamma0(7) are left with one
+    # coset missing once the rest is unfolded
+    g7 = gamma0_symbol(7)
+    sym, table = subgroup_farey(g7, spec)
+    sym.validate()
+    assert sym.invariants() == invariants
+    assert sym.index == g7.index * len(table)
+    rng = random.Random(28)
+    for _ in range(20):
+        assert_decomposes(sym, spec, [rng.choice(g7.glue) for _ in range(rng.randrange(1, 8))])
+
+
+def assert_decomposes(sym, spec, word):
+    """coset_decompose rebuilds the product of a word in the parent's glue."""
+    g = ID
+    for letter in word:
+        g = mmul(g, letter)
+    factors, xi = coset_decompose(sym, g)
+    prod = ID
+    for f in factors:
+        prod = mmul(prod, f)
+    assert mmul(prod, xi) == g
+    assert all(spec.member(f) for f in factors)
+
+
+@settings(deadline=None, max_examples=20)
+@given(n=st.integers(2, 20), m=st.integers(2, 4), family=st.sampled_from(["gamma0", "gamma1"]),
+       data=st.data())
+def test_towers_over_gamma0(n, m, family, data):
+    group, invariants = {"gamma0": (gamma0_group, gamma0_invariants),
+                         "gamma1": (gamma1_group, gamma1_invariants)}[family]
+    parent = gamma0_symbol(n)
+    spec = group(n * m)
+    sym, table = subgroup_farey(parent, spec)
+    sym.validate()
+    assert sym.invariants() == invariants(n * m)
+    assert_decomposes(sym, spec, data.draw(st.lists(st.sampled_from(parent.glue),
+                                                    min_size=1, max_size=8)))
+
+
+def test_hecke_context_over_gamma0_7():
+    assert hecke_context(gamma0_symbol(7), (1, 0, 0, 5), gamma0_group(7)).degree() == 6
 
 
 def test_infinite_index_guard():

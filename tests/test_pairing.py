@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petersym.dims import dim_cusp_forms_gamma0
 from petersym.eisenstein import EisSymbol, TorsionFunction
@@ -11,21 +13,19 @@ from petersym.farey import (
     base_symbol_sl2z,
     gamma0_group,
     gamma0_symbol,
+    gamma1_symbol,
     subgroup_farey,
 )
 from petersym.modgroup import EPS, ID, act, madj, minv, mmul
 from petersym.orbits import basis_v, orbit_indicator
 from petersym.pairing import (
-    HeckeContext,
     cuspidal_subspace,
     eisenstein_pairing_matrix,
     epsilon_conjugate_cocycle,
     epsilon_conjugate_hom,
     haberland_pair,
-    hecke_context,
-    hecke_cocycle,
     hecke_matrix,
-    hecke_path_map,
+    heilbronn_merel,
     hom_cocycle,
     lambda_coeffs,
     pair,
@@ -35,6 +35,7 @@ from petersym.pairing import (
 )
 from petersym.polyspace import Vk
 from petersym.spaces import boundary_space, build_space
+from .oracles import double_coset_hecke_matrix, hecke_context, hecke_cocycle, hecke_path_map
 from .test_spaces import random_cusp, symbol_for
 
 
@@ -223,8 +224,8 @@ def test_hecke_identity_matrix_is_identity():
 
 def test_hecke_commutation():
     sp = build_space(gamma0_symbol(5), 4)
-    m2 = hecke_matrix(sp, 2)
-    m3 = hecke_matrix(sp, 3)
+    m2 = hecke_matrix(sp, 5, 2)
+    m3 = hecke_matrix(sp, 5, 3)
 
     def matmul(a, b):
         size = len(a)
@@ -232,6 +233,61 @@ def test_hecke_commutation():
                 for i in range(size)]
 
     assert matmul(m2, m3) == matmul(m3, m2)
+
+
+@settings(deadline=None, max_examples=15)
+@given(n=st.integers(1, 40), k=st.sampled_from([2, 4, 6, 8]),
+       ell=st.sampled_from([2, 3, 5, 7, 11, 13]), data=st.data())
+def test_heilbronn_hecke_matches_double_coset(n, k, ell, data):
+    # the double coset costs a path-map sampling per basis element, so
+    # only a few drawn columns of the Heilbronn matrix are compared
+    sp = build_space(symbol_for(n), k)
+    mat = hecke_matrix(sp, n, ell)
+    assert len(mat) == sp.dimension() and all(len(row) == len(mat) for row in mat)
+    if not mat:
+        return
+    cols = data.draw(st.lists(st.integers(0, len(mat) - 1), min_size=1, max_size=3,
+                              unique=True))
+    expected = double_coset_hecke_matrix(sp, n, ell, cols)
+    assert [[row[c] for c in cols] for row in mat] == expected
+
+
+@pytest.mark.parametrize("n,k,ell", [(7, 4, 5), (22, 2, 11), (12, 4, 2), (30, 2, 7)])
+def test_heilbronn_hecke_fixed_cases(n, k, ell):
+    # ell | N, and Gamma0(7), whose double-coset unfolding used to fail
+    sp = build_space(gamma0_symbol(n), k)
+    assert hecke_matrix(sp, n, ell) == double_coset_hecke_matrix(sp, n, ell)
+
+
+def test_heilbronn_set():
+    for ell in (1, 2, 3, 5, 7, 13):
+        brute = [(a, b, c, d) for a in range(ell + 1) for b in range(a)
+                 for d in range(ell + 1) for c in range(d) if a * d - b * c == ell]
+        assert sorted(heilbronn_merel(ell)) == sorted(brute)
+
+
+def test_hecke_matrix_does_not_unfold(monkeypatch):
+    sp = build_space(gamma0_symbol(11), 4)
+    expected = double_coset_hecke_matrix(sp, 11, 3)
+
+    def unfold(*args, **kwargs):
+        raise AssertionError("the Hecke matrix unfolded a Farey symbol")
+
+    monkeypatch.setattr("petersym.farey.subgroup_farey", unfold)
+    monkeypatch.setattr("petersym.pairing.subgroup_farey", unfold, raising=False)
+    assert hecke_matrix(sp, 11, 3) == expected
+
+
+@pytest.mark.parametrize("symbol,level", [
+    (lambda: gamma1_symbol(5), 5),
+    (lambda: gamma0_symbol(11), 7),
+    (lambda: gamma0_symbol(11), 22),
+    (lambda: gamma0_symbol(11), 0),
+])
+def test_hecke_matrix_refuses_other_groups(symbol, level):
+    sp = build_space(symbol(), 2)
+    with pytest.raises(ValueError):
+        hecke_matrix(sp, level, 2)
 
 
 def test_level_one_eisenstein_eigenvalue():

@@ -2,8 +2,9 @@
 
 No linter is a dependency of the project, so the two checks that keep
 deletions honest are made here: every name a module exports in
-`__all__` exists, and no module imports a name it never uses.  A third
-check keeps the package free of third-party numeric libraries.
+`__all__` exists, and no module imports a name it never uses.  They
+cover the package and the test-side oracle.  A third check keeps the
+package free of third-party numeric libraries.
 """
 
 import ast
@@ -18,19 +19,22 @@ import pytest
 import petersym
 
 PACKAGE = Path(petersym.__file__).parent
-MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+MODULES = [pytest.param(f"petersym.{p.stem}", p, id=p.stem)
+           for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+MODULES.append(pytest.param("tests.oracles", Path(__file__).with_name("oracles.py"),
+                            id="tests.oracles"))
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_all_names_resolve(name):
-    module = importlib.import_module(f"petersym.{name}")
+@pytest.mark.parametrize("name,path", MODULES)
+def test_all_names_resolve(name, path):
+    module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert missing == []
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_no_unused_imports(name):
-    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+@pytest.mark.parametrize("name,path", MODULES)
+def test_no_unused_imports(name, path):
+    tree = ast.parse(path.read_text())
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
