@@ -6,7 +6,9 @@ from infinity to 0 (a coefficient polynomial built from products of
 Bernoulli-distribution moments) and the scalar driving values on
 infinitesimal symbols at infinity.  Values on arbitrary cocycle paths
 are assembled from these by the continued-fraction decomposition, with
-all twists of f taken modulo the level and memoized.
+all twists of f taken modulo the level and memoized.  The exact Fourier
+transforms return the same table class with values in the group ring
+Q[Z/NZ], the data of the q-expansions in `qexp`.
 
 The moments of a twist f|g are never tabulated over (Z/NZ)^2: since
 (f|g)-(x, y) = f(u, v) exactly when (x, y) = -(u, v) g mod N, all k of
@@ -33,7 +35,6 @@ from .polyspace import Vk
 
 __all__ = [
     "TorsionFunction",
-    "CycFunction",
     "beta_value",
     "beta_moment",
     "fourier1",
@@ -47,13 +48,25 @@ __all__ = [
 
 
 class TorsionFunction:
-    """Rational-valued function on (Z/NZ)^2; values[x][y] = f(x, y)."""
+    """Function on (Z/NZ)^2, values[x][y] = f(x, y).
+
+    Values are rational, or in the group ring Q[Z/NZ] (`CycVec`) in the
+    tables the Fourier transforms return.
+    """
 
     def __init__(self, n: int, values):
         self.n = n
         self.values = [[Fraction(v) for v in row] for row in values]
         if len(self.values) != n or any(len(r) != n for r in self.values):
             raise ValueError("value table must be N x N")
+
+    @classmethod
+    def _of(cls, n: int, values: list) -> "TorsionFunction":
+        """Wrap an N x N table already built, without converting it."""
+        f = cls.__new__(cls)
+        f.n = n
+        f.values = values
+        return f
 
     @classmethod
     def zero(cls, n: int) -> "TorsionFunction":
@@ -69,7 +82,7 @@ class TorsionFunction:
         f.values[point[0] % n][point[1] % n] = Fraction(1)
         return f
 
-    def __call__(self, x: int, y: int) -> Fraction:
+    def __call__(self, x: int, y: int):
         return self.values[x % self.n][y % self.n]
 
     def __eq__(self, other):
@@ -97,15 +110,14 @@ class TorsionFunction:
             raise ValueError("twisting matrix must have determinant +-1")
         inv = madj(g) if d == 1 else tuple(-x for x in madj(g))
         a, b, c, dd = inv
-        out = TorsionFunction.zero(n)
-        for x in range(n):
-            for y in range(n):
-                out.values[x][y] = self.values[(x * a + y * c) % n][(x * b + y * dd) % n]
-        return out
+        return TorsionFunction._of(n, [
+            [self.values[(x * a + y * c) % n][(x * b + y * dd) % n] for y in range(n)]
+            for x in range(n)
+        ])
 
     def minus(self) -> "TorsionFunction":
         n = self.n
-        return TorsionFunction(n, [
+        return TorsionFunction._of(n, [
             [self.values[(-x) % n][(-y) % n] for y in range(n)] for x in range(n)
         ])
 
@@ -119,40 +131,6 @@ class TorsionFunction:
 
     def to_json(self):
         return {"N": self.n, "values": [[frac_str(v) for v in row] for row in self.values]}
-
-
-class CycFunction:
-    """Function on (Z/NZ)^2 with values in the group ring Q[Z/NZ]."""
-
-    def __init__(self, n: int, values):
-        self.n = n
-        self.values = values
-
-    def __call__(self, x: int, y: int) -> CycVec:
-        return self.values[x % self.n][y % self.n]
-
-    def act(self, g: Mat) -> "CycFunction":
-        n = self.n
-        inv = madj(g)
-        if mdet(g) != 1:
-            raise ValueError("twisting matrix must have determinant 1")
-        a, b, c, dd = inv
-        vals = [[self.values[(x * a + y * c) % n][(x * b + y * dd) % n]
-                 for y in range(n)] for x in range(n)]
-        return CycFunction(n, vals)
-
-    def minus(self) -> "CycFunction":
-        n = self.n
-        vals = [[self.values[(-x) % n][(-y) % n] for y in range(n)] for x in range(n)]
-        return CycFunction(n, vals)
-
-    def __eq__(self, other):
-        if not isinstance(other, CycFunction) or self.n != other.n:
-            return NotImplemented
-        return all(
-            self.values[x][y] == other.values[x][y]
-            for x in range(self.n) for y in range(self.n)
-        )
 
 
 def fourier1(values) -> list[CycVec]:
@@ -169,20 +147,20 @@ def fourier1(values) -> list[CycVec]:
     return out
 
 
-def fourier_partial1(f) -> CycFunction:
+def fourier_partial1(f: TorsionFunction) -> TorsionFunction:
     """Transform in the first variable: sum_a f(a, m) z^(-a n)."""
     n = f.n
     cols = [fourier1([f(a, m) for a in range(n)]) for m in range(n)]
-    return CycFunction(n, [[cols[m][x] for m in range(n)] for x in range(n)])
+    return TorsionFunction._of(n, [[cols[m][x] for m in range(n)] for x in range(n)])
 
 
-def fourier_partial2(f) -> CycFunction:
+def fourier_partial2(f: TorsionFunction) -> TorsionFunction:
     """Transform in the second variable: sum_b f(n, b) z^(-b m)."""
     n = f.n
-    return CycFunction(n, [fourier1(f.values[x]) for x in range(n)])
+    return TorsionFunction._of(n, [fourier1(f.values[x]) for x in range(n)])
 
 
-def fourier2(f) -> CycFunction:
+def fourier2(f: TorsionFunction) -> TorsionFunction:
     """Two-variable Fourier transform with the determinant kernel.
 
     fhat(n, m) = (1/N) sum f(a, b) z^(a m - b n), z a primitive N-th
@@ -191,10 +169,10 @@ def fourier2(f) -> CycFunction:
     n = f.n
     inv_n = Fraction(1, n)
     out = [[CycVec(n) for _ in range(n)] for _ in range(n)]
-    rational = isinstance(f, TorsionFunction)
     for a in range(n):
         for b in range(n):
             v = f.values[a][b]
+            rational = not isinstance(v, CycVec)
             if rational and not v:
                 continue
             for nn in range(n):
@@ -205,7 +183,7 @@ def fourier2(f) -> CycFunction:
                         row[m].add_root_multiple(base + a * m, inv_n * v)
                     else:
                         row[m] = row[m] + v.rotate(base + a * m).scale(inv_n)
-    return CycFunction(n, out)
+    return TorsionFunction._of(n, out)
 
 
 @lru_cache(maxsize=None)

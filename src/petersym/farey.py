@@ -53,7 +53,6 @@ __all__ = [
     "intersection_group",
     "gamma0_symbol",
     "gamma1_symbol",
-    "gamma_full_symbol",
     "coset_decompose",
 ]
 
@@ -243,7 +242,6 @@ class ExtendedFareySymbol:
         self.name = name
         self._tilde = None
         self._cusp_classes = None
-        self._t_orbits = None
         self._trivial_table = None
 
     # -- structure ---------------------------------------------------
@@ -347,12 +345,10 @@ class ExtendedFareySymbol:
             if tilde[start].start[0] == "e":
                 seen[start] = True  # elliptic singleton orbit
                 continue
-            orbit = []
             i = start
             tau = ID
             while True:
                 seen[i] = True
-                orbit.append(i)
                 tau = mmul(minv(tilde[i].glue), tau)
                 i = (tilde[i].star + 1) % m
                 if i == start:
@@ -370,9 +366,7 @@ class ExtendedFareySymbol:
                     f"cusp orbit at {cusp_str(vertex)} has stabilizer {stab}, "
                     "not a positive translation"
                 )
-            classes.append(
-                CuspClass(vertex, g0, stab[1], tau, regular, tuple(orbit))
-            )
+            classes.append(CuspClass(vertex, g0, stab[1], tau, regular))
         if sum(c.width for c in classes) != self.index:
             raise FareyError("cusp widths do not sum to the group index")
         self._cusp_classes = classes
@@ -396,28 +390,6 @@ class ExtendedFareySymbol:
 
     # -- cusp classification against this symbol's group --------------
 
-    def _translation_orbits(self):
-        """Partition of absolute cosets under right multiplication by T."""
-        if self._t_orbits is not None:
-            return self._t_orbits
-        table = self.require_direct_table()
-        n = len(table.reps)
-        orbit_id = [-1] * n
-        orbits = []
-        for i in range(n):
-            if orbit_id[i] != -1:
-                continue
-            oid = len(orbits)
-            members = []
-            j = i
-            while orbit_id[j] == -1:
-                orbit_id[j] = oid
-                members.append(j)
-                j = table.class_index(mmul(table.reps[j], T_MAT))
-            orbits.append(members)
-        self._t_orbits = (orbit_id, orbits)
-        return self._t_orbits
-
     def require_direct_table(self) -> CosetTable:
         if self.table is None:
             # the base symbol: one coset, every matrix is a group element
@@ -431,24 +403,24 @@ class ExtendedFareySymbol:
             raise FareyError("operation needs a symbol built directly over SL2(Z)")
         return self.table
 
-    def cusp_class_of(self, c: CuspT):
+    def cusp_class_of(self, c: CuspT) -> "CuspClass":
         """The CuspClass record whose orbit contains the cusp c."""
-        table = self.require_direct_table()
-        orbit_id, _ = self._translation_orbits()
-        target = orbit_id[table.class_index(matrix_to_cusp(c))]
-        for cls in self.cusp_classes():
-            if orbit_id[table.class_index(cls.g0)] == target:
-                return cls
-        raise FareyError("cusp matches no class of the symbol")
+        return self.cusp_transporter(c)[0]
 
     def cusp_transporter(self, c: CuspT) -> tuple["CuspClass", Mat]:
-        """(class, gamma) with gamma in the group and c = gamma . class vertex."""
+        """(class, gamma) with gamma in the group and c = gamma . class vertex.
+
+        One walk over h T^j, h sending infinity to c, finds both: the
+        T-orbit of the coset of h is the set of cosets sending infinity
+        into the class of c, so it holds the g0 coset of exactly one
+        class, and gamma = h T^j g0^-1 at the first hit (j < index).
+        """
         table = self.require_direct_table()
-        cls = self.cusp_class_of(c)
-        target = table.class_index(cls.g0)
+        by_coset = {table.class_index(cls.g0): cls for cls in self.cusp_classes()}
         h = matrix_to_cusp(c)
         for _ in range(self.index + 1):
-            if table.class_index(h) == target:
+            cls = by_coset.get(table.class_index(h))
+            if cls is not None:
                 gamma = mmul(h, minv(cls.g0))
                 return cls, _sign_into(self.member, gamma)
             h = mmul(h, T_MAT)
@@ -472,7 +444,6 @@ class CuspClass:
     width: int
     tau: Mat             # stabilizer generator, conjugate of [[1, w], [0, 1]]
     regular: bool
-    tilde_positions: tuple
 
 
 def base_symbol_sl2z() -> ExtendedFareySymbol:
@@ -582,18 +553,17 @@ def subgroup_farey(
 
     # assemble arcs, the induced pairing and gluing data
     arcs, star, mu, glue = [], [], [], []
-    pos_of = {lab: i for i, lab in enumerate(layout)}
     ast, raw_glue = {}, {}
     for ci, a in layout:
         xi = table.reps[ci]
         g = mmul(xi, pg[a])
         j, gamma = table.locate(g)
         partner = (j, pstar[a])
-        if partner not in pos_of and a in ell3:
+        if partner not in positions and a in ell3:
             # the known copy of a partial triangle pairs back with the bent side
             j, gamma = table.locate(mmul(g, pg[a]))
             partner = (j, a)
-        if partner not in pos_of:
+        if partner not in positions:
             raise FareyError("induced pairing leaves the polygon")
         ast[(ci, a)] = partner
         raw_glue[(ci, a)] = gamma
@@ -682,11 +652,6 @@ def gamma0_symbol(n: int) -> ExtendedFareySymbol:
 
 def gamma1_symbol(n: int) -> ExtendedFareySymbol:
     sym, _ = subgroup_farey(base_symbol_sl2z(), gamma1_group(n))
-    return sym
-
-
-def gamma_full_symbol(n: int) -> ExtendedFareySymbol:
-    sym, _ = subgroup_farey(base_symbol_sl2z(), gamma_full_group(n))
     return sym
 
 

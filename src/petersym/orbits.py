@@ -85,6 +85,8 @@ def all_orbits(n: int) -> list[Triple]:
 
 def basis_v(n: int, k: int) -> list[Triple]:
     """The divisor-indexed orbit family; drops the zero orbit at weight 2."""
+    if n < 1:
+        raise ValueError("level must be positive")
     if k < 2:
         raise ValueError("weight must be at least 2")
     out = []

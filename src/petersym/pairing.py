@@ -26,7 +26,7 @@ from math import comb, factorial, gcd, lcm
 from .dims import gamma0_index
 from .eisenstein import EisSymbol
 from .exact import bernoulli_number, kernel_basis
-from .farey import ExtendedFareySymbol, gamma0_symbol
+from .farey import ExtendedFareySymbol, base_symbol_sl2z, gamma0_symbol
 from .modgroup import EPS, T_MAT, CuspT, Mat, act, madj, minv, mmul
 from .orbits import basis_v, orbit_indicators
 from .polyspace import Vk, action_matrix
@@ -271,10 +271,10 @@ def eisenstein_pairing_matrix(symbol: ExtendedFareySymbol, n: int, k: int,
 
 def cuspidal_subspace(n: int, k: int) -> tuple[ModularSymbolSpace, list[SymbolElement]]:
     """Exact kernel of the pairing against all basis Eisenstein symbols."""
-    if k % 2:
-        raise ValueError("the construction needs even weight over these groups")
-    from .farey import base_symbol_sl2z
-
+    if n < 1:
+        raise ValueError("level must be positive")
+    if k < 2 or k % 2:
+        raise ValueError("cuspidal extraction needs an even weight of at least 2")
     symbol = gamma0_symbol(n) if n > 1 else base_symbol_sl2z()
     space = build_space(symbol, k)
     rows = eisenstein_pairing_matrix(symbol, n, k, space)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycVec
-from .eisenstein import CycFunction, TorsionFunction, beta_moment, beta_value, fourier2
+from .eisenstein import TorsionFunction, beta_moment, beta_value, fourier2
 from .exact import bernoulli_number
 from .modgroup import SIGMA
 
@@ -152,11 +152,11 @@ def eis_qexp(f, k: int, terms: int) -> QExpansion:
     return QExpansion(n, k, terms, constant, coeffs)
 
 
-def normalized_transform(f: TorsionFunction) -> CycFunction:
+def normalized_transform(f: TorsionFunction) -> TorsionFunction:
     """(1/N) times the two-variable Fourier transform of f."""
     hat = fourier2(f)
     inv = Fraction(1, f.n)
-    return CycFunction(f.n, [[v.scale(inv) for v in row] for row in hat.values])
+    return TorsionFunction._of(f.n, [[v.scale(inv) for v in row] for row in hat.values])
 
 
 def mellin_rational(f: TorsionFunction, k: int, j: int) -> Fraction:

@@ -212,6 +212,9 @@ class BoundarySymbol:
     matrix g_P (sending infinity to P) is
 
         coeff * x^(k-2) | g_P^-1 gamma^-1      for the cusp gamma . P.
+
+    `eval_path` is its restriction to Delta_0, the embedded boundary
+    symbol the pairing takes: value_at(s) - value_at(r) on {r, s}.
     """
 
     def __init__(self, symbol: ExtendedFareySymbol, k: int, coeffs: dict):
@@ -227,19 +230,8 @@ class BoundarySymbol:
         vinf = Vk.monomial(self.k, self.k - 2)
         return vinf.act(mmul(minv(cls.g0), minv(gamma))).scale(c)
 
-    def embed(self) -> "EmbeddedBoundary":
-        return EmbeddedBoundary(self)
-
-
-class EmbeddedBoundary:
-    """The induced element of Hom_Gamma(Delta_0, V_k)."""
-
-    def __init__(self, boundary: BoundarySymbol):
-        self.boundary = boundary
-        self.k = boundary.k
-
     def eval_path(self, r: CuspT, s: CuspT) -> Vk:
-        return self.boundary.value_at(s) - self.boundary.value_at(r)
+        return self.value_at(s) - self.value_at(r)
 
 
 def _class_admits_line(symbol: ExtendedFareySymbol, cls: CuspClass, k: int) -> bool:

@@ -111,7 +111,7 @@ def test_acceptance_3_pairing_structure():
         sp = build_space(sym, k)
         # (a) boundary images in the radical, both slots
         for b0 in boundary_space(sym, k):
-            emb = b0.embed()
+            emb = b0
             emb_elem = sp.from_path_evaluator(emb.eval_path)
             for b in sp.basis:
                 assert pair(sym, emb, b) == 0
@@ -207,7 +207,7 @@ def test_acceptance_5_eisenstein_duality():
                 eis = EisSymbol(orbit_indicator(t, n), k)
                 for b0 in boundary_space(sym, k):
                     assert pair_eis_via_cusps(sym, eis, b0) \
-                        == pair(sym, eis.cocycle, b0.embed())
+                        == pair(sym, eis.cocycle, b0)
     # nondegeneracy of the Eisenstein-versus-boundary matrix
     for n in range(1, 31):
         sym = symbol_for(n)

@@ -7,13 +7,20 @@ from pathlib import Path
 import pytest
 
 import petersym
-from petersym.cli import MAX_INDICATOR_CELLS, MAX_QEXP_CELLS, MAX_QEXP_WEIGHT, main
+from petersym.cli import (
+    MAX_HECKE_ELL,
+    MAX_INDICATOR_CELLS,
+    MAX_QEXP_CELLS,
+    MAX_QEXP_WEIGHT,
+    main,
+)
 from petersym.cyclo import CycVec
 from petersym.dims import gamma0_invariants
 from petersym.eisenstein import TorsionFunction
 from petersym.orbits import basis_v
 from petersym.qexp import QExpansion
 from petersym.farey import FareyError, gamma0_symbol, subgroup_farey
+from petersym.spaces import build_space
 
 
 def run(capsys, *argv):
@@ -268,6 +275,50 @@ def test_qexp_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted):
         assert code == 3
         assert calls == []
         assert captured.err.startswith("error: ")
+
+
+def _next_prime(n):
+    n += 1
+    while any(n % p == 0 for p in range(2, int(n ** 0.5) + 1)):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("ell,accepted", [
+    (MAX_HECKE_ELL, True), (MAX_HECKE_ELL + 1, False), (_next_prime(MAX_HECKE_ELL), False),
+])
+def test_hecke_ell_bound(capsys, monkeypatch, ell, accepted):
+    heilbronn, spaces = [], []
+
+    def merel(n):
+        heilbronn.append(n)
+        return []
+
+    def space(sym, k):
+        spaces.append(k)
+        return build_space(sym, k)
+
+    monkeypatch.setattr("petersym.pairing.heilbronn_merel", merel)
+    monkeypatch.setattr("petersym.cli.build_space", space)
+    code = main(["hecke", "--level", "11", "--weight", "2", "--ell", str(ell)])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0
+        assert heilbronn == [ell]
+        data = json.loads(captured.out)
+        assert data["ell"] == ell and data["matrix"] == [["0"] * 3] * 3
+    else:
+        assert code == 3
+        assert spaces == [] and heilbronn == []
+        assert f"above the bound {MAX_HECKE_ELL}" in captured.err
+
+
+def test_hecke_has_no_group_option(capsys):
+    # Hecke matrices are built over Gamma0 only, so hecke takes no --group
+    with pytest.raises(SystemExit) as exc:
+        main(["hecke", "--group", "gamma1", "--level", "11", "--weight", "2", "--ell", "2"])
+    assert exc.value.code == 2
+    assert "--group" in capsys.readouterr().err
 
 
 def test_verify_petersson_quadrature_failure_exit_code(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -20,11 +21,13 @@ from petersym.farey import (
     gamma0_group,
     gamma0_symbol,
     gamma1_group,
+    gamma1_symbol,
     gamma_full_group,
     intersection_group,
     subgroup_farey,
 )
-from petersym.modgroup import ID, SIGMA, T_MAT, TAU, act, minv, mmul, mneg, mpow, psl2_order
+from petersym.modgroup import ID, SIGMA, T_MAT, TAU, act, cusp, minv, mmul, mneg, mpow, psl2_order
+from petersym.orbits import cusp_to_basis
 from .oracles import conjugated_group, hecke_context
 from .test_modgroup import random_sl2
 
@@ -237,6 +240,42 @@ def test_cusp_classification_and_transport():
             assert found.vertex == cls.vertex
             assert sym.member(gamma)
             assert act(gamma, found.vertex) == c
+
+
+@lru_cache(maxsize=None)
+def _symbol(family, n):
+    return (gamma0_symbol if family == "gamma0" else gamma1_symbol)(n)
+
+
+cusps = st.tuples(st.integers(-300, 300), st.integers(0, 300)) \
+    .filter(lambda pq: pq != (0, 0)).map(lambda pq: cusp(*pq))
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 60), c1=cusps, c2=cusps,
+       word=st.lists(st.integers(0, 10**6), max_size=6), translate=st.booleans())
+def test_cusp_classes_match_the_gamma0_cusp_invariant(n, c1, c2, word, translate):
+    # cusp_to_basis separates the cusp classes of Gamma0(N) for N <= 60;
+    # half the draws move c1 by a word in the gluing matrices, so that
+    # equal classes come up as often as distinct ones
+    sym = _symbol("gamma0", n)
+    if translate:
+        g = ID
+        for i in word:
+            g = mmul(g, sym.glue[i % sym.n_arcs()])
+        c2 = act(g, c1)
+    same = sym.cusp_class_of(c1) is sym.cusp_class_of(c2)
+    assert same == (cusp_to_basis(c1, n) == cusp_to_basis(c2, n))
+
+
+@settings(deadline=None, max_examples=40)
+@given(family=st.sampled_from(["gamma0", "gamma1"]), n=st.integers(1, 12), c=cusps)
+def test_cusp_transporter_returns_a_group_element(family, n, c):
+    sym = _symbol(family, n)
+    cls, gamma = sym.cusp_transporter(c)
+    assert cls in sym.cusp_classes()
+    assert sym.member(gamma)
+    assert act(gamma, cls.vertex) == c
 
 
 def test_stabilizer_generators():

@@ -22,6 +22,12 @@ from .test_modgroup import random_sl2
 from .test_spaces import random_group_elt
 
 
+@pytest.mark.parametrize("n", [0, -1, -6])
+def test_basis_v_refuses_nonpositive_level(n):
+    with pytest.raises(ValueError):
+        basis_v(n, 4)
+
+
 def test_orbit_of_examples():
     assert orbit_of(0, 0, 7) == (7, 7, 0)
     assert orbit_of(8, 6, 12) == (4, 2, 0)  # unit modulus gcd(3, 2) = 1

@@ -58,7 +58,7 @@ def test_boundary_images_in_radical(n, k):
     sym = symbol_for(n)
     sp = build_space(sym, k)
     for b0 in boundary_space(sym, k):
-        emb = b0.embed()
+        emb = b0
         emb_elem = sp.from_path_evaluator(emb.eval_path)
         for b in sp.basis:
             assert pair(sym, emb, b) == 0
@@ -152,6 +152,16 @@ def test_cuspidal_dimensions(n, k, expect):
     assert len(basis) == expect == 2 * dim_cusp_forms_gamma0(n, k)
 
 
+@pytest.mark.parametrize("n,k", [
+    (0, 4), (-3, 4), (0, 12), (-1, 12), (11, 0), (11, -2), (11, 3), (1, 13),
+])
+def test_cuspidal_subspace_refuses_bad_arguments(n, k):
+    # levels below 1 used to fall through to the SL2(Z) symbol with no
+    # Eisenstein rows: S_4 came out 1-dimensional and S_12 3-dimensional
+    with pytest.raises(ValueError):
+        cuspidal_subspace(n, k)
+
+
 def test_cuspidal_hecke_stability_and_boundary_intersection():
     space, cusp_basis = cuspidal_subspace(11, 2)
     sym = space.symbol
@@ -162,7 +172,7 @@ def test_cuspidal_hecke_stability_and_boundary_intersection():
             img = space.from_path_evaluator(hecke_path_map(b, hctx).eval_path)
             assert solve_in_span(vecs, img.coset_vector()) is not None
     boundary_vecs = [
-        space.from_path_evaluator(b0.embed().eval_path).coset_vector()
+        space.from_path_evaluator(b0.eval_path).coset_vector()
         for b0 in boundary_space(sym, 2)
     ]
     joint = vecs + boundary_vecs
@@ -368,7 +378,7 @@ def test_noncusp_route_matches_direct_pairing():
         sym = gamma0_symbol(n)
         sp = build_space(sym, k)
         for b0 in boundary_space(sym, k):
-            emb_elem = sp.from_path_evaluator(b0.embed().eval_path)
+            emb_elem = sp.from_path_evaluator(b0.eval_path)
             for b in sp.basis[:3]:
                 coc = hom_cocycle(b)
                 assert pair(sym, coc, emb_elem) == noncusp_pair(sym, coc, b0)

@@ -94,7 +94,7 @@ def test_boundary_values_and_embedding():
     # the class reference values are (p x + q y)^(k-2) at the vertex p/q
     assert b_inf.value_at((1, 0)) == Vk.monomial(k, k - 2)
     assert not b_inf.value_at((0, 1))
-    emb = b_inf.embed()
+    emb = b_inf
     rng = random.Random(7)
     for _ in range(10):
         r, s, t = (random_cusp(rng) for _ in range(3))
@@ -109,7 +109,7 @@ def test_boundary_embed_weight2_constants_die():
     const = b1.__class__(sym, 2, {
         v: Fraction(1) for v in list(b1.coeffs) + list(b2.coeffs)
     })
-    emb = const.embed()
+    emb = const
     rng = random.Random(11)
     for _ in range(10):
         assert not emb.eval_path(random_cusp(rng), random_cusp(rng))

@@ -1,10 +1,11 @@
 """Static checks of the package source with the standard-library parser.
 
-No linter is a dependency of the project, so the two checks that keep
+No linter is a dependency of the project, so the checks that keep
 deletions honest are made here: every name a module exports in
-`__all__` exists, and no module imports a name it never uses.  They
-cover the package and the test-side oracle.  A third check keeps the
-package free of third-party numeric libraries.
+`__all__` exists and no module imports a name it never uses (on the
+package and the test-side oracle), and every name a package module
+exports is used by another package module or by a test.  A last check
+keeps the package free of third-party numeric libraries.
 """
 
 import ast
@@ -21,8 +22,10 @@ import petersym
 PACKAGE = Path(petersym.__file__).parent
 MODULES = [pytest.param(f"petersym.{p.stem}", p, id=p.stem)
            for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+PACKAGE_MODULES = list(MODULES)
 MODULES.append(pytest.param("tests.oracles", Path(__file__).with_name("oracles.py"),
                             id="tests.oracles"))
+TESTS = Path(__file__).parent
 
 
 @pytest.mark.parametrize("name,path", MODULES)
@@ -46,6 +49,27 @@ def test_no_unused_imports(name, path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, bound) for bound, line in imported.items() if bound not in used)
     assert unused == []
+
+
+def _names_used(path: Path) -> set:
+    """Every Name, attribute and imported name in the file."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+@pytest.mark.parametrize("name,path", PACKAGE_MODULES)
+def test_exports_are_used_elsewhere(name, path):
+    exported = getattr(importlib.import_module(name), "__all__", [])
+    others = [p for p in sorted(PACKAGE.glob("*.py")) if p != path] + sorted(TESTS.rglob("*.py"))
+    used = set().union(*(_names_used(p) for p in others))
+    assert sorted(set(exported) - used) == []
 
 
 def test_no_numeric_libraries_imported():
