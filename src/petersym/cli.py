@@ -5,10 +5,11 @@ be read, is not JSON, or lacks a field or has one of the wrong type),
 3 for violated mathematical preconditions (odd weight with -Id,
 weight-2 data not vanishing at the origin, a Hecke index that is not
 prime or is above its bound, a group whose index exceeds the coset
-bound, a `qexp` length or weight outside its bound, ...), 4 for numeric
-verification failures, including a quadrature that misses its error
-target.  A ValueError or FareyError raised by the library on the given
-arguments is reported as a violated precondition.
+bound, a weight above the bound of its command, a `qexp` length
+outside its bound, ...), 4 for numeric verification failures,
+including a quadrature that misses its error target.  A ValueError or
+FareyError raised by the library on the given arguments is reported as
+a violated precondition.
 Output is deterministic: cosets in discovery order, arcs in symbol
 order, basis vectors in echelon order.
 """
@@ -54,10 +55,19 @@ MAX_INDICATOR_CELLS = 10**6
 # Most group-ring coefficients ((terms + 1) times N) `qexp` may compute.
 MAX_QEXP_CELLS = 10**5
 
-# Highest weight `qexp` accepts.  The Bernoulli numbers behind the
-# constant term cost about k^2.5: at level 1 with 5 terms weight 1000
-# takes 3.5 s, weight 1500 takes 16 s.
+# Highest weight `qexp` and `eis-symbol` accept.  The Bernoulli numbers
+# behind the constant term and the moments cost about k^2.5: at level 1
+# `qexp` with 5 terms takes 3.5 s at weight 1000 and 16 s at 1500, and
+# `eis-symbol` 2.1 s at weight 500 and 15 s at 1000.
 MAX_QEXP_WEIGHT = 1000
+
+# Highest weight the commands that build a symbol space accept
+# (`modsym-space`, `pairing-matrix`, `hecke`, `cuspidal`).  The space
+# has about k/6 basis vectors per coset, each of index * (k - 1)
+# coefficients: at level 1 `pairing-matrix` takes 1.5 s at weight 100,
+# 6.0 s at 150 and 26 s at 200; `modsym-space` takes 0.6 s at 100 and
+# 9.3 s at 300.
+MAX_SPACE_WEIGHT = 100
 
 # Largest `hecke --ell` accepted.  Merel's set X_ell is enumerated in
 # O(ell^2) and every free coset acts by all of it: at (N, k) = (11, 2)
@@ -94,6 +104,11 @@ _GROUPS = {
 }
 
 
+def _check_bound(option: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise MathPreconditionError(f"--{option} {value} is above the bound {bound}")
+
+
 def _check_index(kind: str, level: int, parent_index: int = 1) -> None:
     """Refuse a group whose unfolding would discover too many cosets.
 
@@ -124,6 +139,7 @@ def _symbol(kind: str, level: int, parent=None):
 def _space(args):
     if args.weight < 2:
         raise MathPreconditionError("weight must be at least 2")
+    _check_bound("weight", args.weight, MAX_SPACE_WEIGHT)
     sym = _symbol(args.group, args.level)
     if args.weight % 2 and sym.member((-1, 0, 0, -1)):
         raise MathPreconditionError(
@@ -143,6 +159,13 @@ def cmd_farey(args):
     return data
 
 
+def _basis_json(basis, k: int) -> list:
+    """Each coset vector as one list of k-1 coefficient strings per coset."""
+    n = k - 1
+    return [[[frac_str(c) for c in b.vector[i:i + n]] for i in range(0, len(b.vector), n)]
+            for b in basis]
+
+
 def cmd_modsym_space(args):
     sym, space = _space(args)
     return {
@@ -150,10 +173,7 @@ def cmd_modsym_space(args):
         "weight": args.weight,
         "dimension": space.dimension(),
         "cosets": len(sym.require_direct_table().reps),
-        "basis": [
-            [[frac_str(c) for c in v.coeffs] for v in b.values]
-            for b in space.basis
-        ],
+        "basis": _basis_json(space.basis, args.weight),
     }
 
 
@@ -184,6 +204,7 @@ def _load_fn(path: str) -> TorsionFunction:
 
 
 def cmd_eis_symbol(args):
+    _check_bound("weight", args.weight, MAX_QEXP_WEIGHT)
     f = _load_fn(args.fn)
     if f.n != args.level:
         raise MathPreconditionError("function level does not match --level")
@@ -217,8 +238,7 @@ def _is_prime(n: int) -> bool:
 
 def cmd_hecke(args):
     # bounded first: trial division of a huge --ell would not end
-    if args.ell > MAX_HECKE_ELL:
-        raise MathPreconditionError(f"--ell {args.ell} is above the bound {MAX_HECKE_ELL}")
+    _check_bound("ell", args.ell, MAX_HECKE_ELL)
     if not _is_prime(args.ell):
         raise MathPreconditionError(
             f"--ell must be a prime (got {args.ell}); only the prime Hecke "
@@ -235,6 +255,7 @@ def cmd_hecke(args):
 
 
 def cmd_cuspidal(args):
+    _check_bound("weight", args.weight, MAX_SPACE_WEIGHT)
     _check_index("gamma0", args.level)
     space, basis = cuspidal_subspace(args.level, args.weight)
     return {
@@ -242,9 +263,7 @@ def cmd_cuspidal(args):
         "weight": args.weight,
         "dimension": len(basis),
         "expected": 2 * dim_cusp_forms_gamma0(args.level, args.weight),
-        "basis": [
-            [[frac_str(c) for c in v.coeffs] for v in b.values] for b in basis
-        ],
+        "basis": _basis_json(basis, args.weight),
     }
 
 
@@ -258,10 +277,7 @@ def cmd_qexp(args):
             f"--terms {args.terms} at level {args.level} needs more than "
             f"{MAX_QEXP_CELLS} coefficients"
         )
-    if args.weight > MAX_QEXP_WEIGHT:
-        raise MathPreconditionError(
-            f"--weight {args.weight} is above the bound {MAX_QEXP_WEIGHT}"
-        )
+    _check_bound("weight", args.weight, MAX_QEXP_WEIGHT)
     f = _load_fn(args.fn)
     if f.n != args.level:
         raise MathPreconditionError("function level does not match --level")

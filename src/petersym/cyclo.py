@@ -107,6 +107,10 @@ class CycVec:
         c = Fraction(c)
         return CycVec._of(self.n, [c * a for a in self.coeffs])
 
+    def __rmul__(self, c) -> "CycVec":
+        """c * self for a rational c."""
+        return self.scale(c)
+
     def rotate(self, j: int) -> "CycVec":
         """Multiplication by z^j."""
         j %= self.n

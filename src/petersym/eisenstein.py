@@ -30,7 +30,7 @@ from math import comb, lcm
 
 from .cyclo import CycVec
 from .exact import bernoulli_poly, frac_str
-from .modgroup import Mat, madj, manin_path_infty, mdet, minv, stevens_split
+from .modgroup import ID, INF_SHIFT, MOD_SYM, Mat, PathTerm, madj, manin_path_infty, mdet, minv
 from .polyspace import Vk
 
 __all__ = [
@@ -51,7 +51,8 @@ class TorsionFunction:
     """Function on (Z/NZ)^2, values[x][y] = f(x, y).
 
     Values are rational, or in the group ring Q[Z/NZ] (`CycVec`) in the
-    tables the Fourier transforms return.
+    tables the Fourier transforms return; the arithmetic, twists and
+    pullbacks serve both, `to_json` only rational tables.
     """
 
     def __init__(self, n: int, values):
@@ -90,7 +91,9 @@ class TorsionFunction:
             and self.values == other.values
 
     def __add__(self, other):
-        return TorsionFunction(self.n, [
+        if self.n != other.n:
+            raise ValueError("mixed levels")
+        return TorsionFunction._of(self.n, [
             [a + b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.values, other.values)
         ])
@@ -99,8 +102,9 @@ class TorsionFunction:
         return self + other.scale(-1)
 
     def scale(self, c) -> "TorsionFunction":
+        """c times f for a rational c."""
         c = Fraction(c)
-        return TorsionFunction(self.n, [[c * v for v in row] for row in self.values])
+        return TorsionFunction._of(self.n, [[c * v for v in row] for row in self.values])
 
     def act(self, g: Mat) -> "TorsionFunction":
         """f|g (x, y) = f((x, y) g^-1); g integral of determinant +-1."""
@@ -125,7 +129,7 @@ class TorsionFunction:
         """The induced function at a multiple level m = N * P."""
         if m % self.n:
             raise ValueError("target level must be a multiple")
-        return TorsionFunction(m, [
+        return TorsionFunction._of(m, [
             [self.values[x % self.n][y % self.n] for y in range(m)] for x in range(m)
         ])
 
@@ -347,16 +351,16 @@ class EisSymbol:
         """Value on the infinitesimal symbol at infinity from 0 to r."""
         return _inf_poly(self.k, self.c_inf, Fraction(r))
 
-    def _eval_path_to_cusp(self, r: Fraction) -> Vk:
-        """Value on the path from the based infinity to pi_r(infinity)."""
+    def _eval_terms(self, terms) -> Vk:
+        """Value on a formal sum of translated base symbols."""
         total = Vk.zero(self.k)
-        for term in manin_path_infty(r):
+        for term in terms:
             p_mod, c_inf = self._twist_data(term.gamma)
-            if term.kind == "mod":
+            if term.kind == MOD_SYM:
                 val = p_mod
             else:
                 val = _inf_poly(self.k, c_inf, term.shift)
-            if term.gamma != (1, 0, 0, 1):
+            if term.gamma != ID:
                 val = val.act(minv(term.gamma))
             if term.coeff == -1:
                 val = -val
@@ -364,19 +368,24 @@ class EisSymbol:
         return total
 
     def cocycle(self, g: Mat) -> Vk:
-        """Value on the path from pi_inf(0) to g^-1 pi_inf(0)."""
+        """Value on the path from pi_inf(0) to g^-1 pi_inf(0).
+
+        For g = (a b; c d) with c = 0 the path is the infinitesimal
+        symbol [0, -b/a] at infinity.  Otherwise it is the path to
+        pi_(-d/c)(infinity) minus the g^-1-translate of [0, a/c].
+        """
         hit = self._cocycles.get(g)
         if hit is not None:
             return hit
-        split = stevens_split(g)
-        if split.translation_only:
-            out = self.eval_inf(split.shift)
+        if mdet(g) != 1:
+            raise ValueError("expected a matrix of determinant 1")
+        a, b, c, d = g
+        if c == 0:
+            terms = [PathTerm(1, ID, INF_SHIFT, Fraction(-b, a))]
         else:
-            head = self._eval_path_to_cusp(split.cusp_base)
-            _, c_inf_tw = self._twist_data(split.outer)
-            tail = _inf_poly(self.k, c_inf_tw, split.shift).act(g)
-            out = head - tail
-        self._cocycles[g] = out
+            terms = manin_path_infty(Fraction(-d, c))
+            terms.append(PathTerm(-1, minv(g), INF_SHIFT, Fraction(a, c)))
+        out = self._cocycles[g] = self._eval_terms(terms)
         return out
 
     def is_zero_symbol(self, probes=()) -> bool:

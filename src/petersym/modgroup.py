@@ -27,8 +27,6 @@ TAU: Mat = (0, -1, 1, -1)       # order 3 in PSL2
 T_MAT: Mat = (1, 1, 0, 1)       # translation z -> z + 1, equals tau^-1 sigma
 EPS: Mat = (-1, 0, 0, 1)        # determinant -1 reflection
 
-INFINITY: CuspT = (1, 0)
-
 
 def mmul(*ms: Mat) -> Mat:
     a, b, c, d = ms[0]
@@ -220,27 +218,3 @@ def manin_path_infty(r) -> list[PathTerm]:
         if m:
             terms.append(PathTerm(1, tau, INF_SHIFT, m))
     return terms
-
-
-@dataclass(frozen=True)
-class StevensSplit:
-    """Structured form of the cocycle path from pi_inf(0) to its gamma-translate.
-
-    For c == 0 the path is the single infinitesimal symbol [0, shift];
-    otherwise it is (path to pi_cusp(infinity)) minus the outer-matrix
-    translate of [0, shift].
-    """
-
-    translation_only: bool
-    shift: Fraction
-    cusp_base: Fraction | None = None
-    outer: Mat | None = None
-
-
-def stevens_split(g: Mat) -> StevensSplit:
-    a, b, c, d = g
-    if mdet(g) != 1:
-        raise ValueError("expected a matrix of determinant 1")
-    if c == 0:
-        return StevensSplit(True, Fraction(-b, a))
-    return StevensSplit(False, Fraction(a, c), Fraction(-d, c), minv(g))

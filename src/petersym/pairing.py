@@ -278,16 +278,15 @@ def cuspidal_subspace(n: int, k: int) -> tuple[ModularSymbolSpace, list[SymbolEl
     symbol = gamma0_symbol(n) if n > 1 else base_symbol_sl2z()
     space = build_space(symbol, k)
     rows = eisenstein_pairing_matrix(symbol, n, k, space)
-    dim = space.dimension()
-    cut = kernel_basis(rows, dim)
     basis = []
-    for coeffs in cut:
-        elem = None
-        for c, b in zip(coeffs, space.basis):
+    for coeffs in kernel_basis(rows, space.dimension()):
+        # the coset vector sum_j c_j * (basis vector j), over its support
+        vec = [Fraction(0)] * len(space.basis[0].vector)
+        for c, support in zip(coeffs, space.supports):
             if c:
-                part = b.scale(c)
-                elem = part if elem is None else elem + part
-        basis.append(elem)
+                for j, x in support:
+                    vec[j] += c * x
+        basis.append(SymbolElement(space, vec))
     return space, basis
 
 

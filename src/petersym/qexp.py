@@ -54,10 +54,10 @@ def l_special(values, h: int):
         b = beta_value(h, a, n)
         if not b:
             continue
-        term = values[a].scale(b) if isinstance(values[a], CycVec) else values[a] * b
+        term = b * values[a]
         total = term if total is None else total + term
     if total is None:
-        total = values[0].scale(Fraction(0)) if isinstance(values[0], CycVec) else Fraction(0)
+        total = Fraction(0) * values[0]
     return total
 
 
@@ -154,9 +154,7 @@ def eis_qexp(f, k: int, terms: int) -> QExpansion:
 
 def normalized_transform(f: TorsionFunction) -> TorsionFunction:
     """(1/N) times the two-variable Fourier transform of f."""
-    hat = fourier2(f)
-    inv = Fraction(1, f.n)
-    return TorsionFunction._of(f.n, [[v.scale(inv) for v in row] for row in hat.values])
+    return fourier2(f).scale(Fraction(1, f.n))
 
 
 def mellin_rational(f: TorsionFunction, k: int, j: int) -> Fraction:

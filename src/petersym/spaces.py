@@ -1,12 +1,12 @@
 """Modular-symbol spaces and boundary symbols over a coset system.
 
-An element of the weight-k symbol space is stored as one coefficient
-polynomial per coset of the group in SL2(Z): the value on the coset
-translate of the path from 0 to infinity.  The two relations coming
-from the elliptic generators of SL2(Z), transported through the coset
-action, cut out exactly the group-equivariant homomorphisms; arbitrary
-paths are evaluated by a continued-fraction walk through unimodular
-steps.
+An element of the weight-k symbol space is stored as its coset vector:
+the coefficients of one polynomial per coset of the group in SL2(Z),
+the value on the coset translate of the path from 0 to infinity.  The
+two relations coming from the elliptic generators of SL2(Z),
+transported through the coset action, cut out exactly the
+group-equivariant homomorphisms; arbitrary paths are evaluated by a
+continued-fraction walk through unimodular steps.
 """
 
 from __future__ import annotations
@@ -48,11 +48,23 @@ def _transport(symbol: ExtendedFareySymbol, g: Mat):
 
 
 class SymbolElement:
-    """One element of Hom_Gamma(Delta_0, V_k), given by its coset values."""
+    """One element of Hom_Gamma(Delta_0, V_k), given by its coset vector.
 
-    def __init__(self, space: "ModularSymbolSpace", values):
+    `vector` holds the k-1 coefficients of the value on each coset path
+    in turn, as `kernel_basis` returns it; the per-coset `Vk` values
+    are made from it on the first evaluation.
+    """
+
+    def __init__(self, space: "ModularSymbolSpace", vector):
         self.space = space
-        self.values = list(values)
+        self.vector = vector
+
+    @cached_property
+    def values(self) -> list[Vk]:
+        k = self.space.k
+        n = k - 1
+        vec = self.vector
+        return [Vk(k, vec[i:i + n]) for i in range(0, len(vec), n)]
 
     def value_on_coset_path(self, g: Mat) -> Vk:
         i, h = _transport(self.space.symbol, g)
@@ -72,39 +84,24 @@ class SymbolElement:
         """Value on {r, s} = {s} - {r}."""
         return self.eval_to_infinity(s) - self.eval_to_infinity(r)
 
-    def coset_vector(self):
-        vec = []
-        for v in self.values:
-            vec.extend(v.coeffs)
-        return vec
-
-    def __add__(self, other):
-        return SymbolElement(self.space, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        return SymbolElement(self.space, [a - b for a, b in zip(self.values, other.values)])
-
-    def scale(self, c):
-        return SymbolElement(self.space, [v.scale(c) for v in self.values])
-
 
 class ModularSymbolSpace:
     """A symbol space with a basis in echelon order.
 
-    `vectors` are the basis coset vectors as `kernel_basis` returns them:
-    vector i is 1 at its free column, which is its last nonzero entry,
-    and 0 at the free columns of the others.
+    The basis elements hold the coset vectors as `kernel_basis` returns
+    them: vector i is 1 at its free column, which is its last nonzero
+    entry, and 0 at the free columns of the others.
     """
 
     def __init__(self, symbol: ExtendedFareySymbol, k: int, vectors):
         self.symbol = symbol
         self.k = k
-        self.basis: list[SymbolElement] = [self.from_vector(v) for v in vectors]
+        self.basis: list[SymbolElement] = [SymbolElement(self, v) for v in vectors]
 
     @cached_property
     def supports(self) -> list[list[tuple[int, Fraction]]]:
         """Nonzero (column, value) pairs of each basis coset vector."""
-        return [[(j, x) for j, x in enumerate(b.coset_vector()) if x] for b in self.basis]
+        return [[(j, x) for j, x in enumerate(b.vector) if x] for b in self.basis]
 
     @property
     def free_cols(self) -> list[int]:
@@ -112,38 +109,6 @@ class ModularSymbolSpace:
 
     def dimension(self) -> int:
         return len(self.basis)
-
-    def element(self, values) -> SymbolElement:
-        return SymbolElement(self, values)
-
-    def from_vector(self, vec) -> SymbolElement:
-        k = self.k
-        n = k - 1
-        values = [Vk(k, vec[i * n:(i + 1) * n]) for i in range(len(vec) // n)]
-        return SymbolElement(self, values)
-
-    def from_path_evaluator(self, eval_path) -> SymbolElement:
-        """Sample an abstract path map on all coset paths."""
-        table = self.symbol.require_direct_table()
-        values = []
-        for rep in table.reps:
-            values.append(eval_path(act(rep, (0, 1)), act(rep, (1, 0))))
-        return SymbolElement(self, values)
-
-    def coordinates(self, elem: SymbolElement):
-        """Coordinates of `elem` in the basis: its values at the free columns.
-
-        Raises ValueError unless the basis combination equals `elem`.
-        """
-        residual = elem.coset_vector()
-        coords = [Fraction(residual[j]) for j in self.free_cols]
-        for c, support in zip(coords, self.supports):
-            if c:
-                for j, x in support:
-                    residual[j] -= c * x
-        if any(residual):
-            raise ValueError("element is not in the space")
-        return coords
 
 
 def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:

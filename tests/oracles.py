@@ -5,12 +5,15 @@ The helpers here compute the same operators from their definition, a
 double coset Gamma alpha Gamma: the intersection Gamma cap alpha^-1
 Gamma alpha is unfolded as a conjugated subgroup of the target symbol,
 and the image of a path map is sampled on every coset path.  They are
-the reference for the formula and for the adjointness tests.
+the reference for the formula and for the adjointness tests.  A path
+map becomes a space element by `from_path_evaluator`, and `coordinates`
+reads it back in the basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from petersym.farey import (
     CosetTable,
@@ -21,8 +24,11 @@ from petersym.farey import (
 )
 from petersym.modgroup import CuspT, Mat, act, madj, mdet, mmul
 from petersym.polyspace import Vk
+from petersym.spaces import ModularSymbolSpace, SymbolElement
 
 __all__ = [
+    "from_path_evaluator",
+    "coordinates",
     "conjugated_group",
     "HeckeContext",
     "hecke_context",
@@ -30,6 +36,30 @@ __all__ = [
     "hecke_path_map",
     "double_coset_hecke_matrix",
 ]
+
+
+def from_path_evaluator(space: ModularSymbolSpace, eval_path) -> SymbolElement:
+    """Sample an abstract path map on all coset paths."""
+    vector = []
+    for rep in space.symbol.require_direct_table().reps:
+        vector.extend(eval_path(act(rep, (0, 1)), act(rep, (1, 0))).coeffs)
+    return SymbolElement(space, vector)
+
+
+def coordinates(space: ModularSymbolSpace, elem: SymbolElement) -> list:
+    """Coordinates of `elem` in the basis: its values at the free columns.
+
+    Raises ValueError unless the basis combination equals `elem`.
+    """
+    residual = list(elem.vector)
+    coords = [Fraction(residual[j]) for j in space.free_cols]
+    for c, support in zip(coords, space.supports):
+        if c:
+            for j, x in support:
+                residual[j] -= c * x
+    if any(residual):
+        raise ValueError("element is not in the space")
+    return coords
 
 
 def conjugated_group(alpha: Mat, inner: GroupSpec, name: str | None = None) -> GroupSpec:
@@ -125,6 +155,6 @@ def double_coset_hecke_matrix(space, level: int, ell: int, columns=None) -> list
     """
     hctx = hecke_context(space.symbol, (1, 0, 0, ell), gamma0_group(level))
     basis = space.basis if columns is None else [space.basis[c] for c in columns]
-    cols = [space.coordinates(space.from_path_evaluator(hecke_path_map(b, hctx).eval_path))
+    cols = [coordinates(space, from_path_evaluator(space, hecke_path_map(b, hctx).eval_path))
             for b in basis]
     return [list(row) for row in zip(*cols)]

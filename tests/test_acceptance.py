@@ -52,7 +52,7 @@ from petersym.qexp import (
     petersson_norm_delta,
 )
 from petersym.spaces import boundary_space, build_space
-from .oracles import hecke_context, hecke_cocycle, hecke_path_map
+from .oracles import from_path_evaluator, hecke_context, hecke_cocycle, hecke_path_map
 from .test_modgroup import random_sl2
 from .test_spaces import symbol_for
 
@@ -112,7 +112,7 @@ def test_acceptance_3_pairing_structure():
         # (a) boundary images in the radical, both slots
         for b0 in boundary_space(sym, k):
             emb = b0
-            emb_elem = sp.from_path_evaluator(emb.eval_path)
+            emb_elem = from_path_evaluator(sp, emb.eval_path)
             for b in sp.basis:
                 assert pair(sym, emb, b) == 0
                 assert pair(sym, b, emb_elem) == 0
@@ -170,22 +170,22 @@ def test_acceptance_4_hecke_adjointness_and_stability():
                 for b1 in probes:
                     for b2 in probes:
                         lhs = pair(sym, hecke_cocycle(hom_cocycle(b1), h_fwd), b2)
-                        rhs = pair(sym, hom_cocycle(b1), sp.from_path_evaluator(
+                        rhs = pair(sym, hom_cocycle(b1), from_path_evaluator(sp,
                             hecke_path_map(b2, h_bwd).eval_path))
                         assert lhs == rhs, (n, k, ell)
                 for b2 in probes:
                     lhs = pair(sym, hecke_cocycle(eis.cocycle, h_fwd), b2)
-                    rhs = pair(sym, eis.cocycle, sp.from_path_evaluator(
+                    rhs = pair(sym, eis.cocycle, from_path_evaluator(sp,
                         hecke_path_map(b2, h_bwd).eval_path))
                     assert lhs == rhs, ("eis", n, k, ell)
     # cuspidal subspace stability and commutation
     space, cusp_basis = cuspidal_subspace(11, 2)
-    vecs = [b.coset_vector() for b in cusp_basis]
+    vecs = [b.vector for b in cusp_basis]
     for ell in (2, 3, 5):
         hctx = hecke_context(space.symbol, (1, 0, 0, ell), gamma0_group(11))
         for b in cusp_basis:
-            img = space.from_path_evaluator(hecke_path_map(b, hctx).eval_path)
-            assert solve_in_span(vecs, img.coset_vector()) is not None
+            img = from_path_evaluator(space, hecke_path_map(b, hctx).eval_path)
+            assert solve_in_span(vecs, img.vector) is not None
     sp5 = build_space(gamma0_symbol(5), 4)
     m2, m3 = hecke_matrix(sp5, 5, 2), hecke_matrix(sp5, 5, 3)
     size = len(m2)
@@ -241,10 +241,10 @@ def test_acceptance_6_cuspidal_dimensions():
 def test_acceptance_7_eigenvalue_check():
     space, cusp_basis = cuspidal_subspace(11, 2)
     hctx = hecke_context(space.symbol, (1, 0, 0, 2), gamma0_group(11))
-    vecs = [b.coset_vector() for b in cusp_basis]
+    vecs = [b.vector for b in cusp_basis]
     cols = [
-        solve_in_span(vecs, space.from_path_evaluator(
-            hecke_path_map(b, hctx).eval_path).coset_vector())
+        solve_in_span(vecs, from_path_evaluator(space,
+            hecke_path_map(b, hctx).eval_path).vector)
         for b in cusp_basis
     ]
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from petersym.cli import (
     MAX_INDICATOR_CELLS,
     MAX_QEXP_CELLS,
     MAX_QEXP_WEIGHT,
+    MAX_SPACE_WEIGHT,
     main,
 )
 from petersym.cyclo import CycVec
@@ -20,7 +23,8 @@ from petersym.eisenstein import TorsionFunction
 from petersym.orbits import basis_v
 from petersym.qexp import QExpansion
 from petersym.farey import FareyError, gamma0_symbol, subgroup_farey
-from petersym.spaces import build_space
+from petersym.polyspace import Vk
+from petersym.spaces import ModularSymbolSpace, build_space
 
 
 def run(capsys, *argv):
@@ -275,6 +279,103 @@ def test_qexp_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted):
         assert code == 3
         assert calls == []
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
+@pytest.mark.parametrize("command", [
+    ["modsym-space"], ["pairing-matrix"], ["hecke", "--ell", "2"], ["cuspidal"],
+], ids=lambda c: c[0])
+def test_space_weight_bound(capsys, monkeypatch, command, extra, accepted):
+    built, unfolded = [], []
+
+    def space(sym, k):
+        # an empty space of the asked weight, without the exact work
+        built.append(k)
+        return ModularSymbolSpace(sym, k, [])
+
+    def cuspidal(n, k):
+        built.append(k)
+        return None, []
+
+    def unfold(parent, spec):
+        unfolded.append(spec.name)
+        return subgroup_farey(parent, spec)
+
+    monkeypatch.setattr("petersym.cli.build_space", space)
+    monkeypatch.setattr("petersym.cli.cuspidal_subspace", cuspidal)
+    monkeypatch.setattr("petersym.cli.subgroup_farey", unfold)
+    weight = MAX_SPACE_WEIGHT + extra
+    code = main(command + ["--level", "11", "--weight", str(weight)])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0
+        assert built == [weight]
+        assert json.loads(captured.out)["weight"] == weight
+    else:
+        # refused before the (odd-weight) group is unfolded
+        assert code == 3
+        assert built == unfolded == []
+        assert f"above the bound {MAX_SPACE_WEIGHT}" in captured.err
+
+
+@pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
+def test_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted):
+    calls = []
+
+    class Symbol:
+        # the zero period data of the asked weight, without the moments
+        def __init__(self, f, k):
+            calls.append(k)
+            self.p_mod = Vk.zero(k)
+            self.c_inf = Fraction(0)
+
+    monkeypatch.setattr("petersym.cli.EisSymbol", Symbol)
+    weight = MAX_QEXP_WEIGHT + extra
+    fn_file = tmp_path / "fn.json"
+    if accepted:
+        fn_file.write_text(json.dumps(TorsionFunction.constant(1).to_json()))
+    # a refused weight exits before the (here missing) file is read
+    code = main(["eis-symbol", "--level", "1", "--weight", str(weight), "--fn", str(fn_file)])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0
+        assert calls == [weight]
+        assert json.loads(captured.out)["weight"] == weight
+    else:
+        assert code == 3
+        assert calls == []
+        assert f"above the bound {MAX_QEXP_WEIGHT}" in captured.err
+
+
+# sha256 of the printed JSON, recorded before the symbol-space elements
+# became coset vectors; they pin basis entries and echelon order
+GOLDEN = [
+    (["modsym-space", "--level", "11", "--weight", "2"],
+     "79823c3ec549ea956d577ab49af2916c950f23eb1eaf6d5afa2d84c31a014544"),
+    (["modsym-space", "--level", "24", "--weight", "4"],
+     "b5097b386a3ea95f6690ebc716137b8c595f057ca8ffbde3dc8d47cecb9b4fb1"),
+    (["modsym-space", "--group", "gamma1", "--level", "13", "--weight", "2"],
+     "9bc9a94c424a3f29bd31e177fb0b8ec6f4e3b865a19579e54e90d2323b231fe9"),
+    (["modsym-space", "--group", "gamma", "--level", "5", "--weight", "2"],
+     "ca1dc129b7825b1e15f10a8c8570c7aa5c32e864458bd64c1d3d67dab79fb4e7"),
+    (["cuspidal", "--level", "11", "--weight", "2"],
+     "749116bbdb8e62cf9d555ae2a6d5f535fec88992eacabba37f734b526f0a3ef8"),
+    (["cuspidal", "--level", "23", "--weight", "2"],
+     "f1d4d40e0f8e1b7623966588fee625b4a187f8e9a1f4c0821617a2dc94e86d1e"),
+    (["cuspidal", "--level", "8", "--weight", "6"],
+     "ac7a8d40bfe54d1beceeb3a030da1c0aa215b906c14a08f006875104107a8d7b"),
+    (["pairing-matrix", "--level", "11", "--weight", "2"],
+     "d04c2b82468984871a1d6128033e50573905689715e42712696947da62025959"),
+    (["pairing-matrix", "--level", "11", "--weight", "2", "--eisenstein"],
+     "b198f9bf1b7fb7f912399361a9ed8e1a3e5294a9dfe9bade62706c4fd4484548"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN,
+                         ids=["-".join(a.lstrip("-") for a in argv) for argv, _ in GOLDEN])
+def test_golden_output(capsys, argv, digest):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def _next_prime(n):

@@ -77,6 +77,19 @@ def test_fourier_involution_and_equivariance():
         assert fourier2(f.act(g)) == fh.act(g)
 
 
+def test_group_ring_table_arithmetic_is_cellwise():
+    f = fourier2(TorsionFunction.indicator(3, (1, 0)))
+    g = fourier2(random_fn(random.Random(7), 3))
+    c = Fraction(-3, 7)
+    cells = [(x, y) for x in range(3) for y in range(3)]
+    for x, y in cells:
+        assert (f + g)(x, y).coeffs == (f(x, y) + g(x, y)).coeffs
+        assert (f - g)(x, y).coeffs == (f(x, y) - g(x, y)).coeffs
+        assert f.scale(c)(x, y).coeffs == f(x, y).scale(c).coeffs == (c * f(x, y)).coeffs
+    up = f.pullback(6)
+    assert all(up(x, y).coeffs == f(x, y).coeffs for x in range(6) for y in range(6))
+
+
 def test_hecke_fn_level_one_and_coprime_simplification():
     for ell, k in ((2, 5), (3, 4)):
         t = hecke_fn(TorsionFunction.constant(1), ell, k)
@@ -127,6 +140,14 @@ def test_cocycle_base_cases():
     assert not e.cocycle(ID)
     assert e.cocycle(SIGMA) == e.p_mod
     assert e.cocycle(translation(7)) == e.eval_inf(-7)
+
+
+def test_cocycle_rejects_determinant_other_than_one():
+    e = EisSymbol(TorsionFunction.indicator(5, (1, 2)), 4)
+    for g in [(-1, 0, 0, 1), (2, 0, 0, 1), (1, 3, 0, 2), (0, 1, 1, 0), (1, 1, 1, 3)]:
+        with pytest.raises(ValueError):
+            e.cocycle(g)
+    assert not e._cocycles
 
 
 def test_cocycle_sign_blindness():

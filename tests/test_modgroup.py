@@ -18,7 +18,6 @@ from petersym.modgroup import (
     mmul,
     mneg,
     psl2_order,
-    stevens_split,
     translation,
 )
 
@@ -152,14 +151,3 @@ def test_manin_path_infty_is_the_right_divisor():
         taus, quotients, _ = cf_decompose(r)
         assert len(terms) <= 2 * (len(quotients) + 1)
 
-
-def test_stevens_split_cases():
-    s = stevens_split(translation(4))
-    assert s.translation_only and s.shift == -4
-
-    s = stevens_split(SIGMA)
-    assert not s.translation_only
-    assert s.cusp_base == 0 and s.shift == 0
-
-    s = stevens_split(ID)
-    assert s.translation_only and s.shift == 0

@@ -3,8 +3,10 @@
 No linter is a dependency of the project, so the checks that keep
 deletions honest are made here: every name a module exports in
 `__all__` exists and no module imports a name it never uses (on the
-package and the test-side oracle), and every name a package module
-exports is used by another package module or by a test.  A last check
+package and the test-side oracle), every name a package module
+exports is used by another package module or by a test, and every
+public method of a package class and public module constant is read
+somewhere in the package or the tests.  A last check
 keeps the package free of third-party numeric libraries.
 """
 
@@ -52,16 +54,29 @@ def test_no_unused_imports(name, path):
 
 
 def _names_used(path: Path) -> set:
-    """Every Name, attribute and imported name in the file."""
+    """Every Name and attribute read, and every imported name, in the file."""
     used = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
     return used
+
+
+def _public_definitions(path: Path) -> list:
+    """The public methods of the module's classes and its public module constants."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")]
+    return out
 
 
 @pytest.mark.parametrize("name,path", PACKAGE_MODULES)
@@ -82,3 +97,10 @@ def test_no_numeric_libraries_imported():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name,path", PACKAGE_MODULES)
+def test_public_methods_and_constants_are_used(name, path):
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.rglob("*.py"))
+    used = set().union(*(_names_used(p) for p in files))
+    assert [d for d in _public_definitions(path) if d.rsplit(".", 1)[-1] not in used] == []
