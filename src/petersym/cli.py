@@ -72,6 +72,8 @@ MAX_SPACE_WEIGHT = 100
 # Largest `hecke --ell` accepted.  Merel's set X_ell is enumerated in
 # O(ell^2) and every free coset acts by all of it: at (N, k) = (11, 2)
 # ell = 1009 takes 2.1 s end to end, 2003 takes 6.1 s, 3001 takes 13 s.
+# The cost also grows with the weight: at ell = 1009, (11, 12) takes
+# 13 s and (11, 24) 60 s.
 MAX_HECKE_ELL = 1009
 
 
@@ -129,8 +131,6 @@ def _symbol(kind: str, level: int, parent=None):
         raise MathPreconditionError("level must be positive")
     if parent is None:
         parent = base_symbol_sl2z()
-    if kind == "gamma0" and level == 1:
-        return parent
     _check_index(kind, level, parent.index)
     sym, _ = subgroup_farey(parent, _GROUPS[kind][0](level))
     return sym

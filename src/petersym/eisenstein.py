@@ -278,7 +278,8 @@ class EisSymbol:
     gamma -> value on the path from the based cusp at infinity to its
     gamma^-1-translate (`cocycle`).
 
-    The twist and cocycle memo tables are plain dicts whose entries are
+    The one memo is the table of twist data, keyed by the twisting
+    matrix modulo the level: a plain dict whose entries are
     deterministic functions of their keys, so concurrent readers can at
     worst duplicate a computation, never disagree.
     """
@@ -303,7 +304,6 @@ class EisSymbol:
             nums_y, den_y = _integer_row(_beta_row(hy, n))
             self._moment_rows.append((nums_x, nums_y, den_x * den_y * support_den))
         self._twists: dict = {}
-        self._cocycles: dict = {}
 
     def _twist_data(self, g: Mat):
         """(p_mod, c_inf) of f|g, keyed by g modulo the level.
@@ -374,9 +374,6 @@ class EisSymbol:
         symbol [0, -b/a] at infinity.  Otherwise it is the path to
         pi_(-d/c)(infinity) minus the g^-1-translate of [0, a/c].
         """
-        hit = self._cocycles.get(g)
-        if hit is not None:
-            return hit
         if mdet(g) != 1:
             raise ValueError("expected a matrix of determinant 1")
         a, b, c, d = g
@@ -385,8 +382,7 @@ class EisSymbol:
         else:
             terms = manin_path_infty(Fraction(-d, c))
             terms.append(PathTerm(-1, minv(g), INF_SHIFT, Fraction(a, c)))
-        out = self._cocycles[g] = self._eval_terms(terms)
-        return out
+        return self._eval_terms(terms)
 
     def is_zero_symbol(self, probes=()) -> bool:
         """True when the stored data and all probe cocycles vanish."""

@@ -23,7 +23,6 @@ __all__ = [
     "kernel_basis",
     "rank",
     "solve_in_span",
-    "charpoly",
 ]
 
 
@@ -178,25 +177,3 @@ def solve_in_span(basis, target):
         if sum(basis[i][r] * coords[i] for i in range(m)) != target[r]:
             return None
     return coords
-
-
-def charpoly(mat):
-    """Monic characteristic polynomial, coefficients highest degree first.
-
-    Faddeev-LeVerrier over Fractions; fine for the small matrices that
-    arise from Hecke operators on cuspidal subspaces.
-    """
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    coeffs = [Fraction(1)]
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for j in range(1, n + 1):
-        if j > 1:
-            for i in range(n):
-                m[i][i] += coeffs[-1]
-            m = [[sum(a[i][t] * m[t][s] for t in range(n)) for s in range(n)] for i in range(n)]
-        else:
-            m = [row[:] for row in a]
-        tr = sum(m[i][i] for i in range(n))
-        coeffs.append(-tr / j)
-    return coeffs

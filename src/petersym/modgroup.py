@@ -8,8 +8,10 @@ Paths between infinitesimal cusps are reduced to the two base symbols
     INF_SHIFT m  the infinitesimal symbol at infinity from direction 0
                  to direction m,
 
-via the continued-fraction decomposition; every evaluator in the
-package consumes paths in this alphabet.
+via the continued-fraction decomposition (`manin_path_infty`); the
+Eisenstein cocycle consumes paths in this alphabet.  A symbol-space
+element reads only the convergent matrices of `cf_decompose`: each is
+a unimodular step, one coset path.
 """
 
 from __future__ import annotations

@@ -21,34 +21,24 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial, gcd, lcm
 
 from .dims import gamma0_index
 from .eisenstein import EisSymbol
 from .exact import bernoulli_number, kernel_basis
-from .farey import ExtendedFareySymbol, base_symbol_sl2z, gamma0_symbol
-from .modgroup import EPS, T_MAT, CuspT, Mat, act, madj, minv, mmul
+from .farey import ExtendedFareySymbol, gamma0_symbol
+from .modgroup import T_MAT, CuspT, Mat, act, madj, minv, mmul
 from .orbits import basis_v, orbit_indicators
 from .polyspace import Vk, action_matrix
-from .spaces import (
-    BoundarySymbol,
-    ModularSymbolSpace,
-    SymbolElement,
-    build_space,
-    eval_tilde_arc,
-)
+from .spaces import ModularSymbolSpace, SymbolElement, build_space, eval_tilde_arc
 
 __all__ = [
     "hom_cocycle",
     "pairing_matrix",
     "pair",
-    "pair_alt",
-    "pair_eis_via_cusps",
     "heilbronn_merel",
     "hecke_matrix",
-    "noncusp_pair",
-    "epsilon_conjugate_hom",
-    "epsilon_conjugate_cocycle",
     "eisenstein_pairing_matrix",
     "cuspidal_subspace",
     "haberland_pair",
@@ -99,58 +89,6 @@ def pair(symbol: ExtendedFareySymbol, left, right) -> Fraction:
     return pairing_matrix(symbol, [left], [right])[0][0]
 
 
-def _hat_value(symbol: ExtendedFareySymbol, phi, endpoint, base: CuspT,
-               half_cache: dict) -> Vk:
-    """phi((base, t)) for a tilde endpoint t, cusp or elliptic point."""
-    kind, data = endpoint
-    if kind == "c":
-        return phi.eval_path(base, data)
-    # elliptic fixed point of the symbol arc `data`: go to the arc start
-    # and add the value on the half arc into the fixed point
-    key = data
-    if key not in half_cache:
-        for ta in symbol.tilde():
-            if ta.base == data and ta.half == "u":
-                half_cache[key] = eval_tilde_arc(phi, symbol, ta)
-                break
-    start = symbol.arcs[data][0]
-    return phi.eval_path(base, start) + half_cache[key]
-
-
-def pair_alt(symbol: ExtendedFareySymbol, phi1, phi2, base: CuspT = (1, 0)) -> Fraction:
-    """Endpoint form of the pairing on two symbol-space elements."""
-    tilde = symbol.tilde()
-    cache1: dict = {}
-    cache2: dict = {}
-    total = Fraction(0)
-    for ta in tilde:
-        star = tilde[ta.star]
-        a1 = _hat_value(symbol, phi1, star.start, base, cache1)
-        b1 = _hat_value(symbol, phi2, star.end, base, cache2)
-        a2 = _hat_value(symbol, phi1, ta.end, base, cache1)
-        b2 = _hat_value(symbol, phi2, ta.start, base, cache2)
-        total += a1.pair(b1) - a2.pair(b2)
-    return total / 2
-
-
-def pair_eis_via_cusps(symbol: ExtendedFareySymbol, eis: EisSymbol,
-                       boundary: BoundarySymbol) -> Fraction:
-    """Cusp-width shortcut for the pairing against an embedded boundary symbol.
-
-    Sums width(s) * (moment of the twist of f at s) * coefficient(s)
-    over a system of cusp classes; agrees with the general pairing of
-    the period cocycle against the embedded boundary element.
-    """
-    total = Fraction(0)
-    for cls in symbol.cusp_classes():
-        c = boundary.coeffs.get(cls.vertex, Fraction(0))
-        if not c:
-            continue
-        _, moment = eis._twist_data(cls.g0)
-        total += cls.width * moment * c
-    return total
-
-
 # -- Hecke operators ---------------------------------------------------
 
 
@@ -193,70 +131,37 @@ def hecke_matrix(space: ModularSymbolSpace, level: int, ell: int) -> list:
     k = space.k
     n = k - 1
     heil = heilbronn_merel(ell)
-    terms = {}  # coset i -> [(coset j, action matrix of rep_j adj(h) rep_i^-1)]
     weights = defaultdict(list)  # coset-vector column -> [(coordinate, integer weight)]
-    free_cols = space.free_cols
-    for r, col in enumerate(free_cols):
-        i, s = divmod(col, n)
-        if i not in terms:
-            rep = table.reps[i]
-            terms[i] = []
-            for h in heil:
-                g = mmul(rep, h)
-                if gcd(g[2], g[3], level) == 1:
-                    j = table.class_index(g)
-                    terms[i].append((j, action_matrix(k, mmul(table.reps[j], madj(h), minv(rep)))))
-        for j, mat in terms[i]:
-            for t, x in enumerate(mat[s]):
-                if x:
-                    weights[j * n + t].append((r, x))
+    # free columns in one coset are consecutive: the action matrices of
+    # the Heilbronn terms of coset i are summed per target coset j once
+    for i, cols in groupby(enumerate(space.free_cols), key=lambda rc: rc[1] // n):
+        rep = table.reps[i]
+        blocks = {}  # coset j -> sum of the action matrices of rep_j adj(h) rep_i^-1
+        for h in heil:
+            g = mmul(rep, h)
+            if gcd(g[2], g[3], level) == 1:
+                j = table.class_index(g)
+                mat = action_matrix(k, mmul(table.reps[j], madj(h), minv(rep)))
+                block = blocks.get(j)
+                blocks[j] = mat if block is None else \
+                    [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(block, mat)]
+        for r, col in cols:
+            s = col % n
+            for j, block in blocks.items():
+                for t, x in enumerate(block[s]):
+                    if x:
+                        weights[j * n + t].append((r, x))
     cols = []
     for support in space.supports:
         # integer numerators over one denominator, as in Vk.act
         den = lcm(*(x.denominator for _, x in support))
-        acc = [0] * len(free_cols)
+        acc = [0] * space.dimension()
         for c, x in support:
             num = x.numerator * (den // x.denominator)
             for r, w in weights.get(c, ()):
                 acc[r] += w * num
         cols.append([Fraction(v, den) for v in acc])
     return [list(row) for row in zip(*cols)]
-
-
-# -- reflection conjugation -------------------------------------------
-
-
-def noncusp_pair(symbol: ExtendedFareySymbol, cocycle, boundary: BoundarySymbol) -> Fraction:
-    """Pairing against an embedded boundary symbol via stabilizer generators.
-
-    Equals minus the sum over a system of cusp classes of the cocycle
-    at the positive stabilizer generator paired with the boundary value
-    at the class.
-    """
-    total = Fraction(0)
-    for cls in symbol.cusp_classes():
-        val = boundary.value_at(cls.vertex)
-        if not val:
-            continue
-        total -= cocycle(cls.tau).pair(val)
-    return total
-
-
-class epsilon_conjugate_hom:
-    """Path map over the reflected group: values phi(eps r, eps s)|eps."""
-
-    def __init__(self, phi):
-        self.phi = phi
-
-    def eval_path(self, r: CuspT, s: CuspT) -> Vk:
-        return self.phi.eval_path(act(EPS, r), act(EPS, s)).act(EPS)
-
-
-def epsilon_conjugate_cocycle(cocycle):
-    def conj(g: Mat) -> Vk:
-        return cocycle(mmul(EPS, g, EPS)).act(EPS)
-
-    return conj
 
 
 # -- cuspidal subspace -------------------------------------------------
@@ -275,7 +180,7 @@ def cuspidal_subspace(n: int, k: int) -> tuple[ModularSymbolSpace, list[SymbolEl
         raise ValueError("level must be positive")
     if k < 2 or k % 2:
         raise ValueError("cuspidal extraction needs an even weight of at least 2")
-    symbol = gamma0_symbol(n) if n > 1 else base_symbol_sl2z()
+    symbol = gamma0_symbol(n)
     space = build_space(symbol, k)
     rows = eisenstein_pairing_matrix(symbol, n, k, space)
     basis = []

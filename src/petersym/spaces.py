@@ -5,8 +5,9 @@ the coefficients of one polynomial per coset of the group in SL2(Z),
 the value on the coset translate of the path from 0 to infinity.  The
 two relations coming from the elliptic generators of SL2(Z),
 transported through the coset action, cut out exactly the
-group-equivariant homomorphisms; arbitrary paths are evaluated by a
-continued-fraction walk through unimodular steps.
+group-equivariant homomorphisms.  A path {r, s} is one continued-fraction
+walk from r, a sum of unimodular steps that are one coset path each; a
+Farey arc is a single step.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .modgroup import (
     act,
     cf_decompose,
     cusp_is_infinity,
+    matrix_to_cusp,
     minv,
     mmul,
     mneg,
@@ -70,19 +72,22 @@ class SymbolElement:
         i, h = _transport(self.space.symbol, g)
         return self.values[i].act(h)
 
-    def eval_to_infinity(self, s: CuspT) -> Vk:
-        """Value on {infinity, s} = {s} - {infinity}."""
-        if cusp_is_infinity(s):
-            return Vk.zero(self.space.k)
-        out = Vk.zero(self.space.k)
-        taus, _, _ = cf_decompose(Fraction(s[0], s[1]))
-        for tau in taus[1:]:
-            out = out + self.value_on_coset_path(tau)
-        return out
-
     def eval_path(self, r: CuspT, s: CuspT) -> Vk:
-        """Value on {r, s} = {s} - {r}."""
-        return self.eval_to_infinity(s) - self.eval_to_infinity(r)
+        """Value on {r, s} = {s} - {r}.
+
+        With g sending infinity to r, {r, s} = g{infinity, t} for
+        t = g^-1 s: one coset path per convergent of t, and one in all
+        when {r, s} is unimodular (t is then an integer).
+        """
+        g = matrix_to_cusp(r)
+        t = act(minv(g), s)
+        out = Vk.zero(self.space.k)
+        if cusp_is_infinity(t):
+            return out
+        taus, _, _ = cf_decompose(Fraction(t[0], t[1]))
+        for tau in taus[1:]:
+            out = out + self.value_on_coset_path(mmul(g, tau))
+        return out
 
 
 class ModularSymbolSpace:

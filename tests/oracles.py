@@ -1,4 +1,4 @@
-"""Test-side reference implementations of the Hecke operators.
+"""Test-side reference implementations and cross-checks.
 
 The package computes T_ell on Gamma0(N) by Merel's Heilbronn formula.
 The helpers here compute the same operators from their definition, a
@@ -8,6 +8,12 @@ and the image of a path map is sampled on every coset path.  They are
 the reference for the formula and for the adjointness tests.  A path
 map becomes a space element by `from_path_evaluator`, and `coordinates`
 reads it back in the basis.
+
+The pairing has second forms here that no command uses: the endpoint
+form `pair_alt`, the cusp-width shortcut `pair_eis_via_cusps` and the
+stabilizer form `noncusp_pair` against boundary symbols, and the
+conjugation by the reflection eps of path maps and cocycles.
+`charpoly` reads Hecke eigenvalues off small exact matrices.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from petersym.eisenstein import EisSymbol
 from petersym.farey import (
     CosetTable,
     ExtendedFareySymbol,
@@ -22,9 +29,9 @@ from petersym.farey import (
     gamma0_group,
     subgroup_farey,
 )
-from petersym.modgroup import CuspT, Mat, act, madj, mdet, mmul
+from petersym.modgroup import EPS, CuspT, Mat, act, madj, mdet, mmul
 from petersym.polyspace import Vk
-from petersym.spaces import ModularSymbolSpace, SymbolElement
+from petersym.spaces import BoundarySymbol, ModularSymbolSpace, SymbolElement, eval_tilde_arc
 
 __all__ = [
     "from_path_evaluator",
@@ -35,6 +42,12 @@ __all__ = [
     "hecke_cocycle",
     "hecke_path_map",
     "double_coset_hecke_matrix",
+    "pair_alt",
+    "pair_eis_via_cusps",
+    "noncusp_pair",
+    "epsilon_conjugate_hom",
+    "epsilon_conjugate_cocycle",
+    "charpoly",
 ]
 
 
@@ -158,3 +171,116 @@ def double_coset_hecke_matrix(space, level: int, ell: int, columns=None) -> list
     cols = [coordinates(space, from_path_evaluator(space, hecke_path_map(b, hctx).eval_path))
             for b in basis]
     return [list(row) for row in zip(*cols)]
+
+
+# -- cross-checks of the pairing ---------------------------------------
+
+
+def _hat_value(symbol: ExtendedFareySymbol, phi, endpoint, base: CuspT,
+               half_cache: dict) -> Vk:
+    """phi((base, t)) for a tilde endpoint t, cusp or elliptic point."""
+    kind, data = endpoint
+    if kind == "c":
+        return phi.eval_path(base, data)
+    # elliptic fixed point of the symbol arc `data`: go to the arc start
+    # and add the value on the half arc into the fixed point
+    key = data
+    if key not in half_cache:
+        for ta in symbol.tilde():
+            if ta.base == data and ta.half == "u":
+                half_cache[key] = eval_tilde_arc(phi, symbol, ta)
+                break
+    start = symbol.arcs[data][0]
+    return phi.eval_path(base, start) + half_cache[key]
+
+
+def pair_alt(symbol: ExtendedFareySymbol, phi1, phi2, base: CuspT = (1, 0)) -> Fraction:
+    """Endpoint form of the pairing on two symbol-space elements."""
+    tilde = symbol.tilde()
+    cache1: dict = {}
+    cache2: dict = {}
+    total = Fraction(0)
+    for ta in tilde:
+        star = tilde[ta.star]
+        a1 = _hat_value(symbol, phi1, star.start, base, cache1)
+        b1 = _hat_value(symbol, phi2, star.end, base, cache2)
+        a2 = _hat_value(symbol, phi1, ta.end, base, cache1)
+        b2 = _hat_value(symbol, phi2, ta.start, base, cache2)
+        total += a1.pair(b1) - a2.pair(b2)
+    return total / 2
+
+
+def pair_eis_via_cusps(symbol: ExtendedFareySymbol, eis: EisSymbol,
+                       boundary: BoundarySymbol) -> Fraction:
+    """Cusp-width shortcut for the pairing against an embedded boundary symbol.
+
+    Sums width(s) * (moment of the twist of f at s) * coefficient(s)
+    over a system of cusp classes; agrees with the general pairing of
+    the period cocycle against the embedded boundary element.
+    """
+    total = Fraction(0)
+    for cls in symbol.cusp_classes():
+        c = boundary.coeffs.get(cls.vertex, Fraction(0))
+        if not c:
+            continue
+        _, moment = eis._twist_data(cls.g0)
+        total += cls.width * moment * c
+    return total
+
+
+def noncusp_pair(symbol: ExtendedFareySymbol, cocycle, boundary: BoundarySymbol) -> Fraction:
+    """Pairing against an embedded boundary symbol via stabilizer generators.
+
+    Equals minus the sum over a system of cusp classes of the cocycle
+    at the positive stabilizer generator paired with the boundary value
+    at the class.
+    """
+    total = Fraction(0)
+    for cls in symbol.cusp_classes():
+        val = boundary.value_at(cls.vertex)
+        if not val:
+            continue
+        total -= cocycle(cls.tau).pair(val)
+    return total
+
+
+class epsilon_conjugate_hom:
+    """Path map over the reflected group: values phi(eps r, eps s)|eps."""
+
+    def __init__(self, phi):
+        self.phi = phi
+
+    def eval_path(self, r: CuspT, s: CuspT) -> Vk:
+        return self.phi.eval_path(act(EPS, r), act(EPS, s)).act(EPS)
+
+
+def epsilon_conjugate_cocycle(cocycle):
+    def conj(g: Mat) -> Vk:
+        return cocycle(mmul(EPS, g, EPS)).act(EPS)
+
+    return conj
+
+
+# -- exact linear algebra ----------------------------------------------
+
+
+def charpoly(mat):
+    """Monic characteristic polynomial, coefficients highest degree first.
+
+    Faddeev-LeVerrier over Fractions; fine for the small matrices that
+    arise from Hecke operators on cuspidal subspaces.
+    """
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    coeffs = [Fraction(1)]
+    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for j in range(1, n + 1):
+        if j > 1:
+            for i in range(n):
+                m[i][i] += coeffs[-1]
+            m = [[sum(a[i][t] * m[t][s] for t in range(n)) for s in range(n)] for i in range(n)]
+        else:
+            m = [row[:] for row in a]
+        tr = sum(m[i][i] for i in range(n))
+        coeffs.append(-tr / j)
+    return coeffs

@@ -20,7 +20,7 @@ from petersym.dims import (
     gamma_full_invariants,
 )
 from petersym.eisenstein import EisSymbol, TorsionFunction, distribution_check
-from petersym.exact import charpoly, rank, solve_in_span
+from petersym.exact import rank, solve_in_span
 from petersym.farey import (
     base_symbol_sl2z,
     gamma0_group,
@@ -37,8 +37,6 @@ from petersym.pairing import (
     hom_cocycle,
     lambda_coeffs,
     pair,
-    pair_alt,
-    pair_eis_via_cusps,
 )
 from petersym.polyspace import Vk
 from petersym.qexp import (
@@ -52,7 +50,15 @@ from petersym.qexp import (
     petersson_norm_delta,
 )
 from petersym.spaces import boundary_space, build_space
-from .oracles import from_path_evaluator, hecke_context, hecke_cocycle, hecke_path_map
+from .oracles import (
+    charpoly,
+    from_path_evaluator,
+    hecke_context,
+    hecke_cocycle,
+    hecke_path_map,
+    pair_alt,
+    pair_eis_via_cusps,
+)
 from .test_modgroup import random_sl2
 from .test_spaces import symbol_for
 

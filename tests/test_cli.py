@@ -368,6 +368,18 @@ GOLDEN = [
      "d04c2b82468984871a1d6128033e50573905689715e42712696947da62025959"),
     (["pairing-matrix", "--level", "11", "--weight", "2", "--eisenstein"],
      "b198f9bf1b7fb7f912399361a9ed8e1a3e5294a9dfe9bade62706c4fd4484548"),
+    (["pairing-matrix", "--level", "13", "--weight", "4"],
+     "3eb221e5599a99399c4f822e8a42dc74a557f4582007d23355203453e6c5e381"),
+    (["pairing-matrix", "--level", "13", "--weight", "4", "--eisenstein"],
+     "2e1dc35b894d7596400265830116ae424d3063f91d05ca2362e2a9eceb8e4aad"),
+    (["cuspidal", "--level", "24", "--weight", "4"],
+     "c309f249b7921ff4387a3782b17211f326fc14af762bb4743853033579340083"),
+    (["cuspidal", "--level", "1", "--weight", "24"],
+     "4ba28d313419da612cea4be588fb82e251aefbb056f44fbde6683f9d06e0cefa"),
+    (["hecke", "--level", "1", "--weight", "24", "--ell", "2"],
+     "949b0a190b9b9074614b37ec48e267d95862caebe23fac3c9314d72a690318a1"),
+    (["hecke", "--level", "37", "--weight", "4", "--ell", "101"],
+     "39ec3894a6c6a12d5140500f1d5f85adaef0c5858cc17f674d810d3df88e8d72"),
 ]
 
 

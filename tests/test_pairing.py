@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from petersym.dims import dim_cusp_forms_gamma0
 from petersym.eisenstein import EisSymbol, TorsionFunction
-from petersym.exact import charpoly, rank, solve_in_span
+from petersym.exact import rank, solve_in_span
 from petersym.farey import (
     base_symbol_sl2z,
     gamma0_group,
@@ -21,26 +21,28 @@ from petersym.orbits import basis_v, orbit_indicator
 from petersym.pairing import (
     cuspidal_subspace,
     eisenstein_pairing_matrix,
-    epsilon_conjugate_cocycle,
-    epsilon_conjugate_hom,
     haberland_pair,
     hecke_matrix,
     heilbronn_merel,
     hom_cocycle,
     lambda_coeffs,
     pair,
-    pair_alt,
-    pair_eis_via_cusps,
     pairing_matrix,
 )
 from petersym.polyspace import Vk
 from petersym.spaces import boundary_space, build_space
 from .oracles import (
+    charpoly,
     double_coset_hecke_matrix,
+    epsilon_conjugate_cocycle,
+    epsilon_conjugate_hom,
     from_path_evaluator,
     hecke_context,
     hecke_cocycle,
     hecke_path_map,
+    noncusp_pair,
+    pair_alt,
+    pair_eis_via_cusps,
 )
 from .test_spaces import random_cusp, symbol_for
 
@@ -378,8 +380,6 @@ def test_batched_eisenstein_matrix_matches_entrywise_pairing(n, k):
 
 
 def test_noncusp_route_matches_direct_pairing():
-    from petersym.pairing import noncusp_pair
-
     for (n, k) in [(11, 2), (5, 4), (3, 4)]:
         sym = gamma0_symbol(n)
         sp = build_space(sym, k)

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from petersym.dims import dim_modular_symbols_gamma0
-from petersym.farey import base_symbol_sl2z, gamma0_symbol
+from petersym.farey import CosetTable, base_symbol_sl2z, gamma0_symbol, gamma1_symbol
 from petersym.modgroup import ID, act, cusp, madj, mmul
 from petersym.polyspace import Vk
-from petersym.spaces import SymbolElement, boundary_space, build_space
+from petersym.spaces import SymbolElement, boundary_space, build_space, eval_tilde_arc
 from .oracles import coordinates
 
 
@@ -133,8 +136,6 @@ def test_space_elements_satisfy_two_and_three_term_relations():
 
 
 def test_elliptic_half_arcs_sum_to_whole_arc():
-    from petersym.spaces import eval_tilde_arc
-
     # Gamma0(7) has two order-3 arcs; the base symbol has one of each order
     for sym, k in [(gamma0_symbol(7), 4), (base_symbol_sl2z(), 12)]:
         sp = build_space(sym, k)
@@ -166,3 +167,47 @@ def test_eval_path_invariance_hundred_samples():
         g = random_group_elt(sym, rng)
         assert phi.eval_path(act(g, r), act(g, s)) == phi.eval_path(r, s).act(madj(g))
         samples += 1
+
+
+@lru_cache(maxsize=8)
+def _space(family, n, k):
+    symbol = gamma0_symbol(n) if family == "gamma0" else gamma1_symbol(n)
+    return build_space(symbol, k)
+
+
+cusps = st.tuples(st.integers(-500, 500), st.integers(0, 500)) \
+    .filter(lambda pq: pq != (0, 0)).map(lambda pq: cusp(*pq))
+
+
+@settings(deadline=None, max_examples=40)
+@given(group=st.one_of(st.tuples(st.just("gamma0"), st.integers(2, 60)),
+                       st.tuples(st.just("gamma1"), st.integers(2, 15))),
+       k=st.sampled_from([2, 4, 6]), r=cusps, s=cusps, data=st.data())
+def test_eval_path_is_the_difference_of_paths_from_infinity(group, k, r, s, data):
+    sp = _space(*group, k)
+    phi = sp.basis[data.draw(st.integers(0, sp.dimension() - 1))]
+    inf = (1, 0)
+    value = phi.eval_path(r, s)
+    assert value == phi.eval_path(inf, s) - phi.eval_path(inf, r) == -phi.eval_path(s, r)
+
+
+@pytest.mark.parametrize("n,k", [(60, 2), (13, 4)])
+def test_tilde_arc_value_is_one_coset_lookup_per_piece(monkeypatch, n, k):
+    # a Farey arc is unimodular: its value, and that of an order-2 half,
+    # is one coset path; an order-3 half is two such arcs
+    sp = build_space(gamma0_symbol(n), k)
+    sym = sp.symbol
+    phi = sp.basis[-1]
+    calls = []
+    locate = CosetTable.locate
+
+    def counted(self, g):
+        calls.append(g)
+        return locate(self, g)
+
+    monkeypatch.setattr(CosetTable, "locate", counted)
+    for ta in sym.tilde():
+        calls.clear()
+        eval_tilde_arc(phi, sym, ta)
+        expected = 2 if ta.half != "whole" and sym.mu[ta.base] == 3 else 1
+        assert len(calls) == expected, (ta, calls)
