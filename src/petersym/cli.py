@@ -11,7 +11,9 @@ including a quadrature that misses its error target.  A ValueError or
 FareyError raised by the library on the given arguments is reported as
 a violated precondition.
 Output is deterministic: cosets in discovery order, arcs in symbol
-order, basis vectors in echelon order.
+order, basis vectors in echelon order.  The document is written with
+the bytes of json.dumps(result, indent=2, sort_keys=True), by a writer
+that joins the lists of strings and ints in one step.
 """
 
 from __future__ import annotations
@@ -55,10 +57,22 @@ MAX_INDICATOR_CELLS = 10**6
 # Most group-ring coefficients ((terms + 1) times N) `qexp` may compute.
 MAX_QEXP_CELLS = 10**5
 
-# Highest weight `qexp` and `eis-symbol` accept.  The Bernoulli numbers
-# behind the constant term and the moments cost about k^2.5: at level 1
-# `qexp` with 5 terms takes 3.5 s at weight 1000 and 16 s at 1500, and
-# `eis-symbol` 2.1 s at weight 500 and 15 s at 1000.
+# Most weighted coefficients ((terms + 1) times N times the weight)
+# `qexp` may write.  The coefficient of q^n has about (k - 1) log10(n)
+# digits in each of its N entries, so the output grows with this
+# product.  At level 1 and weight 1000, 2999 terms take 3.6 s and write
+# 9.2 MB, 10000 terms 6.6 s and 36 MB; at weight 100, 29999 terms take
+# 4.8 s and write 12.7 MB (2-CPU VM).
+MAX_QEXP_WEIGHTED_CELLS = 3 * 10**6
+
+# Highest weight `qexp` accepts, and `eis-symbol` at level 1.  The
+# Bernoulli numbers behind the constant term and the moments cost about
+# k^2.5: at level 1 `qexp` with 5 terms takes 3.5 s at weight 1000 and
+# 16 s at 1500, and `eis-symbol` 2.1 s at weight 500 and 15 s at 1000.
+# The twist moments of `eis-symbol` also grow with the level N, about
+# as N k^3, so it accepts weight k when N k^3 <= MAX_QEXP_WEIGHT^3:
+# level 2 at weight 793 takes 8.2 s, level 7 at 400 / 522 / 800 takes
+# 7.7 / 14 / 71 s, and level 30 at 321 takes 19 s (2-CPU VM).
 MAX_QEXP_WEIGHT = 1000
 
 # Highest weight the commands that build a symbol space accept
@@ -162,8 +176,11 @@ def cmd_farey(args):
 def _basis_json(basis, k: int) -> list:
     """Each coset vector as one list of k-1 coefficient strings per coset."""
     n = k - 1
-    return [[[frac_str(c) for c in b.vector[i:i + n]] for i in range(0, len(b.vector), n)]
-            for b in basis]
+    out = []
+    for b in basis:
+        entries = list(map(frac_str, b.vector))
+        out.append([entries[i:i + n] for i in range(0, len(entries), n)])
+    return out
 
 
 def cmd_modsym_space(args):
@@ -203,8 +220,15 @@ def _load_fn(path: str) -> TorsionFunction:
         index(d["N"]), [[Fraction(v) for v in row] for row in d["values"]]))
 
 
+def _eis_symbol_weight_bound(level: int) -> int:
+    """Largest weight k with level * k^3 <= MAX_QEXP_WEIGHT^3."""
+    cap = MAX_QEXP_WEIGHT ** 3 // max(level, 1)
+    k = round(cap ** (1 / 3))
+    return k if k ** 3 <= cap else k - 1
+
+
 def cmd_eis_symbol(args):
-    _check_bound("weight", args.weight, MAX_QEXP_WEIGHT)
+    _check_bound("weight", args.weight, _eis_symbol_weight_bound(args.level))
     f = _load_fn(args.fn)
     if f.n != args.level:
         raise MathPreconditionError("function level does not match --level")
@@ -276,6 +300,11 @@ def cmd_qexp(args):
         raise MathPreconditionError(
             f"--terms {args.terms} at level {args.level} needs more than "
             f"{MAX_QEXP_CELLS} coefficients"
+        )
+    if (args.terms + 1) * args.level * args.weight > MAX_QEXP_WEIGHTED_CELLS:
+        raise MathPreconditionError(
+            f"--terms {args.terms} at level {args.level} and weight {args.weight} "
+            f"needs more than {MAX_QEXP_WEIGHTED_CELLS} weighted coefficients"
         )
     _check_bound("weight", args.weight, MAX_QEXP_WEIGHT)
     f = _load_fn(args.fn)
@@ -371,6 +400,52 @@ def cmd_verify(args):
     return report, (0 if ok else PRECISION_ERROR)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_ARRAYS = (list, tuple)
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True), by string joins.
+
+    `nl` is a newline and the indentation of obj's line.  Strings go
+    through the C string encoder and ints through int.__repr__; a list
+    of strings or of ints, or of nonempty lists of strings (a basis
+    vector), is joined in one comprehension with no call per entry.
+    json.dumps with an indent runs the pure-Python encoder.  Any other
+    value is handed to json.dumps and re-indented: its strings are
+    ASCII-escaped, so each newline of its text is a line break.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind in _ARRAYS:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        if all(type(x) is str for x in obj):
+            body = sep.join(map(_encode_str, obj))
+        elif all(type(x) is int for x in obj):
+            body = sep.join(map(int.__repr__, obj))
+        elif (all(type(x) in _ARRAYS and x for x in obj)
+              and all(type(y) is str for x in obj for y in x)):
+            inner2 = inner + "  "
+            sep2 = "," + inner2
+            body = sep.join(["[" + inner2 + sep2.join(map(_encode_str, x)) + inner + "]"
+                             for x in obj])
+        else:
+            body = sep.join([_dumps(x, inner) for x in obj])
+        return "[" + inner + body + nl + "]"
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            _encode_str(key) + ": " + _dumps(obj[key], inner) for key in sorted(obj)
+        ) + nl + "}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="petersym",
@@ -448,7 +523,7 @@ def main(argv=None) -> int:
     code = 0
     if isinstance(result, tuple):
         result, code = result
-    text = json.dumps(result, indent=2, sort_keys=True)
+    text = _dumps(result)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

@@ -88,9 +88,12 @@ def _int_row(row) -> dict[int, int]:
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
     """Primitive a*row - b*prow with the entry at `col` cancelled."""
-    g = gcd(prow[col], row[col])
-    a, b = prow[col] // g, row[col] // g
-    out = {j: a * v for j, v in row.items()}
+    # g takes the sign of the pivot entry, so the multiplier a is
+    # positive, and 1 whenever the pivot entry divides row[col]
+    p, r = prow[col], row[col]
+    g = gcd(p, r) if p > 0 else -gcd(p, r)
+    a, b = p // g, r // g
+    out = row.copy() if a == 1 else {j: a * v for j, v in row.items()}
     for j, v in prow.items():
         w = out.get(j, 0) - b * v
         if w:

@@ -5,9 +5,12 @@ the coefficients of one polynomial per coset of the group in SL2(Z),
 the value on the coset translate of the path from 0 to infinity.  The
 two relations coming from the elliptic generators of SL2(Z),
 transported through the coset action, cut out exactly the
-group-equivariant homomorphisms.  A path {r, s} is one continued-fraction
-walk from r, a sum of unimodular steps that are one coset path each; a
-Farey arc is a single step.
+group-equivariant homomorphisms.  Each is written once per orbit of
+its generator on the cosets (two cosets or one for sigma, three or
+one for tau): at the other cosets of the orbit it spans the same rows.
+A path {r, s} is one continued-fraction walk from r, a sum of
+unimodular steps that are one coset path each; a Farey arc is a single
+step.
 """
 
 from __future__ import annotations
@@ -117,7 +120,11 @@ class ModularSymbolSpace:
 
 
 def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
-    """Solve the coset-transported two-term and three-term relations."""
+    """Solve the coset-transported two-term and three-term relations.
+
+    The kernel is taken of (k - 1) * (number of sigma-orbits plus number
+    of tau-orbits of cosets) dense rows, one block per relation.
+    """
     if k < 2:
         raise ValueError("weight must be at least 2")
     table = symbol.require_direct_table()
@@ -141,14 +148,18 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
                         row[off + s] += mrow[s]
         rows.extend(block)
 
-    for i in range(nc):
-        rep = table.reps[i]
-        add_relation([(i, ID), _transport(symbol, mmul(rep, SIGMA))])
-        add_relation([
-            (i, ID),
-            _transport(symbol, mmul(rep, TAU)),
-            _transport(symbol, mmul(rep, TAU, TAU)),
-        ])
+    # one relation per sigma-orbit and per tau-orbit of cosets, written
+    # at the orbit's first coset: at another coset of the orbit it is
+    # the same relation transported by a group element, so adding it
+    # would not change the row space
+    for i, rep in enumerate(table.reps):
+        s = _transport(symbol, mmul(rep, SIGMA))
+        if s[0] >= i:
+            add_relation([(i, ID), s])
+        t = _transport(symbol, mmul(rep, TAU))
+        tt = _transport(symbol, mmul(rep, TAU, TAU))
+        if min(t[0], tt[0]) >= i:
+            add_relation([(i, ID), t, tt])
 
     return ModularSymbolSpace(symbol, k, kernel_basis(rows, ncols))
 

@@ -14,6 +14,8 @@ form `pair_alt`, the cusp-width shortcut `pair_eis_via_cusps` and the
 stabilizer form `noncusp_pair` against boundary symbols, and the
 conjugation by the reflection eps of path maps and cocycles.
 `charpoly` reads Hecke eigenvalues off small exact matrices.
+`manin_relation_rows` writes the Manin relations at every coset, the
+reference for the one-per-orbit rows of `build_space`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from petersym.farey import (
     gamma0_group,
     subgroup_farey,
 )
-from petersym.modgroup import EPS, CuspT, Mat, act, madj, mdet, mmul
-from petersym.polyspace import Vk
+from petersym.modgroup import EPS, ID, SIGMA, TAU, CuspT, Mat, act, madj, mdet, minv, mmul
+from petersym.polyspace import Vk, action_matrix
 from petersym.spaces import BoundarySymbol, ModularSymbolSpace, SymbolElement, eval_tilde_arc
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "epsilon_conjugate_hom",
     "epsilon_conjugate_cocycle",
     "charpoly",
+    "manin_relation_rows",
 ]
 
 
@@ -284,3 +287,33 @@ def charpoly(mat):
         tr = sum(m[i][i] for i in range(n))
         coeffs.append(-tr / j)
     return coeffs
+
+
+def manin_relation_rows(symbol: ExtendedFareySymbol, k: int) -> list[list[int]]:
+    """The two-term and three-term relations written at every coset.
+
+    Each sigma-orbit's relation appears once per coset of the orbit, and
+    each tau-orbit's once per rotation: 2 * index blocks of k - 1 dense
+    rows, with the row space `build_space` solves.
+    """
+    table = symbol.require_direct_table()
+    n = k - 1
+    ncols = len(table.reps) * n
+
+    def transport(g: Mat):
+        i, gamma = table.locate(g)
+        return i, minv(gamma)
+
+    rows = []
+    for i, rep in enumerate(table.reps):
+        for parts in (
+            [(i, ID), transport(mmul(rep, SIGMA))],
+            [(i, ID), transport(mmul(rep, TAU)), transport(mmul(rep, TAU, TAU))],
+        ):
+            block = [[0] * ncols for _ in range(n)]
+            for idx, h in parts:
+                for row, mrow in zip(block, action_matrix(k, h)):
+                    for s, v in enumerate(mrow):
+                        row[idx * n + s] += v
+            rows.extend(block)
+    return rows

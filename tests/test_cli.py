@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import petersym
 from petersym.cli import (
@@ -14,7 +16,9 @@ from petersym.cli import (
     MAX_INDICATOR_CELLS,
     MAX_QEXP_CELLS,
     MAX_QEXP_WEIGHT,
+    MAX_QEXP_WEIGHTED_CELLS,
     MAX_SPACE_WEIGHT,
+    _dumps,
     main,
 )
 from petersym.cyclo import CycVec
@@ -282,6 +286,37 @@ def test_qexp_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted):
 
 
 @pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
+def test_qexp_weighted_cells_bound(capsys, tmp_path, monkeypatch, extra, accepted):
+    calls = []
+
+    def expansion(f, k, terms):
+        calls.append(terms)
+        return QExpansion(f.n, k, terms, CycVec(f.n), [CycVec(f.n)] * (terms + 1))
+
+    monkeypatch.setattr("petersym.qexp.eis_qexp", expansion)
+    # (terms + 1) * level * weight crosses the bound here, far below the
+    # bounds on (terms + 1) * level and on the weight
+    level, weight = 1, MAX_QEXP_WEIGHT
+    terms = MAX_QEXP_WEIGHTED_CELLS // (level * weight) - 1 + extra
+    assert (terms + 1) * level <= MAX_QEXP_CELLS
+    fn_file = tmp_path / "fn.json"
+    if accepted:
+        fn_file.write_text(json.dumps(TorsionFunction.constant(level).to_json()))
+    # a refused length exits before the (here missing) file is read
+    code = main(["qexp", "--level", str(level), "--weight", str(weight),
+                 "--terms", str(terms), "--fn", str(fn_file)])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0
+        assert calls == [terms]
+        assert len(json.loads(captured.out)["coefficients"]) == terms
+    else:
+        assert code == 3
+        assert calls == []
+        assert f"more than {MAX_QEXP_WEIGHTED_CELLS} weighted" in captured.err
+
+
+@pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
 @pytest.mark.parametrize("command", [
     ["modsym-space"], ["pairing-matrix"], ["hecke", "--ell", "2"], ["cuspidal"],
 ], ids=lambda c: c[0])
@@ -318,8 +353,7 @@ def test_space_weight_bound(capsys, monkeypatch, command, extra, accepted):
         assert f"above the bound {MAX_SPACE_WEIGHT}" in captured.err
 
 
-@pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
-def test_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted):
+def _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, level, bound, extra, accepted):
     calls = []
 
     class Symbol:
@@ -330,12 +364,13 @@ def test_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted)
             self.c_inf = Fraction(0)
 
     monkeypatch.setattr("petersym.cli.EisSymbol", Symbol)
-    weight = MAX_QEXP_WEIGHT + extra
+    weight = bound + extra
     fn_file = tmp_path / "fn.json"
     if accepted:
-        fn_file.write_text(json.dumps(TorsionFunction.constant(1).to_json()))
+        fn_file.write_text(json.dumps(TorsionFunction.constant(level).to_json()))
     # a refused weight exits before the (here missing) file is read
-    code = main(["eis-symbol", "--level", "1", "--weight", str(weight), "--fn", str(fn_file)])
+    code = main(["eis-symbol", "--level", str(level), "--weight", str(weight),
+                 "--fn", str(fn_file)])
     captured = capsys.readouterr()
     if accepted:
         assert code == 0
@@ -344,7 +379,23 @@ def test_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted)
     else:
         assert code == 3
         assert calls == []
-        assert f"above the bound {MAX_QEXP_WEIGHT}" in captured.err
+        assert f"above the bound {bound}" in captured.err
+
+
+@pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
+def test_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted):
+    _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, 1, MAX_QEXP_WEIGHT,
+                                   extra, accepted)
+
+
+@pytest.mark.parametrize("level,bound", [(7, 522), (30, 321), (125, 200)])
+@pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
+def test_eis_symbol_weight_bound_falls_with_the_level(
+        capsys, tmp_path, monkeypatch, level, bound, extra, accepted):
+    # the largest weight k with level * k^3 <= MAX_QEXP_WEIGHT^3
+    assert level * bound ** 3 <= MAX_QEXP_WEIGHT ** 3 < level * (bound + 1) ** 3
+    _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, level, bound,
+                                   extra, accepted)
 
 
 # sha256 of the printed JSON, recorded before the symbol-space elements
@@ -380,6 +431,11 @@ GOLDEN = [
      "949b0a190b9b9074614b37ec48e267d95862caebe23fac3c9314d72a690318a1"),
     (["hecke", "--level", "37", "--weight", "4", "--ell", "101"],
      "39ec3894a6c6a12d5140500f1d5f85adaef0c5858cc17f674d810d3df88e8d72"),
+    # recorded before the JSON was written by string joins
+    (["farey", "--level", "100"],
+     "ba8790fafa52ed316cb9e755e2689b1498fc795c726c32200488ce399f7494a2"),
+    (["eisbasis", "--level", "6", "--weight", "4"],
+     "7f569acc5e6e089c2b9b93f4adcc5581a350b3712b24fc7700b3ea52d6b2a56e"),
 ]
 
 
@@ -388,6 +444,63 @@ GOLDEN = [
 def test_golden_output(capsys, argv, digest):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+_FN7 = {"N": 7, "values": [
+    ["0", "1", "0", "0", "0", "0", "-1"], ["0", "0", "2/3", "0", "0", "0", "0"],
+    ["0"] * 7, ["1/2", "0", "0", "0", "0", "0", "0"], ["0"] * 7,
+    ["0", "0", "0", "0", "0", "-5/7", "0"], ["0"] * 7,
+]}
+
+# the same for commands that read an input file, given as the last
+# option; recorded before the JSON was written by string joins
+GOLDEN_FROM_FILE = [
+    (["farey", "--level", "28", "--parent"], {"group": "gamma0", "level": 7},
+     "992d96b60b50ee4addaf2a73998380db5ec265ef0324f751bfcb881c08558933"),
+    (["eis-symbol", "--level", "7", "--weight", "6", "--fn"], _FN7,
+     "4581d89aeb800533ff287468a356e08b9b41b62aa0da598c008aea8b99d46c9d"),
+    (["qexp", "--level", "7", "--weight", "4", "--terms", "6", "--fn"], _FN7,
+     "314bf7a6938e77844919a7953c4b4d5bbafd9b5952791ad5e37c95f688a8ad29"),
+]
+
+
+@pytest.mark.parametrize("argv,document,digest", GOLDEN_FROM_FILE,
+                         ids=[argv[0] for argv, _, _ in GOLDEN_FROM_FILE])
+def test_golden_output_from_file(capsys, tmp_path, argv, document, digest):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert main(argv + [str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+_json_leaves = (
+    st.text()
+    | st.text(alphabet="\"\\\x00\x1f\x7f\u00e9\u2028\U0001f600 /")
+    | st.integers() | st.booleans() | st.none()
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_json_trees)
+def test_json_writer_matches_json_dumps(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.lists(st.text(), max_size=3), max_size=3), max_size=3))
+def test_json_writer_matches_json_dumps_on_basis_blocks(blocks):
+    # nested string lists take the joined path at every depth
+    assert _dumps(blocks) == json.dumps(blocks, indent=2, sort_keys=True)
 
 
 def _next_prime(n):

@@ -7,11 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petersym.dims import dim_modular_symbols_gamma0
-from petersym.farey import CosetTable, base_symbol_sl2z, gamma0_symbol, gamma1_symbol
-from petersym.modgroup import ID, act, cusp, madj, mmul
+from petersym.exact import kernel_basis
+from petersym.farey import (
+    CosetTable,
+    base_symbol_sl2z,
+    gamma0_symbol,
+    gamma1_symbol,
+    gamma_full_group,
+    subgroup_farey,
+)
+from petersym.modgroup import ID, SIGMA, TAU, act, cusp, madj, mmul, mneg
 from petersym.polyspace import Vk
 from petersym.spaces import SymbolElement, boundary_space, build_space, eval_tilde_arc
-from .oracles import coordinates
+from .oracles import coordinates, manin_relation_rows
 
 
 def symbol_for(n):
@@ -211,3 +219,42 @@ def test_tilde_arc_value_is_one_coset_lookup_per_piece(monkeypatch, n, k):
         eval_tilde_arc(phi, sym, ta)
         expected = 2 if ta.half != "whole" and sym.mu[ta.base] == 3 else 1
         assert len(calls) == expected, (ta, calls)
+
+
+_SYMBOLS = {
+    "gamma0": gamma0_symbol,
+    "gamma1": gamma1_symbol,
+    "gamma": lambda n: subgroup_farey(base_symbol_sl2z(), gamma_full_group(n))[0],
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(
+    st.tuples(st.just("gamma0"), st.integers(1, 60), st.sampled_from([2, 4, 6])),
+    st.tuples(st.just("gamma1"), st.integers(1, 20), st.integers(2, 5)),
+    st.tuples(st.just("gamma"), st.integers(1, 7), st.integers(2, 4)),
+))
+def test_one_relation_per_orbit_keeps_the_kernel(group):
+    family, n, k = group
+    sym = _SYMBOLS[family](n)
+    table = sym.require_direct_table()
+    handed = []
+
+    def kernel(rows, ncols):
+        handed.append(len(rows))
+        return kernel_basis(rows, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("petersym.spaces.kernel_basis", kernel)
+        space = build_space(sym, k)
+    if k % 2 and sym.member(mneg(ID)):
+        assert handed == [] and space.dimension() == 0
+        return
+    sigma_orbits = {frozenset({i, table.locate(mmul(rep, SIGMA))[0]})
+                    for i, rep in enumerate(table.reps)}
+    tau_orbits = {frozenset({i, table.locate(mmul(rep, TAU))[0],
+                             table.locate(mmul(rep, TAU, TAU))[0]})
+                  for i, rep in enumerate(table.reps)}
+    assert handed == [(k - 1) * (len(sigma_orbits) + len(tau_orbits))]
+    ncols = len(table.reps) * (k - 1)
+    assert [b.vector for b in space.basis] == kernel_basis(manin_relation_rows(sym, k), ncols)
