@@ -54,8 +54,13 @@ PRECISION_ERROR = 4
 # about 15 MB of JSON.
 MAX_INDICATOR_CELLS = 10**6
 
-# Most group-ring coefficients ((terms + 1) times N) `qexp` may compute.
-MAX_QEXP_CELLS = 10**5
+# Most group-ring cell updates `qexp` may make.  Its divisor loop adds
+# an N-entry bracket to the coefficient of q^(n m) for every n m <=
+# terms, N * sum_(n <= terms) floor(terms / n) updates in all.  At level
+# 1 an update costs 10 us at weight 2 and 16 us at weight 40; weight 40
+# with 54200 terms (599176 updates) takes 9.6 s, and weight 2 with 99999
+# terms (1.17e6 updates) took 12.5-15.6 s (2-CPU VM).
+MAX_QEXP_CELLS = 6 * 10**5
 
 # Most weighted coefficients ((terms + 1) times N times the weight)
 # `qexp` may write.  The coefficient of q^n has about (k - 1) log10(n)
@@ -68,11 +73,11 @@ MAX_QEXP_WEIGHTED_CELLS = 3 * 10**6
 # Highest weight `qexp` accepts, and `eis-symbol` at level 1.  The
 # Bernoulli numbers behind the constant term and the moments cost about
 # k^2.5: at level 1 `qexp` with 5 terms takes 3.5 s at weight 1000 and
-# 16 s at 1500, and `eis-symbol` 2.1 s at weight 500 and 15 s at 1000.
-# The twist moments of `eis-symbol` also grow with the level N, about
-# as N k^3, so it accepts weight k when N k^3 <= MAX_QEXP_WEIGHT^3:
-# level 2 at weight 793 takes 8.2 s, level 7 at 400 / 522 / 800 takes
-# 7.7 / 14 / 71 s, and level 30 at 321 takes 19 s (2-CPU VM).
+# 16 s at 1500, and `eis-symbol` 8.9 s at weight 1000.  The twist
+# moments of `eis-symbol` also grow with the level N, so it accepts
+# weight k when N k^3 <= MAX_QEXP_WEIGHT^3: with a dense function,
+# level 7 at weight 522 takes 2.1 s and level 30 at 321 takes 2.3 s,
+# at most 28 MB peak RSS (2-CPU VM).
 MAX_QEXP_WEIGHT = 1000
 
 # Highest weight the commands that build a symbol space accept
@@ -291,15 +296,21 @@ def cmd_cuspidal(args):
     }
 
 
+def _divisor_sum(t: int) -> int:
+    """sum_(n <= t) floor(t / n), by the hyperbola method in O(sqrt t) steps."""
+    r = isqrt(t)
+    return 2 * sum(t // n for n in range(1, r + 1)) - r * r
+
+
 def cmd_qexp(args):
     from .qexp import eis_qexp
 
     if args.terms < 1:
         raise MathPreconditionError(f"--terms must be at least 1 (got {args.terms})")
-    if (args.terms + 1) * args.level > MAX_QEXP_CELLS:
+    if args.level * _divisor_sum(args.terms) > MAX_QEXP_CELLS:
         raise MathPreconditionError(
             f"--terms {args.terms} at level {args.level} needs more than "
-            f"{MAX_QEXP_CELLS} coefficients"
+            f"{MAX_QEXP_CELLS} group-ring updates"
         )
     if (args.terms + 1) * args.level * args.weight > MAX_QEXP_WEIGHTED_CELLS:
         raise MathPreconditionError(

@@ -6,15 +6,21 @@ from infinity to 0 (a coefficient polynomial built from products of
 Bernoulli-distribution moments) and the scalar driving values on
 infinitesimal symbols at infinity.  Values on arbitrary cocycle paths
 are assembled from these by the continued-fraction decomposition, with
-all twists of f taken modulo the level and memoized.  The exact Fourier
-transforms return the same table class with values in the group ring
-Q[Z/NZ], the data of the q-expansions in `qexp`.
+all twists of f taken modulo the level and memoized.  Both halves are
+integer data: a path is walked once per weight into its twisting
+matrices, their signs and shift-polynomial numerators, which every
+symbol shares (`_cocycle_walk`); the twist moments are integer sums
+over one denominator per symbol; and a cocycle value adds integers and
+makes one Fraction per coefficient.  The exact Fourier transforms
+return the same table class with values in the group ring Q[Z/NZ], the
+data of the q-expansions in `qexp`.
 
 The moments of a twist f|g are never tabulated over (Z/NZ)^2: since
 (f|g)-(x, y) = f(u, v) exactly when (x, y) = -(u, v) g mod N, all k of
 them are summed in one pass over the nonzero cells of f, so their cost
 follows the support of f (30 points for a basis orbit at N = 31, not
-961) rather than N^2.
+961) rather than N^2.  The Bernoulli rows they are summed against
+depend only on (N, k) and are made once for all symbols.
 
 The transcendental boundary part of the full period symbol (the
 L'-coefficient multiples of x^(k-2) and y^(k-2)) is deliberately
@@ -27,11 +33,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 
 from .cyclo import CycVec
-from .exact import bernoulli_poly, frac_str
+from .exact import bernoulli_values, frac_str, integer_row
 from .modgroup import ID, INF_SHIFT, MOD_SYM, Mat, PathTerm, madj, manin_path_infty, mdet, minv
-from .polyspace import Vk
+from .polyspace import Vk, action_matrix
 
 __all__ = [
     "TorsionFunction",
@@ -41,7 +48,6 @@ __all__ = [
     "fourier_partial1",
     "fourier_partial2",
     "fourier2",
-    "hecke_fn",
     "EisSymbol",
     "distribution_check",
 ]
@@ -192,25 +198,13 @@ def fourier2(f: TorsionFunction) -> TorsionFunction:
 
 @lru_cache(maxsize=None)
 def _beta_row(h: int, n: int) -> tuple:
-    out = []
-    for r in range(n):
-        if h == 0:
-            out.append(Fraction(1, n))
-        elif h == 1:
-            frac = Fraction(r % n, n)
-            val = -bernoulli_poly(1, frac)
-            if frac == 0:
-                val -= Fraction(1, 2)
-            out.append(val)
-        else:
-            out.append(-Fraction(n) ** (h - 1) * bernoulli_poly(h, Fraction(r % n, n)) / h)
-    return tuple(out)
-
-
-def _integer_row(row) -> tuple[list[int], int]:
-    """Numerators of a row of Fractions over their least common denominator."""
-    den = lcm(*(q.denominator for q in row))
-    return [q.numerator * (den // q.denominator) for q in row], den
+    if h == 0:
+        return (Fraction(1, n),) * n
+    if h == 1:
+        # -B_1(r/n), less 1/2 at r = 0
+        return tuple(Fraction(1, 2) - Fraction(r, n) if r else Fraction(0) for r in range(n))
+    scale = -Fraction(n) ** (h - 1) / h
+    return tuple(scale * b for b in bernoulli_values(h, range(n), n))
 
 
 def beta_value(h: int, r: int, n: int) -> Fraction:
@@ -236,38 +230,77 @@ def beta_moment(f: TorsionFunction, a: int, b: int, minus: bool = False) -> Frac
     return acc
 
 
-def hecke_fn(f: TorsionFunction, ell: int, k: int) -> TorsionFunction:
-    """The weight-k Hecke operator at a prime on torsion functions."""
-    n = f.n
-    out = TorsionFunction.zero(n)
-    lk1 = Fraction(ell) ** (k - 1)
-    lk2 = Fraction(ell) ** (k - 2)
-    divides = n % ell == 0
-    for x in range(n):
-        for y in range(n):
-            acc = Fraction(0)
-            for s in range(n):
-                if (ell * s - y) % n == 0:
-                    acc += f.values[x][s]
-            acc += lk1 * f.values[(ell * x) % n][y]
-            if divides:
-                for t in range(n):
-                    if (ell * t - ell * y) % n == 0:
-                        acc -= lk2 * f.values[(ell * x) % n][t]
-            out.values[x][y] = acc
-    return out
+@lru_cache(maxsize=None)
+def _moment_rows(n: int, k: int):
+    """The Bernoulli rows of the k twist moments at level n, as integers.
+
+    Moment i < k-1 is (-1)^i C(k-2, i) times the integral against
+    beta_(k-1-i) x beta_(i+1), and moment k-1 the integral against
+    beta_k x beta_0.  Returns (cols_x, cols_y, den): cols_x[x][i] and
+    cols_y[y][i] are integers whose product, over den, is the weight of
+    the cell (x, y) in moment i; the sign, the binomial and the
+    Bernoulli denominators are folded into cols_x.
+    """
+    pairs = [(k - 1 - i, i + 1) for i in range(k - 1)] + [(k, 0)]
+    factors = [(-1) ** i * comb(k - 2, i) for i in range(k - 1)] + [1]
+    rows = [(integer_row(_beta_row(hx, n)), integer_row(_beta_row(hy, n)))
+            for hx, hy in pairs]
+    den = lcm(*(dx * dy for (_, dx), (_, dy) in rows))
+    rows_x = [[c * (den // (dx * dy)) * x for x in nums_x]
+              for c, ((nums_x, dx), (_, dy)) in zip(factors, rows)]
+    rows_y = [nums_y for _, (nums_y, _) in rows]
+    return list(zip(*rows_x)), list(zip(*rows_y)), den
 
 
-def _inf_poly(k: int, scalar: Fraction, r: Fraction) -> Vk:
-    """scalar/(k-1) times ((r x + y)^(k-1) - y^(k-1)) / x, a polynomial."""
-    coeffs = [Fraction(0)] * (k - 1)
-    if scalar and r:
-        c = scalar / (k - 1)
-        rp = Fraction(1)
-        for i in range(1, k):
-            rp *= r
-            coeffs[i - 1] = c * comb(k - 1, i) * rp
-    return Vk(k, coeffs)
+def _shift_numerators(k: int, r: Fraction, den: int) -> list[int]:
+    """Numerators over den^(k-1) of ((r x + y)^(k-1) - y^(k-1)) / x.
+
+    den is a multiple of the denominator of r; entry i-1 is the
+    coefficient of x^(i-1) y^(k-1-i), C(k-1, i) r^i.
+    """
+    p = r.numerator * (den // r.denominator)
+    return [comb(k - 1, i) * p ** i * den ** (k - 1 - i) for i in range(1, k)]
+
+
+@lru_cache(maxsize=1024)
+def _cocycle_walk(k: int, g: Mat):
+    """The path of `EisSymbol.cocycle(g)` as integer data every symbol shares.
+
+    For g = (a b; c d) with c = 0 the path is the infinitesimal symbol
+    [0, -b/a] at infinity.  Otherwise it is the path to
+    pi_(-d/c)(infinity), decomposed by `manin_path_infty`, minus the
+    g^-1-translate of [0, a/c].  A term coeff * gamma . (base symbol)
+    has the value coeff * (value of f|gamma on the base symbol) |
+    gamma^-1.  On the infinity-to-0 path that value is p_mod of f|gamma;
+    on [0, r] at infinity it is c_inf of f|gamma times
+    ((r x + y)^(k-1) - y^(k-1)) / ((k-1) x).
+
+    Returns (den, steps), one step (gamma, coeff, shift) for each
+    twisting matrix gamma of the path: coeff is the coefficient of its
+    infinity-to-0 term (0 if it has none), and shift the numerators,
+    over den, of its infinitesimal terms' polynomials without the
+    factor c_inf / (k-1), already moved by gamma^-1.  The walk keeps no
+    action matrix; those stay in the bounded memo of `action_matrix`.
+    """
+    a, b, c, d = g
+    if c == 0:
+        terms = [PathTerm(1, ID, INF_SHIFT, Fraction(-b, a))]
+    else:
+        terms = manin_path_infty(Fraction(-d, c))
+        terms.append(PathTerm(-1, minv(g), INF_SHIFT, Fraction(a, c)))
+    den = lcm(*(t.shift.denominator for t in terms if t.kind == INF_SHIFT))
+    steps = {}
+    for t in terms:
+        step = steps.setdefault(t.gamma, [0, [0] * (k - 1)])
+        if t.kind == MOD_SYM:
+            step[0] += t.coeff
+        else:
+            nums = _shift_numerators(k, t.shift, den)
+            if t.gamma != ID:
+                nums = [sum(map(mul, row, nums)) for row in action_matrix(k, minv(t.gamma))]
+            step[1] = [s + t.coeff * x for s, x in zip(step[1], nums)]
+    return den ** (k - 1), [(gamma, coeff, tuple(shift))
+                            for gamma, (coeff, shift) in steps.items()]
 
 
 class EisSymbol:
@@ -278,10 +311,14 @@ class EisSymbol:
     gamma -> value on the path from the based cusp at infinity to its
     gamma^-1-translate (`cocycle`).
 
-    The one memo is the table of twist data, keyed by the twisting
-    matrix modulo the level: a plain dict whose entries are
+    The symbol's one memo is the table of twist data, keyed by the
+    twisting matrix modulo the level: the integer moment sums of f|g
+    over one denominator of the symbol, a plain dict whose entries are
     deterministic functions of their keys, so concurrent readers can at
-    worst duplicate a computation, never disagree.
+    worst duplicate a computation, never disagree.  The paths of the
+    cocycle come from `_cocycle_walk`, a bounded memo keyed by (k, g)
+    that holds no data of f, so every symbol of one weight, such as the
+    basis orbits of one level, walks each matrix once.
     """
 
     def __init__(self, f: TorsionFunction, k: int):
@@ -291,50 +328,46 @@ class EisSymbol:
             raise ValueError("weight 2 requires the value at (0, 0) to vanish")
         self.f = f
         self.k = k
-        # nonzero cells of f, and the Bernoulli rows of the k moments, as
-        # integer numerators; the third entry of a row pair is the common
-        # denominator of its products with the support
-        n = f.n
+        # nonzero cells of f as integer numerators over support_den
         support_den = lcm(*(c.denominator for row in f.values for c in row if c))
         self._support = [(u, v, c.numerator * (support_den // c.denominator))
                          for u, row in enumerate(f.values) for v, c in enumerate(row) if c]
-        self._moment_rows = []
-        for hx, hy in [(k - 1 - j, j + 1) for j in range(k - 1)] + [(k, 0)]:
-            nums_x, den_x = _integer_row(_beta_row(hx, n))
-            nums_y, den_y = _integer_row(_beta_row(hy, n))
-            self._moment_rows.append((nums_x, nums_y, den_x * den_y * support_den))
+        self._cols_x, self._cols_y, den = _moment_rows(f.n, k)
+        self._den = den * support_den
         self._twists: dict = {}
+
+    def _sums(self, g: Mat) -> tuple:
+        """(p_mod, c_inf) of f|g as integer numerators over self._den.
+
+        A cell (u, v) of the support of f lands at (x, y) = -(u, v) g
+        mod N in (f|g)-, so one pass over the support adds its value
+        times the integer weights of (x, y) in all k moments.
+        """
+        n = self.f.n
+        key = (g[0] % n, g[1] % n, g[2] % n, g[3] % n)
+        hit = self._twists.get(key)
+        if hit is not None:
+            return hit
+        a, b, c, d = key
+        cols_x, cols_y = self._cols_x, self._cols_y
+        sums = [0] * self.k
+        for u, v, val in self._support:
+            sums = [s + val * p * q for s, p, q in
+                    zip(sums, cols_x[(-u * a - v * c) % n], cols_y[(-u * b - v * d) % n])]
+        data = self._twists[key] = (tuple(sums[:-1]), sums[-1])
+        return data
 
     def _twist_data(self, g: Mat):
         """(p_mod, c_inf) of f|g, keyed by g modulo the level.
 
         Entry j of p_mod is (-1)^j C(k-2, j) times the moment of (f|g)-
         against beta_(k-1-j) x beta_(j+1), and c_inf is its moment
-        against beta_k x beta_0.  A cell (u, v) of the support of f
-        lands at (x, y) = -(u, v) g mod N in (f|g)-, so one pass over
-        the support adds its value times every product of Bernoulli
-        rows at (x, y); the sums run over integer numerators.
+        against beta_k x beta_0.
         """
         if mdet(g) not in (1, -1):
             raise ValueError("twisting matrix must have determinant +-1")
-        n = self.f.n
-        key = tuple(x % n for x in g)
-        hit = self._twists.get(key)
-        if hit is not None:
-            return hit
-        k = self.k
-        a, b, c, d = key
-        sums = [0] * k
-        for u, v, val in self._support:
-            x = (-u * a - v * c) % n
-            y = (-u * b - v * d) % n
-            for i, (nums_x, nums_y, _) in enumerate(self._moment_rows):
-                sums[i] += val * nums_x[x] * nums_y[y]
-        acc = [Fraction(s, den) for s, (_, _, den) in zip(sums, self._moment_rows)]
-        coeffs = [(-1) ** j * comb(k - 2, j) * acc[j] for j in range(k - 1)]
-        data = (Vk(k, coeffs), acc[k - 1])
-        self._twists[key] = data
-        return data
+        p, c = self._sums(g)
+        return Vk(self.k, [Fraction(x, self._den) for x in p]), Fraction(c, self._den)
 
     @property
     def p_mod(self) -> Vk:
@@ -349,40 +382,38 @@ class EisSymbol:
 
     def eval_inf(self, r) -> Vk:
         """Value on the infinitesimal symbol at infinity from 0 to r."""
-        return _inf_poly(self.k, self.c_inf, Fraction(r))
-
-    def _eval_terms(self, terms) -> Vk:
-        """Value on a formal sum of translated base symbols."""
-        total = Vk.zero(self.k)
-        for term in terms:
-            p_mod, c_inf = self._twist_data(term.gamma)
-            if term.kind == MOD_SYM:
-                val = p_mod
-            else:
-                val = _inf_poly(self.k, c_inf, term.shift)
-            if term.gamma != ID:
-                val = val.act(minv(term.gamma))
-            if term.coeff == -1:
-                val = -val
-            total = total + val
-        return total
+        r = Fraction(r)
+        k = self.k
+        c = self._sums(ID)[1]
+        den = (k - 1) * r.denominator ** (k - 1) * self._den
+        return Vk(k, [Fraction(c * x, den) for x in _shift_numerators(k, r, r.denominator)])
 
     def cocycle(self, g: Mat) -> Vk:
         """Value on the path from pi_inf(0) to g^-1 pi_inf(0).
 
-        For g = (a b; c d) with c = 0 the path is the infinitesimal
-        symbol [0, -b/a] at infinity.  Otherwise it is the path to
-        pi_(-d/c)(infinity) minus the g^-1-translate of [0, a/c].
+        The terms of the path (see `_cocycle_walk`) are summed as integer
+        numerators: the infinity-to-0 terms over the symbol's
+        denominator, the infinitesimal ones over that times (k-1) and
+        the walk's denominator; one Fraction per coefficient is made at
+        the end.
         """
         if mdet(g) != 1:
             raise ValueError("expected a matrix of determinant 1")
-        a, b, c, d = g
-        if c == 0:
-            terms = [PathTerm(1, ID, INF_SHIFT, Fraction(-b, a))]
-        else:
-            terms = manin_path_infty(Fraction(-d, c))
-            terms.append(PathTerm(-1, minv(g), INF_SHIFT, Fraction(a, c)))
-        return self._eval_terms(terms)
+        k = self.k
+        walk_den, steps = _cocycle_walk(k, g)
+        mods = [0] * (k - 1)
+        infs = [0] * (k - 1)
+        for gamma, coeff, shift in steps:
+            p, c = self._sums(gamma)
+            if coeff:
+                if gamma != ID:
+                    p = [sum(map(mul, row, p)) for row in action_matrix(k, minv(gamma))]
+                mods = [s + coeff * x for s, x in zip(mods, p)]
+            if c:
+                infs = [s + c * x for s, x in zip(infs, shift)]
+        scale = (k - 1) * walk_den
+        den = scale * self._den
+        return Vk(k, [Fraction(scale * m + i, den) for m, i in zip(mods, infs)])
 
     def is_zero_symbol(self, probes=()) -> bool:
         """True when the stored data and all probe cocycles vanish."""

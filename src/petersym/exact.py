@@ -19,9 +19,10 @@ from math import comb, gcd, lcm
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
+    "bernoulli_values",
     "frac_str",
+    "integer_row",
     "kernel_basis",
-    "rank",
     "solve_in_span",
 ]
 
@@ -48,17 +49,30 @@ def bernoulli_number(h: int) -> Fraction:
 
 def bernoulli_poly(h: int, x: Fraction) -> Fraction:
     """Value of the h-th Bernoulli polynomial at a rational point."""
+    x = Fraction(x)
+    return bernoulli_values(h, [x.numerator], x.denominator)[0]
+
+
+def bernoulli_values(h: int, ps, q: int) -> list[Fraction]:
+    """B_h(p/q) for each integer p of ps, B_h the h-th Bernoulli polynomial.
+
+    B_h(p/q) = sum_j C(h, j) B_j p^(h-j) q^j / q^h, summed by Horner's
+    rule on the integer numerators of C(h, j) B_j q^j, which are made
+    once for all the points.
+    """
     if h < 0:
         raise ValueError("index must be nonnegative")
-    x = Fraction(x)
-    acc = Fraction(0)
-    xp = Fraction(1)  # x^(h-j), built from the top down
-    for j in range(h, -1, -1):
-        bj = bernoulli_number(j)
-        if bj:
-            acc += comb(h, j) * bj * xp
-        xp *= x
-    return acc
+    bs = [bernoulli_number(j) for j in range(h + 1)]
+    nums, den = integer_row([comb(h, j) * b if b else b for j, b in enumerate(bs)])
+    nums = [c * q ** j for j, c in enumerate(nums)]
+    den *= q ** h
+    out = []
+    for p in ps:
+        acc = 0
+        for c in nums:
+            acc = acc * p + c
+        out.append(Fraction(acc, den))
+    return out
 
 
 def frac_str(q: Fraction) -> str:
@@ -153,8 +167,10 @@ def kernel_basis(rows, ncols: int):
     return list(by_free_col.values())
 
 
-def rank(rows) -> int:
-    return len(_echelonize(rows))
+def integer_row(row) -> tuple[list[int], int]:
+    """Numerators of a row of rationals over their least common denominator."""
+    den = lcm(*(q.denominator for q in row))
+    return [q.numerator * (den // q.denominator) for q in row], den
 
 
 def solve_in_span(basis, target):

@@ -50,10 +50,8 @@ __all__ = [
     "gamma0_group",
     "gamma1_group",
     "gamma_full_group",
-    "intersection_group",
     "gamma0_symbol",
     "gamma1_symbol",
-    "coset_decompose",
 ]
 
 
@@ -150,19 +148,6 @@ def gamma_full_group(n: int) -> GroupSpec:
         return min(red, tuple((-x) % n for x in g))
 
     return GroupSpec(member, key, f"gamma({n})")
-
-
-def intersection_group(*specs: GroupSpec) -> GroupSpec:
-    def member(g):
-        return all(s.member(g) for s in specs)
-
-    keys = [s.key for s in specs]
-    key = None
-    if all(keys):
-        def key(g):  # noqa: F811 - deliberate rebinding
-            return tuple(k(g) for k in keys)
-
-    return GroupSpec(member, key, " & ".join(s.name for s in specs))
 
 
 class CosetTable:
@@ -653,94 +638,3 @@ def gamma0_symbol(n: int) -> ExtendedFareySymbol:
 def gamma1_symbol(n: int) -> ExtendedFareySymbol:
     sym, _ = subgroup_farey(base_symbol_sl2z(), gamma1_group(n))
     return sym
-
-
-# -- words and coset factorization -------------------------------------
-
-
-def _sl2_word(g: Mat) -> list[Mat]:
-    """Factor g in SL2(Z) exactly into sigma/tau letters (with inverses)."""
-    a, b, c, d = g
-    tokens = []
-    while c:
-        q = a // c
-        tokens.append(("T", q))
-        tokens.append(("S",))
-        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
-    tokens.append(("T", b * a))  # a = d = +/-1 here, so a*b is the shift of +g
-    negate = a == -1
-
-    word: list[Mat] = []
-    tau_inv = minv(TAU)
-    sigma_inv = minv(SIGMA)
-    for tok in tokens:
-        if tok[0] == "S":
-            word.append(SIGMA)
-        else:
-            nn = tok[1]
-            step = [tau_inv, SIGMA] if nn > 0 else [sigma_inv, TAU]
-            for _ in range(abs(nn)):
-                word.extend(step)
-    if negate:
-        word.extend([SIGMA, SIGMA])
-    prod = ID
-    for w in word:
-        prod = mmul(prod, w)
-    if prod != g:
-        raise FareyError("internal word factorization failed")
-    return word
-
-
-def _glue_word(symbol: ExtendedFareySymbol | None, g: Mat) -> list[Mat]:
-    """Exact factorization of g into gluing letters of the symbol's group."""
-    if symbol is None or symbol.table is None:
-        return _sl2_word(g)
-    factors, xi = coset_decompose(symbol, g)
-    if not _is_projective_identity(xi):
-        raise FareyError("matrix is not in the symbol's group")
-    if xi != ID:
-        factors = factors + [xi]  # -Id is a valid letter, projectively trivial
-    return factors
-
-
-def coset_decompose(symbol: ExtendedFareySymbol, g: Mat) -> tuple[list[Mat], Mat]:
-    """Factor g = f_1 ... f_n * xi through the symbol's coset system.
-
-    Each f_i lies in the subgroup (projectively a gluing letter or the
-    inverse of one); xi is the coset representative of g up to sign;
-    the product reconstructs g exactly.  xi is projectively the
-    identity iff g lies in the subgroup (up to sign).
-    """
-    table = symbol.table
-    if table is None:
-        raise FareyError("the base symbol has trivial coset structure")
-    j = table.class_index(g)
-    if j is not None and g in (table.reps[j], mneg(table.reps[j])):
-        return [], g
-    word = _glue_word(table.parent_symbol, g)
-    factors = []
-    delta = ID
-    sign = 1
-    for letter in word:
-        nxt = mmul(delta, letter)
-        j = table.class_index(nxt)
-        if j is None:
-            raise FareyError("input matrix leaves the discovered coset system")
-        fac = mmul(nxt, table._rep_invs[j])
-        if fac == ID:
-            pass
-        elif fac == mneg(ID):
-            sign = -sign
-        else:
-            norm = _sign_into(table.member, fac)
-            if norm != fac:
-                sign = -sign
-            factors.append(norm)
-        delta = table.reps[j]
-    xi = delta if sign == 1 else mneg(delta)
-    prod = ID
-    for f in factors:
-        prod = mmul(prod, f)
-    if mmul(prod, xi) != g:
-        raise FareyError("internal factorization failed to reconstruct the input")
-    return factors, xi

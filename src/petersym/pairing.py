@@ -10,7 +10,10 @@ sum over the tilde arcs of a Farey symbol
 
 covers every combination the theory produces.  `pairing_matrix`
 evaluates it for lists of left and right arguments at once, and `pair`
-is its 1x1 case.  All values are exact rationals.
+is its 1x1 case.  The form < , > is read from its integer Gram weights
+(`polyspace.gram`), and the values of a row or a column become integer
+numerators over one denominator, so each entry is one integer sum over
+the arcs.  All values are exact rationals.
 
 Hecke operators on Gamma0(N) act on the coset values directly, through
 Merel's set of Heilbronn matrices of determinant ell; no second Farey
@@ -23,14 +26,15 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import groupby
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .dims import gamma0_index
 from .eisenstein import EisSymbol
-from .exact import bernoulli_number, kernel_basis
+from .exact import bernoulli_number, integer_row, kernel_basis
 from .farey import ExtendedFareySymbol, gamma0_symbol
 from .modgroup import T_MAT, CuspT, Mat, act, madj, minv, mmul
 from .orbits import basis_v, orbit_indicators
-from .polyspace import Vk, action_matrix
+from .polyspace import Vk, action_matrix, gram
 from .spaces import ModularSymbolSpace, SymbolElement, build_space, eval_tilde_arc
 
 __all__ = [
@@ -67,20 +71,43 @@ def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
 
     Each left value at each inverse glue is computed once, and the value
     of each right on a tilde arc once, only on arcs where some left
-    value is nonzero.  With no rights the result has no rows.
+    value is nonzero.  A row's values, reversed and weighted by the
+    Gram weights of `gram`, and a column's values are laid out on those
+    arcs as integer numerators over one denominator each, so an entry
+    is one integer dot product and one Fraction.  With no rights the
+    result has no rows.
     """
     tilde = symbol.tilde()
     glues = [minv(ta.glue) for ta in tilde]
     rows = []
     for left in lefts:
         cocycle = left if callable(left) else hom_cocycle(left)
-        rows.append([(a, value) for a, value in enumerate(map(cocycle, glues)) if value])
-    used = sorted({a for row in rows for a, _ in row})
+        rows.append({a: value for a, value in enumerate(map(cocycle, glues)) if value})
+    used = sorted({a for row in rows for a in row})
+    int_rows = []
+    for row in rows:
+        if not row:
+            int_rows.append(([], 1))
+            continue
+        width = next(iter(row.values())).k - 1
+        weights, gram_den = gram(width + 1)
+        reversed_weights = weights[::-1]
+        zero = (0,) * width
+        nums, den = integer_row([c for a in used for c in (row[a].coeffs if a in row else zero)])
+        flat = []
+        for start in range(0, len(nums), width):
+            flat.extend(map(mul, reversed_weights, reversed(nums[start:start + width])))
+        int_rows.append((flat, 2 * gram_den * den))
     cols = []
     for right in rights:
-        values = {a: eval_tilde_arc(right, symbol, tilde[a]) for a in used}
-        cols.append([sum((value.pair(values[a]) for a, value in row), Fraction(0)) / 2
-                     for row in rows])
+        nums, den = integer_row([c for a in used
+                                 for c in eval_tilde_arc(right, symbol, tilde[a]).coeffs])
+        col = []
+        for left, row_den in int_rows:
+            if left and len(left) != len(nums):
+                raise ValueError("weight mismatch between a left and a right argument")
+            col.append(Fraction(sum(map(mul, left, nums)), row_den * den))
+        cols.append(col)
     return [list(row) for row in zip(*cols)]
 
 

@@ -4,7 +4,10 @@ The right action is (P|g)(x, y) = P(d x - c y, -b x + a y), which for
 an integer matrix of determinant D equals D^(k-2) P((x, y) g^-1); the
 bilinear form is the (anti)symmetric pairing normalized by
 
-    <(t x + y)^(k-2), (t' x + y)^(k-2)> = (t - t')^(k-2).
+    <(t x + y)^(k-2), (t' x + y)^(k-2)> = (t - t')^(k-2),
+
+given by one table of integer Gram weights per weight, `gram(k)`,
+which `Vk.pair` and the pairing matrices of `pairing` both read.
 
 Coefficients may be Fractions or complex floats (the numeric period
 oracle reuses the same class with complex entries).  The action of g
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .exact import frac_str
+from .exact import frac_str, integer_row
 from .modgroup import Mat
 
 
@@ -91,29 +94,41 @@ class Vk:
         coeffs = self.coeffs
         if all(isinstance(c, (int, Fraction)) for c in coeffs):
             # exact coefficients: integer numerators over one common denominator
-            den = lcm(*(c.denominator for c in coeffs))
-            nums = [(s, c.numerator * (den // c.denominator))
-                    for s, c in enumerate(coeffs) if c]
+            nums, den = integer_row(coeffs)
+            nums = [(s, num) for s, num in enumerate(nums) if num]
             return Vk(self.k, [Fraction(sum(row[s] * num for s, num in nums), den)
                                for row in mat])
         return Vk(self.k, [sum(m * c for m, c in zip(row, coeffs)) for row in mat])
 
     def pair(self, other: "Vk"):
-        """The weight-k bilinear form; symmetric iff k is even."""
+        """The weight-k bilinear form; symmetric iff k is even.
+
+        <P, Q> = sum_i P_i Q_(k-2-i) / (den / w_i) with the Gram weights
+        (w, den) = gram(k), where den / w_i = +-C(k-2, i).
+        """
         self._check(other)
-        n = self.k - 2
-        sign = 1 if n % 2 == 0 else -1
+        weights, den = gram(self.k)
         acc = 0
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            b = other.coeffs[n - i]
+        for w, a, b in zip(weights, self.coeffs, reversed(other.coeffs)):
             if a and b:
-                term = a * b / comb(n, i)
-                acc = acc + (term if i % 2 == 0 else -term)
-        return sign * acc if acc else Fraction(0) * sign
+                acc = acc + a * b / (den // w)
+        return acc if acc else Fraction(0)
 
     def to_json(self):
         return {"k": self.k, "coeffs": [frac_str(c) for c in self.coeffs]}
+
+
+@lru_cache(maxsize=None)
+def gram(k: int) -> tuple[tuple[int, ...], int]:
+    """Integer Gram weights (w, den) of the weight-k pairing.
+
+    <P, Q> = sum_i w_i P_i Q_(k-2-i) / den, where den = lcm_j C(k-2, j)
+    and w_i = (-1)^(k-2-i) den / C(k-2, i), the normalization
+    <(t x + y)^(k-2), (t' x + y)^(k-2)> = (t - t')^(k-2).
+    """
+    n = k - 2
+    den = lcm(*(comb(n, j) for j in range(n + 1)))
+    return tuple((-1) ** (n - i) * (den // comb(n, i)) for i in range(n + 1)), den
 
 
 @lru_cache(maxsize=512)

@@ -13,25 +13,57 @@ The pairing has second forms here that no command uses: the endpoint
 form `pair_alt`, the cusp-width shortcut `pair_eis_via_cusps` and the
 stabilizer form `noncusp_pair` against boundary symbols, and the
 conjugation by the reflection eps of path maps and cocycles.
-`charpoly` reads Hecke eigenvalues off small exact matrices.
+`charpoly` reads Hecke eigenvalues off small exact matrices, and
+`rank` counts the pivots of the package's elimination.
 `manin_relation_rows` writes the Manin relations at every coset, the
 reference for the one-per-orbit rows of `build_space`.
+
+`eis_cocycle_walk` evaluates the Eisenstein cocycle term by term over
+Fractions, the reference for the integer walk of `EisSymbol.cocycle`,
+and `pairing_matrix_by_pairs` sums `Vk.pair` over the tilde arcs, the
+reference for the integer Gram sums of `pairing_matrix`.  `hecke_fn`
+is the Hecke operator on torsion functions.  `intersection_group`
+intersects group predicates, and `coset_decompose` factors a matrix
+through a symbol's coset system into gluing letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from petersym.eisenstein import EisSymbol
+from petersym.eisenstein import EisSymbol, TorsionFunction
+from petersym.exact import _echelonize
 from petersym.farey import (
     CosetTable,
     ExtendedFareySymbol,
+    FareyError,
     GroupSpec,
+    _is_projective_identity,
+    _sign_into,
     gamma0_group,
     subgroup_farey,
 )
-from petersym.modgroup import EPS, ID, SIGMA, TAU, CuspT, Mat, act, madj, mdet, minv, mmul
+from petersym.modgroup import (
+    EPS,
+    ID,
+    INF_SHIFT,
+    MOD_SYM,
+    SIGMA,
+    TAU,
+    CuspT,
+    Mat,
+    PathTerm,
+    act,
+    madj,
+    manin_path_infty,
+    mdet,
+    minv,
+    mmul,
+    mneg,
+)
+from petersym.pairing import hom_cocycle
 from petersym.polyspace import Vk, action_matrix
 from petersym.spaces import BoundarySymbol, ModularSymbolSpace, SymbolElement, eval_tilde_arc
 
@@ -50,7 +82,13 @@ __all__ = [
     "epsilon_conjugate_hom",
     "epsilon_conjugate_cocycle",
     "charpoly",
+    "rank",
     "manin_relation_rows",
+    "eis_cocycle_walk",
+    "pairing_matrix_by_pairs",
+    "hecke_fn",
+    "intersection_group",
+    "coset_decompose",
 ]
 
 
@@ -267,6 +305,10 @@ def epsilon_conjugate_cocycle(cocycle):
 # -- exact linear algebra ----------------------------------------------
 
 
+def rank(rows) -> int:
+    return len(_echelonize(rows))
+
+
 def charpoly(mat):
     """Monic characteristic polynomial, coefficients highest degree first.
 
@@ -317,3 +359,195 @@ def manin_relation_rows(symbol: ExtendedFareySymbol, k: int) -> list[list[int]]:
                         row[idx * n + s] += v
             rows.extend(block)
     return rows
+
+
+# -- the Eisenstein cocycle as a Fraction walk -------------------------
+
+
+def _inf_poly(k: int, scalar: Fraction, r: Fraction) -> Vk:
+    """scalar/(k-1) times ((r x + y)^(k-1) - y^(k-1)) / x, a polynomial."""
+    coeffs = [Fraction(0)] * (k - 1)
+    if scalar and r:
+        c = scalar / (k - 1)
+        rp = Fraction(1)
+        for i in range(1, k):
+            rp *= r
+            coeffs[i - 1] = c * comb(k - 1, i) * rp
+    return Vk(k, coeffs)
+
+
+def _eval_terms(eis: EisSymbol, terms) -> Vk:
+    """Value on a formal sum of translated base symbols."""
+    total = Vk.zero(eis.k)
+    for term in terms:
+        p_mod, c_inf = eis._twist_data(term.gamma)
+        if term.kind == MOD_SYM:
+            val = p_mod
+        else:
+            val = _inf_poly(eis.k, c_inf, term.shift)
+        if term.gamma != ID:
+            val = val.act(minv(term.gamma))
+        if term.coeff == -1:
+            val = -val
+        total = total + val
+    return total
+
+
+def eis_cocycle_walk(eis: EisSymbol, g: Mat) -> Vk:
+    """Value on the path from pi_inf(0) to g^-1 pi_inf(0).
+
+    For g = (a b; c d) with c = 0 the path is the infinitesimal
+    symbol [0, -b/a] at infinity.  Otherwise it is the path to
+    pi_(-d/c)(infinity) minus the g^-1-translate of [0, a/c].
+    """
+    if mdet(g) != 1:
+        raise ValueError("expected a matrix of determinant 1")
+    a, b, c, d = g
+    if c == 0:
+        terms = [PathTerm(1, ID, INF_SHIFT, Fraction(-b, a))]
+    else:
+        terms = manin_path_infty(Fraction(-d, c))
+        terms.append(PathTerm(-1, minv(g), INF_SHIFT, Fraction(a, c)))
+    return _eval_terms(eis, terms)
+
+
+def pairing_matrix_by_pairs(symbol: ExtendedFareySymbol, lefts, rights) -> list:
+    """The pairing matrix as plain sums of `Vk.pair` over the tilde arcs."""
+    tilde = symbol.tilde()
+    glues = [minv(ta.glue) for ta in tilde]
+    rows = []
+    for left in lefts:
+        cocycle = left if callable(left) else hom_cocycle(left)
+        rows.append([cocycle(g) for g in glues])
+    return [[sum((value.pair(eval_tilde_arc(right, symbol, ta))
+                  for value, ta in zip(row, tilde)), Fraction(0)) / 2
+             for right in rights] for row in rows]
+
+
+# -- the Hecke operator on torsion functions ---------------------------
+
+
+def hecke_fn(f: TorsionFunction, ell: int, k: int) -> TorsionFunction:
+    """The weight-k Hecke operator at a prime on torsion functions."""
+    n = f.n
+    out = TorsionFunction.zero(n)
+    lk1 = Fraction(ell) ** (k - 1)
+    lk2 = Fraction(ell) ** (k - 2)
+    divides = n % ell == 0
+    for x in range(n):
+        for y in range(n):
+            acc = Fraction(0)
+            for s in range(n):
+                if (ell * s - y) % n == 0:
+                    acc += f.values[x][s]
+            acc += lk1 * f.values[(ell * x) % n][y]
+            if divides:
+                for t in range(n):
+                    if (ell * t - ell * y) % n == 0:
+                        acc -= lk2 * f.values[(ell * x) % n][t]
+            out.values[x][y] = acc
+    return out
+
+
+# -- groups and words --------------------------------------------------
+
+
+def intersection_group(*specs: GroupSpec) -> GroupSpec:
+    def member(g):
+        return all(s.member(g) for s in specs)
+
+    keys = [s.key for s in specs]
+    key = None
+    if all(keys):
+        def key(g):  # noqa: F811 - deliberate rebinding
+            return tuple(k(g) for k in keys)
+
+    return GroupSpec(member, key, " & ".join(s.name for s in specs))
+
+
+def _sl2_word(g: Mat) -> list[Mat]:
+    """Factor g in SL2(Z) exactly into sigma/tau letters (with inverses)."""
+    a, b, c, d = g
+    tokens = []
+    while c:
+        q = a // c
+        tokens.append(("T", q))
+        tokens.append(("S",))
+        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
+    tokens.append(("T", b * a))  # a = d = +/-1 here, so a*b is the shift of +g
+    negate = a == -1
+
+    word: list[Mat] = []
+    tau_inv = minv(TAU)
+    sigma_inv = minv(SIGMA)
+    for tok in tokens:
+        if tok[0] == "S":
+            word.append(SIGMA)
+        else:
+            nn = tok[1]
+            step = [tau_inv, SIGMA] if nn > 0 else [sigma_inv, TAU]
+            for _ in range(abs(nn)):
+                word.extend(step)
+    if negate:
+        word.extend([SIGMA, SIGMA])
+    prod = ID
+    for w in word:
+        prod = mmul(prod, w)
+    if prod != g:
+        raise FareyError("internal word factorization failed")
+    return word
+
+
+def _glue_word(symbol: ExtendedFareySymbol | None, g: Mat) -> list[Mat]:
+    """Exact factorization of g into gluing letters of the symbol's group."""
+    if symbol is None or symbol.table is None:
+        return _sl2_word(g)
+    factors, xi = coset_decompose(symbol, g)
+    if not _is_projective_identity(xi):
+        raise FareyError("matrix is not in the symbol's group")
+    if xi != ID:
+        factors = factors + [xi]  # -Id is a valid letter, projectively trivial
+    return factors
+
+
+def coset_decompose(symbol: ExtendedFareySymbol, g: Mat) -> tuple[list[Mat], Mat]:
+    """Factor g = f_1 ... f_n * xi through the symbol's coset system.
+
+    Each f_i lies in the subgroup (projectively a gluing letter or the
+    inverse of one); xi is the coset representative of g up to sign;
+    the product reconstructs g exactly.  xi is projectively the
+    identity iff g lies in the subgroup (up to sign).
+    """
+    table = symbol.table
+    if table is None:
+        raise FareyError("the base symbol has trivial coset structure")
+    j = table.class_index(g)
+    if j is not None and g in (table.reps[j], mneg(table.reps[j])):
+        return [], g
+    word = _glue_word(table.parent_symbol, g)
+    factors = []
+    delta = ID
+    sign = 1
+    for letter in word:
+        nxt = mmul(delta, letter)
+        j = table.class_index(nxt)
+        if j is None:
+            raise FareyError("input matrix leaves the discovered coset system")
+        fac = mmul(nxt, table._rep_invs[j])
+        if fac == ID:
+            pass
+        elif fac == mneg(ID):
+            sign = -sign
+        else:
+            norm = _sign_into(table.member, fac)
+            if norm != fac:
+                sign = -sign
+            factors.append(norm)
+        delta = table.reps[j]
+    xi = delta if sign == 1 else mneg(delta)
+    prod = ID
+    for f in factors:
+        prod = mmul(prod, f)
+    if mmul(prod, xi) != g:
+        raise FareyError("internal factorization failed to reconstruct the input")
+    return factors, xi

@@ -20,7 +20,7 @@ from petersym.dims import (
     gamma_full_invariants,
 )
 from petersym.eisenstein import EisSymbol, TorsionFunction, distribution_check
-from petersym.exact import rank, solve_in_span
+from petersym.exact import solve_in_span
 from petersym.farey import (
     base_symbol_sl2z,
     gamma0_group,
@@ -58,6 +58,7 @@ from .oracles import (
     hecke_path_map,
     pair_alt,
     pair_eis_via_cusps,
+    rank,
 )
 from .test_modgroup import random_sl2
 from .test_spaces import symbol_for

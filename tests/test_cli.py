@@ -242,7 +242,16 @@ def test_qexp_terms_bound(capsys, tmp_path, monkeypatch, extra, accepted):
 
     monkeypatch.setattr("petersym.qexp.eis_qexp", expansion)
     level = 7
-    terms = MAX_QEXP_CELLS // level + extra  # (terms + 1) * level crosses the bound here
+
+    def updates(t):
+        # group-ring updates of the divisor loop, counted term by term
+        return level * sum(t // n for n in range(1, t + 1))
+
+    lo, hi = 1, MAX_QEXP_CELLS  # updates(lo) <= bound < updates(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if updates(mid) <= MAX_QEXP_CELLS else (lo, mid)
+    terms = hi + extra  # the first refused length, or the last accepted one
     fn_file = tmp_path / "fn.json"
     fn_file.write_text(json.dumps(TorsionFunction.indicator(level, (1, 2)).to_json()))
     code = main(["qexp", "--level", str(level), "--weight", "6",
@@ -298,7 +307,7 @@ def test_qexp_weighted_cells_bound(capsys, tmp_path, monkeypatch, extra, accepte
     # bounds on (terms + 1) * level and on the weight
     level, weight = 1, MAX_QEXP_WEIGHT
     terms = MAX_QEXP_WEIGHTED_CELLS // (level * weight) - 1 + extra
-    assert (terms + 1) * level <= MAX_QEXP_CELLS
+    assert level * sum(terms // n for n in range(1, terms + 1)) <= MAX_QEXP_CELLS
     fn_file = tmp_path / "fn.json"
     if accepted:
         fn_file.write_text(json.dumps(TorsionFunction.constant(level).to_json()))
@@ -436,6 +445,22 @@ GOLDEN = [
      "ba8790fafa52ed316cb9e755e2689b1498fc795c726c32200488ce399f7494a2"),
     (["eisbasis", "--level", "6", "--weight", "4"],
      "7f569acc5e6e089c2b9b93f4adcc5581a350b3712b24fc7700b3ea52d6b2a56e"),
+    # recorded before the Eisenstein cocycles and the pairing matrix were
+    # summed as integers
+    (["cuspidal", "--level", "12", "--weight", "4"],
+     "3652fe3b81e7fa574b52d72f8fffd0cec93fb93ffc85cc8f531a8338a6a88831"),
+    (["cuspidal", "--level", "21", "--weight", "2"],
+     "f435e889d7cc0f169acbd1224512316fb5ccc1219ee3862d58f8c9ad01624cc1"),
+    (["cuspidal", "--level", "9", "--weight", "4"],
+     "89c9a1eb480df2da884d7a0559a41320ea32fbf2b06a8ab933ccda7d3e99d98d"),
+    (["cuspidal", "--level", "60", "--weight", "2"],
+     "d9e2d29610ad2be8c97308eb7f1cfdb3b9aa539feac8b4c9fe774bd4815d5444"),
+    (["pairing-matrix", "--level", "12", "--weight", "4", "--eisenstein"],
+     "5a376219a1f969bc718d2a60bb9a4b9840516432f87aca56833e0f76b0858388"),
+    (["pairing-matrix", "--level", "21", "--weight", "2", "--eisenstein"],
+     "e7abcd8679f55e223938cada80856ff76b9850e6831d6bd61f963d45f525cea8"),
+    (["pairing-matrix", "--level", "8", "--weight", "6", "--eisenstein"],
+     "23f95f065efd22926a74791cf61b58a1305a89902ae9ffc783fb9b5962aec04c"),
 ]
 
 

@@ -13,11 +13,11 @@ from petersym.eisenstein import (
     beta_value,
     distribution_check,
     fourier2,
-    hecke_fn,
 )
 from petersym.exact import bernoulli_number
-from petersym.modgroup import EPS, ID, SIGMA, T_MAT, minv, mmul, translation
+from petersym.modgroup import EPS, ID, SIGMA, T_MAT, TAU, minv, mmul, translation
 from petersym.polyspace import Vk
+from .oracles import eis_cocycle_walk, hecke_fn
 from .test_modgroup import random_sl2
 
 
@@ -299,3 +299,60 @@ def test_twist_data_rejects_non_unimodular():
         with pytest.raises(ValueError):
             eis._twist_data(g)
     assert not eis._twists
+
+
+@st.composite
+def level_fns(draw):
+    """A level N <= 30, a weight 2..8 and a rational f on (Z/NZ)^2.
+
+    Dense tables up to N = 6, a sparse support beyond; f(0, 0) = 0 at
+    weight 2.
+    """
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(2, 8))
+    if n <= 6 and draw(st.booleans()):
+        values = [[draw(small_fracs) for _ in range(n)] for _ in range(n)]
+    else:
+        values = [[0] * n for _ in range(n)]
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for x, y in draw(st.lists(cells, max_size=8)):
+            values[x][y] = draw(small_fracs)
+    if k == 2:
+        values[0][0] = 0
+    return n, k, TorsionFunction(n, values)
+
+
+sl2_words = st.lists(
+    st.sampled_from([SIGMA, TAU, minv(TAU), T_MAT, minv(T_MAT), translation(7)]), max_size=14
+).map(lambda word: mmul(ID, *word))
+
+
+def _principal(n: int, word, conj) -> tuple:
+    """A product of SL2(Z)-conjugates of T^N and its transpose, in Gamma(N)."""
+    g = ID
+    for j, c in zip(word, conj):
+        gen = (1, n, 0, 1) if j else (1, 0, n, 1)
+        g = mmul(g, c, gen, minv(c))
+    return g
+
+
+@settings(deadline=None)
+@given(data=level_fns(), g=sl2_words, h=sl2_words)
+def test_cocycle_matches_the_fraction_walk(data, g, h):
+    _, k, f = data
+    eis = EisSymbol(f, k)
+    for m in (g, h, mmul(g, h)):
+        assert eis.cocycle(m) == eis_cocycle_walk(eis, m)
+
+
+@settings(deadline=None)
+@given(data=level_fns(), word_g=st.lists(st.booleans(), min_size=1, max_size=3),
+       word_h=st.lists(st.booleans(), min_size=1, max_size=3),
+       conj=st.lists(sl2_words, min_size=6, max_size=6))
+def test_cocycle_law_on_the_principal_congruence_subgroup(data, word_g, word_h, conj):
+    n, k, f = data
+    eis = EisSymbol(f, k)
+    g = _principal(n, word_g, conj[:3])
+    h = _principal(n, word_h, conj[3:])
+    # f|g = f for g in Gamma(N), so c(g h) = c(h) + c(g)|h
+    assert eis.cocycle(mmul(g, h)) == eis.cocycle(h) + eis.cocycle(g).act(h)

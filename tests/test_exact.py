@@ -9,10 +9,9 @@ from petersym.exact import (
     bernoulli_poly,
     frac_str,
     kernel_basis,
-    rank,
     solve_in_span,
 )
-from .oracles import charpoly
+from .oracles import charpoly, rank
 
 
 def test_bernoulli_small_values():

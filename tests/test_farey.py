@@ -17,18 +17,16 @@ from petersym.farey import (
     FareyError,
     GroupSpec,
     base_symbol_sl2z,
-    coset_decompose,
     gamma0_group,
     gamma0_symbol,
     gamma1_group,
     gamma1_symbol,
     gamma_full_group,
-    intersection_group,
     subgroup_farey,
 )
 from petersym.modgroup import ID, SIGMA, T_MAT, TAU, act, cusp, minv, mmul, mneg, mpow, psl2_order
 from petersym.orbits import cusp_to_basis
-from .oracles import conjugated_group, hecke_context
+from .oracles import conjugated_group, coset_decompose, hecke_context, intersection_group
 from .test_modgroup import random_sl2
 
 

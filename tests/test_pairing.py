@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petersym.dims import dim_cusp_forms_gamma0
-from petersym.eisenstein import EisSymbol, TorsionFunction
-from petersym.exact import rank, solve_in_span
+from petersym.eisenstein import EisSymbol, TorsionFunction, _cocycle_walk
+from petersym.exact import solve_in_span
 from petersym.farey import (
     base_symbol_sl2z,
     gamma0_group,
@@ -16,8 +16,8 @@ from petersym.farey import (
     gamma1_symbol,
     subgroup_farey,
 )
-from petersym.modgroup import EPS, ID, act, madj, minv, mmul
-from petersym.orbits import basis_v, orbit_indicator
+from petersym.modgroup import EPS, ID, act, madj, manin_path_infty, minv, mmul
+from petersym.orbits import basis_v, orbit_indicator, orbit_indicators
 from petersym.pairing import (
     cuspidal_subspace,
     eisenstein_pairing_matrix,
@@ -43,6 +43,8 @@ from .oracles import (
     noncusp_pair,
     pair_alt,
     pair_eis_via_cusps,
+    pairing_matrix_by_pairs,
+    rank,
 )
 from .test_spaces import random_cusp, symbol_for
 
@@ -392,3 +394,49 @@ def test_noncusp_route_matches_direct_pairing():
             assert pair(sym, eis.cocycle, emb_elem) \
                 == noncusp_pair(sym, eis.cocycle, b0)
 
+
+
+@pytest.mark.parametrize("n,k", [(40, 2), (37, 2), (24, 2), (1, 4), (30, 4), (17, 4),
+                                 (16, 6), (11, 6), (2, 6)])
+def test_pairing_matrix_matches_the_sum_of_pairs(n, k):
+    sym = gamma0_symbol(n)
+    sp = build_space(sym, k)
+    lefts = [EisSymbol(f, k).cocycle for f in orbit_indicators(basis_v(n, k), n)]
+    lefts += sp.basis[:4]
+    assert pairing_matrix(sym, lefts, sp.basis) == pairing_matrix_by_pairs(sym, lefts, sp.basis)
+
+
+@pytest.mark.parametrize("n,k", [(5, 3), (7, 5)])
+def test_pairing_matrix_matches_the_sum_of_pairs_at_odd_weight(n, k):
+    # an antisymmetric form: the Gram weights are not a palindrome
+    sym = gamma1_symbol(n)
+    sp = build_space(sym, k)
+    f = TorsionFunction(n, [[Fraction((3 * x + y * y) % 5 - 2, 1 + x % 3) for y in range(n)]
+                            for x in range(n)])
+    lefts = [EisSymbol(f, k).cocycle] + sp.basis[:4]
+    assert pairing_matrix(sym, lefts, sp.basis) == pairing_matrix_by_pairs(sym, lefts, sp.basis)
+
+
+@pytest.mark.parametrize("n,k", [(21, 2), (12, 4)])
+def test_eisenstein_rows_walk_each_glue_once(monkeypatch, n, k):
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return manin_path_infty(r)
+
+    sym = gamma0_symbol(n)
+    sp = build_space(sym, k)
+    glues = {minv(ta.glue) for ta in sym.tilde()}
+    assert len(basis_v(n, k)) > 1
+    _cocycle_walk.cache_clear()
+    monkeypatch.setattr("petersym.eisenstein.manin_path_infty", counted)
+    eisenstein_pairing_matrix(sym, n, k, sp)
+    assert 0 < len(calls) <= len(glues)
+
+
+def test_pairing_matrix_refuses_mixed_weights():
+    sym = gamma0_symbol(11)
+    eis = EisSymbol(orbit_indicator(basis_v(11, 2)[0], 11), 2)
+    with pytest.raises(ValueError):
+        pairing_matrix(sym, [eis.cocycle], build_space(sym, 4).basis)
