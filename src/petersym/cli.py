@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, compress, count
 from math import isqrt
 from operator import index
 
@@ -179,12 +180,14 @@ def cmd_farey(args):
 
 
 def _basis_json(basis, k: int) -> list:
-    """Each coset vector as one list of k-1 coefficient strings per coset."""
-    n = k - 1
+    """Each coset vector as one (k-1)-tuple of coefficient strings per coset."""
     out = []
     for b in basis:
-        entries = list(map(frac_str, b.vector))
-        out.append([entries[i:i + n] for i in range(0, len(entries), n)])
+        vec = b.vector
+        entries = ["0"] * len(vec)
+        for j in compress(count(), vec):
+            entries[j] = frac_str(vec[j])
+        out.append(list(zip(*[iter(entries)] * (k - 1))))
     return out
 
 
@@ -413,15 +416,24 @@ def cmd_verify(args):
 
 _encode_str = json.encoder.encode_basestring_ascii
 _ARRAYS = (list, tuple)
+_LEAVES = {str: _encode_str, int: int.__repr__}
+
+
+def _leaf_encoder(kinds: set):
+    """The encoder of a list whose items have the types `kinds`, if they are
+    all strings or all ints; else None."""
+    return _LEAVES.get(next(iter(kinds))) if len(kinds) == 1 else None
 
 
 def _dumps(obj, nl: str = "\n") -> str:
     """The bytes of json.dumps(obj, indent=2, sort_keys=True), by string joins.
 
     `nl` is a newline and the indentation of obj's line.  Strings go
-    through the C string encoder and ints through int.__repr__; a list
-    of strings or of ints, or of nonempty lists of strings (a basis
-    vector), is joined in one comprehension with no call per entry.
+    through the C string encoder and ints through int.__repr__.  A list
+    of strings or of ints is one join; so is a list of cells of one
+    width that hold only strings or only ints (a basis vector): all the
+    leaves are joined at once with a repeated list of the separators
+    inside a cell and between cells, with no Python-level step per cell.
     json.dumps with an indent runs the pure-Python encoder.  Any other
     value is handed to json.dumps and re-indented: its strings are
     ASCII-escaped, so each newline of its text is a line break.
@@ -436,19 +448,21 @@ def _dumps(obj, nl: str = "\n") -> str:
             return "[]"
         inner = nl + "  "
         sep = "," + inner
-        if all(type(x) is str for x in obj):
-            body = sep.join(map(_encode_str, obj))
-        elif all(type(x) is int for x in obj):
-            body = sep.join(map(int.__repr__, obj))
-        elif (all(type(x) in _ARRAYS and x for x in obj)
-              and all(type(y) is str for x in obj for y in x)):
-            inner2 = inner + "  "
-            sep2 = "," + inner2
-            body = sep.join(["[" + inner2 + sep2.join(map(_encode_str, x)) + inner + "]"
-                             for x in obj])
-        else:
-            body = sep.join([_dumps(x, inner) for x in obj])
-        return "[" + inner + body + nl + "]"
+        kinds = set(map(type, obj))
+        encode = _leaf_encoder(kinds)
+        if encode is not None:
+            return "[" + inner + sep.join(map(encode, obj)) + nl + "]"
+        if kinds.issubset(_ARRAYS) and obj[0] and len(set(map(len, obj))) == 1:
+            leaves = list(chain.from_iterable(obj))
+            encode = _leaf_encoder(set(map(type, leaves)))
+            if encode is not None:
+                cell = inner + "  "
+                seps = ["," + cell] * (len(obj[0]) - 1) + [inner + "]," + inner + "[" + cell]
+                parts = [""] * (2 * len(leaves) - 1)
+                parts[::2] = map(encode, leaves)
+                parts[1::2] = (seps * len(obj))[:-1]
+                return "[" + inner + "[" + cell + "".join(parts) + inner + "]" + nl + "]"
+        return "[" + inner + sep.join([_dumps(x, inner) for x in obj]) + nl + "]"
     if kind is dict and obj and all(type(key) is str for key in obj):
         inner = nl + "  "
         return "{" + inner + ("," + inner).join(

@@ -99,19 +99,34 @@ def gamma0_group(n: int) -> GroupSpec:
     def member(g):
         return g[2] % n == 0
 
-    def key(g):
-        # Canonical form of the point (c : d) of P^1(Z/N) under scaling by
-        # units: with h = gcd(c, N) and m = N/h, a unit u = (c/h)^-1 mod m
-        # sends the point to (h : d'); what is left is scaling by the units
-        # w = 1 mod m, which fix h, so the key costs O(h), not O(phi(N)).
-        c, d = g[2] % n, g[3] % n
+    # the two tables of the key, filled on first use: (h, u) per residue
+    # c mod N, and the units w = 1 mod N/h per divisor h
+    scalings: dict[int, tuple[int, int]] = {}
+    residual_units: dict[int, list[int]] = {}
+
+    def scaling(c):
         h = gcd(c, n)
         m = n // h
         u = pow(c // h, -1, m)
         while gcd(u, n) != 1:
             u += m
-        d = u * d % n
-        return h, min(d * w % n for w in range(1, n + 1, m) if gcd(w, n) == 1)
+        units = residual_units.get(h)
+        if units is None:
+            units = residual_units[h] = [w for w in range(1, n + 1, m) if gcd(w, n) == 1]
+        scalings[c] = h, u
+        return h, u
+
+    def key(g):
+        # Canonical form of the point (c : d) of P^1(Z/N) under scaling by
+        # units (Cremona, Algorithms for Modular Elliptic Curves, 2.2):
+        # with h = gcd(c, N) and m = N/h, a unit u = (c/h)^-1 mod m sends
+        # the point to (h : d'); what is left is scaling by the units
+        # w = 1 mod m, which fix h, so the key costs O(h), not O(phi(N)).
+        # h and u are read from the table of c, the w from the table of h.
+        c = g[2] % n
+        h, u = scalings.get(c) or scaling(c)
+        d = u * g[3] % n
+        return h, min([d * w % n for w in residual_units[h]])
 
     return GroupSpec(member, key, f"gamma0({n})")
 
@@ -456,6 +471,11 @@ def subgroup_farey(
     `spec.member` must cut out a subgroup of the parent symbol's group;
     the construction raises once more than `max_index` cosets appear,
     which signals infinite index or an inconsistent predicate.
+
+    The layout, the arcs of the growing polygon in order, is a linked
+    list of (coset, parent arc) labels: unfolding across an arc replaces
+    its label by the arcs of the new cosets in time linear in their
+    number, and the list is written out in order once at the end.
     """
     table = CosetTable(spec, parent)
     pg = parent.glue
@@ -466,18 +486,29 @@ def subgroup_farey(
 
     work3 = deque((0, a) for a in range(n_parent) if a in ell3)
     work = deque((0, a) for a in range(n_parent) if a not in ell3)
-    layout = [(0, a) for a in range(n_parent)]
-    positions = {lab: i for i, lab in enumerate(layout)}
+    # the layout is a linked list of arc labels: succ and pred hold the
+    # neighbours of every label in it, with None before the first label
+    # and after the last, so a splice costs the length of what it inserts
+    first = [(0, a) for a in range(n_parent)]
+    succ = dict(zip([None] + first, first + [None]))
+    pred = {lab: p for p, lab in succ.items() if lab is not None}
     bent = {}  # label -> endpoints of the remaining side of a partial triangle
 
     def arcs_of(ci: int, attach: int):
         return [(ci, b % n_parent) for b in range(attach + 1, attach + n_parent)]
 
+    def layout():
+        out, lab = [], succ[None]
+        while lab is not None:
+            out.append(lab)
+            lab = succ[lab]
+        return out
+
     def splice(label, fresh, new_coset_indices):
-        pos = positions.pop(label)
-        layout[pos:pos + 1] = fresh
-        for i, lab in enumerate(layout[pos:], start=pos):
-            positions[lab] = i
+        before, after = pred.pop(label), succ.pop(label)
+        for lab, nxt in zip([before] + fresh, fresh + [after]):
+            succ[lab] = nxt
+            pred[nxt] = lab
         # enqueue every arc of the new cosets, following the parent order
         for ci in new_coset_indices:
             for b in range(n_parent):
@@ -520,7 +551,7 @@ def subgroup_farey(
         # gets that copy attached across one half of the arc; the other
         # half and the copy's far half leave a plain side, which pairs
         # with the known copy's arc.
-        for ci, a in [lab for lab in layout if lab[1] in ell3]:
+        for ci, a in [lab for lab in layout() if lab[1] in ell3]:
             xi = table.reps[ci]
             s, e = parent.arcs[a]
             g = mmul(xi, pg[a])
@@ -537,24 +568,25 @@ def subgroup_farey(
             break
 
     # assemble arcs, the induced pairing and gluing data
+    labels = layout()
     arcs, star, mu, glue = [], [], [], []
     ast, raw_glue = {}, {}
-    for ci, a in layout:
+    for ci, a in labels:
         xi = table.reps[ci]
         g = mmul(xi, pg[a])
         j, gamma = table.locate(g)
         partner = (j, pstar[a])
-        if partner not in positions and a in ell3:
+        if partner not in succ and a in ell3:
             # the known copy of a partial triangle pairs back with the bent side
             j, gamma = table.locate(mmul(g, pg[a]))
             partner = (j, a)
-        if partner not in positions:
+        if partner not in succ:
             raise FareyError("induced pairing leaves the polygon")
         ast[(ci, a)] = partner
         raw_glue[(ci, a)] = gamma
 
     records = []
-    for ci, a in layout:
+    for ci, a in labels:
         xi = table.reps[ci]
         s, e = parent.arcs[a]
         partner = ast[(ci, a)]

@@ -123,7 +123,13 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     """Solve the coset-transported two-term and three-term relations.
 
     The kernel is taken of (k - 1) * (number of sigma-orbits plus number
-    of tau-orbits of cosets) dense rows, one block per relation.
+    of tau-orbits of cosets) dense rows, one block per relation: first
+    every two-term sigma relation, then every three-term tau relation,
+    each kind in coset order.  The sigma rows reduce to few nonzeros, so
+    the tau rows meet a sparse echelon (Stein, Modular Forms: A
+    Computational Approach, ch. 8); the kernel in echelon order does
+    not depend on the row order, since the reduced row echelon form is
+    unique.
     """
     if k < 2:
         raise ValueError("weight must be at least 2")
@@ -133,10 +139,10 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     if k % 2 == 1 and symbol.member(mneg(ID)):
         return ModularSymbolSpace(symbol, k, [])
 
-    rows = []
+    sigma_rows, tau_rows = [], []
     ncols = nc * n
 
-    def add_relation(parts):
+    def add_relation(rows, parts):
         # parts: list of (coset index, transport matrix h); each adds
         # the action matrix of h on that coset's block of columns
         block = [[0] * ncols for _ in range(n)]
@@ -155,13 +161,13 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     for i, rep in enumerate(table.reps):
         s = _transport(symbol, mmul(rep, SIGMA))
         if s[0] >= i:
-            add_relation([(i, ID), s])
+            add_relation(sigma_rows, [(i, ID), s])
         t = _transport(symbol, mmul(rep, TAU))
         tt = _transport(symbol, mmul(rep, TAU, TAU))
         if min(t[0], tt[0]) >= i:
-            add_relation([(i, ID), t, tt])
+            add_relation(tau_rows, [(i, ID), t, tt])
 
-    return ModularSymbolSpace(symbol, k, kernel_basis(rows, ncols))
+    return ModularSymbolSpace(symbol, k, kernel_basis(sigma_rows + tau_rows, ncols))
 
 
 def eval_tilde_arc(phi, symbol: ExtendedFareySymbol, tilde_arc) -> Vk:

@@ -24,14 +24,16 @@ and `pairing_matrix_by_pairs` sums `Vk.pair` over the tilde arcs, the
 reference for the integer Gram sums of `pairing_matrix`.  `hecke_fn`
 is the Hecke operator on torsion functions.  `intersection_group`
 intersects group predicates, and `coset_decompose` factors a matrix
-through a symbol's coset system into gluing letters.
+through a symbol's coset system into gluing letters.  `gamma0_key` is
+the closed-form coset key of Gamma0(N), recomputed on every call: the
+reference for the tabled key of `gamma0_group`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from petersym.eisenstein import EisSymbol, TorsionFunction
 from petersym.exact import _echelonize
@@ -89,6 +91,7 @@ __all__ = [
     "hecke_fn",
     "intersection_group",
     "coset_decompose",
+    "gamma0_key",
 ]
 
 
@@ -450,6 +453,22 @@ def hecke_fn(f: TorsionFunction, ell: int, k: int) -> TorsionFunction:
 
 
 # -- groups and words --------------------------------------------------
+
+
+def gamma0_key(n: int, g: Mat):
+    """The coset key of Gamma0(n) at g, from its closed form."""
+    # Canonical form of the point (c : d) of P^1(Z/N) under scaling by
+    # units: with h = gcd(c, N) and m = N/h, a unit u = (c/h)^-1 mod m
+    # sends the point to (h : d'); what is left is scaling by the units
+    # w = 1 mod m, which fix h, so the key costs O(h), not O(phi(N)).
+    c, d = g[2] % n, g[3] % n
+    h = gcd(c, n)
+    m = n // h
+    u = pow(c // h, -1, m)
+    while gcd(u, n) != 1:
+        u += m
+    d = u * d % n
+    return h, min(d * w % n for w in range(1, n + 1, m) if gcd(w, n) == 1)
 
 
 def intersection_group(*specs: GroupSpec) -> GroupSpec:

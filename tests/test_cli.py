@@ -461,6 +461,22 @@ GOLDEN = [
      "e7abcd8679f55e223938cada80856ff76b9850e6831d6bd61f963d45f525cea8"),
     (["pairing-matrix", "--level", "8", "--weight", "6", "--eisenstein"],
      "23f95f065efd22926a74791cf61b58a1305a89902ae9ffc783fb9b5962aec04c"),
+    # recorded before the sigma relations were put ahead of the tau
+    # relations, the Gamma0 key was tabled, the unfolding layout became a
+    # linked list and the basis cells were written by one join
+    (["modsym-space", "--level", "180", "--weight", "2"],
+     "363869f2eadfd8e7f4d9d46e1c553da2bc8dd344f622afbd9601245ce90b4c82"),
+    (["modsym-space", "--group", "gamma1", "--level", "23", "--weight", "2"],
+     "c9e94a46da2d72655460d24f60e8fd0d0c5a5d15250c1a12574194be40ed33bd"),
+    (["modsym-space", "--group", "gamma", "--level", "8", "--weight", "2"],
+     "3b2b9e35cab7dcccf5b779062b56a20ea2bcd7889e7532d89ea64e2588814428"),
+    (["modsym-space", "--level", "37", "--weight", "6"],
+     "ae48967638d5e982865b681bd1b07a32e2af14f21d0950702dc78883c664d614"),
+    # odd weight: cells of width 2
+    (["modsym-space", "--group", "gamma1", "--level", "13", "--weight", "3"],
+     "46f3b66e6bf54e0de294a9fec3341c07454a86fe800664288c2f0672a41e629c"),
+    (["farey", "--level", "894"],
+     "702ea20453091881b701830992213fc11b71a387081c26db913886fc1e606d63"),
 ]
 
 
@@ -478,19 +494,25 @@ _FN7 = {"N": 7, "values": [
 ]}
 
 # the same for commands that read an input file, given as the last
-# option; recorded before the JSON was written by string joins
+# option, each under its test id; recorded before the JSON was written
+# by string joins
 GOLDEN_FROM_FILE = [
-    (["farey", "--level", "28", "--parent"], {"group": "gamma0", "level": 7},
+    ("farey", ["farey", "--level", "28", "--parent"], {"group": "gamma0", "level": 7},
      "992d96b60b50ee4addaf2a73998380db5ec265ef0324f751bfcb881c08558933"),
-    (["eis-symbol", "--level", "7", "--weight", "6", "--fn"], _FN7,
+    ("eis-symbol", ["eis-symbol", "--level", "7", "--weight", "6", "--fn"], _FN7,
      "4581d89aeb800533ff287468a356e08b9b41b62aa0da598c008aea8b99d46c9d"),
-    (["qexp", "--level", "7", "--weight", "4", "--terms", "6", "--fn"], _FN7,
+    ("qexp", ["qexp", "--level", "7", "--weight", "4", "--terms", "6", "--fn"], _FN7,
      "314bf7a6938e77844919a7953c4b4d5bbafd9b5952791ad5e37c95f688a8ad29"),
+    # recorded before the Gamma0 key was tabled and the unfolding layout
+    # became a linked list
+    ("farey-level-1200-parent-12", ["farey", "--level", "1200", "--parent"],
+     {"group": "gamma0", "level": 12},
+     "1cbe926370a5f1c8a8b6d7a5081aae101e0c50a7baa8cb92a47d714e4f2f4f15"),
 ]
 
 
-@pytest.mark.parametrize("argv,document,digest", GOLDEN_FROM_FILE,
-                         ids=[argv[0] for argv, _, _ in GOLDEN_FROM_FILE])
+@pytest.mark.parametrize("argv,document,digest", [case[1:] for case in GOLDEN_FROM_FILE],
+                         ids=[case[0] for case in GOLDEN_FROM_FILE])
 def test_golden_output_from_file(capsys, tmp_path, argv, document, digest):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document))
@@ -521,10 +543,21 @@ def test_json_writer_matches_json_dumps(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
+def _cells(leaf):
+    # lists of tuple cells: of one width (the joined path) or of mixed
+    # widths (the path that writes cell by cell)
+    same = st.integers(0, 3).flatmap(
+        lambda w: st.lists(st.tuples(*[leaf] * w), max_size=4))
+    mixed = st.lists(st.lists(leaf, max_size=3).map(tuple), max_size=4)
+    return same | mixed
+
+
 @settings(deadline=None)
-@given(st.lists(st.lists(st.lists(st.text(), max_size=3), max_size=3), max_size=3))
+@given(st.lists(st.lists(st.lists(st.text(), max_size=3), max_size=3), max_size=3)
+       | st.lists(_cells(st.text()) | _cells(st.integers()), max_size=3)
+       | _cells(st.text() | st.integers()))
 def test_json_writer_matches_json_dumps_on_basis_blocks(blocks):
-    # nested string lists take the joined path at every depth
+    # basis vectors are lists of (k-1)-tuples of strings
     assert _dumps(blocks) == json.dumps(blocks, indent=2, sort_keys=True)
 
 

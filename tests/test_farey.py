@@ -26,7 +26,13 @@ from petersym.farey import (
 )
 from petersym.modgroup import ID, SIGMA, T_MAT, TAU, act, cusp, minv, mmul, mneg, mpow, psl2_order
 from petersym.orbits import cusp_to_basis
-from .oracles import conjugated_group, coset_decompose, hecke_context, intersection_group
+from .oracles import (
+    conjugated_group,
+    coset_decompose,
+    gamma0_key,
+    hecke_context,
+    intersection_group,
+)
 from .test_modgroup import random_sl2
 
 
@@ -103,8 +109,9 @@ def test_glue_matrices_satisfy_membership():
 def test_gamma0_key_is_a_perfect_coset_key():
     # brute force: the points of P^1(Z/N) with one coset are an orbit
     # under scaling by all units; the key must be constant on each orbit
-    # and differ between orbits
-    for n in range(1, 121):
+    # and differ between orbits; highly composite levels have the most
+    # divisors h, so the most tables of residual units
+    for n in [*range(1, 121), 144, 180, 210, 240]:
         key = gamma0_group(n).key
         units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
         seen, keys = set(), set()
@@ -119,6 +126,18 @@ def test_gamma0_key_is_a_perfect_coset_key():
                 assert {key((0, 0) + point) for point in orbit} == {k}
                 keys.add(k)
         assert len(keys) == gamma0_index(n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 2000), st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=25))
+def test_tabled_gamma0_key_matches_the_closed_form(n, seeds):
+    # one key for all the matrices, read twice: the first reads fill the
+    # tables, the second pass reads only what they hold
+    key = gamma0_group(n).key
+    mats = [random_sl2(random.Random(seed), length=12) for seed in seeds]
+    mats += [mmul(g, mpow(T_MAT, n)) for g in mats] + [mneg(g) for g in mats]
+    for g in mats + mats:
+        assert key(g) == gamma0_key(n, g)
 
 
 def test_intersection_group_of_gamma0_and_gamma1():

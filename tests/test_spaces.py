@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from petersym import exact
 from petersym.dims import dim_modular_symbols_gamma0
 from petersym.exact import kernel_basis
 from petersym.farey import (
@@ -258,3 +259,52 @@ def test_one_relation_per_orbit_keeps_the_kernel(group):
     assert handed == [(k - 1) * (len(sigma_orbits) + len(tau_orbits))]
     ncols = len(table.reps) * (k - 1)
     assert [b.vector for b in space.basis] == kernel_basis(manin_relation_rows(sym, k), ncols)
+
+
+def _relation_rows(sym, k):
+    """The rows `build_space` hands to `kernel_basis`, and the space."""
+    handed = []
+
+    def kernel(rows, ncols):
+        handed.append(rows)
+        return kernel_basis(rows, ncols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("petersym.spaces.kernel_basis", kernel)
+        space = build_space(sym, k)
+    return handed[0], space
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.one_of(
+    st.tuples(st.just("gamma0"), st.integers(1, 60), st.sampled_from([2, 4, 6])),
+    st.tuples(st.just("gamma1"), st.integers(3, 13), st.integers(2, 6)),
+), st.randoms(use_true_random=False))
+def test_kernel_does_not_depend_on_row_order(group, rng):
+    # the reduced row echelon form is unique, so any order of the
+    # relation rows gives the basis of build_space, in echelon order
+    family, n, k = group
+    sym = _SYMBOLS[family](n)
+    rows, space = _relation_rows(sym, k)
+    rows = list(rows)
+    rng.shuffle(rows)
+    ncols = len(sym.require_direct_table().reps) * (k - 1)
+    assert kernel_basis(rows, ncols) == [b.vector for b in space.basis]
+
+
+def test_sigma_rows_first_take_fewer_eliminations():
+    # Gamma0(180), k = 2: with the sigma and tau relations interleaved
+    # coset by coset, the kernel ran 9548 eliminations; with every sigma
+    # row first it runs 4064
+    calls = []
+    eliminate = exact._eliminate
+
+    def counted(row, prow, col):
+        calls.append(col)
+        return eliminate(row, prow, col)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_eliminate", counted)
+        space = build_space(gamma0_symbol(180), 2)
+    assert space.dimension() == dim_modular_symbols_gamma0(180, 2)
+    assert len(calls) < 5000
