@@ -1,8 +1,9 @@
 """Command-line front end; every subcommand prints a JSON document.
 
 Exit codes: 2 for usage errors (including an input file that cannot
-be read, is not JSON, or lacks a field or has one of the wrong type),
-3 for violated mathematical preconditions (odd weight with -Id,
+be read, is not JSON, or lacks a field or has one of the wrong type,
+and an output file that cannot be written), 3 for violated
+mathematical preconditions (a level below 1, odd weight with -Id,
 weight-2 data not vanishing at the origin, a Hecke index that is not
 prime or is above its bound, a group whose index exceeds the coset
 bound, a weight above the bound of its command, a `qexp` length
@@ -22,7 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain
 from math import isqrt
 from operator import index
 
@@ -179,15 +180,15 @@ def cmd_farey(args):
     return data
 
 
-def _basis_json(basis, k: int) -> list:
+def _basis_json(basis) -> list:
     """Each coset vector as one (k-1)-tuple of coefficient strings per coset."""
     out = []
     for b in basis:
-        vec = b.vector
-        entries = ["0"] * len(vec)
-        for j in compress(count(), vec):
-            entries[j] = frac_str(vec[j])
-        out.append(list(zip(*[iter(entries)] * (k - 1))))
+        n = b.space.k - 1
+        entries = ["0"] * (len(b.space.symbol.require_direct_table().reps) * n)
+        for j, x in b.vector.items():
+            entries[j] = frac_str(x)
+        out.append(list(zip(*[iter(entries)] * n)))
     return out
 
 
@@ -198,13 +199,11 @@ def cmd_modsym_space(args):
         "weight": args.weight,
         "dimension": space.dimension(),
         "cosets": len(sym.require_direct_table().reps),
-        "basis": _basis_json(space.basis, args.weight),
+        "basis": _basis_json(space.basis),
     }
 
 
 def cmd_eisbasis(args):
-    if args.level < 1:
-        raise MathPreconditionError("level must be positive")
     if args.weight < 2:
         raise MathPreconditionError("weight must be at least 2")
     cells = args.level ** 2
@@ -295,7 +294,7 @@ def cmd_cuspidal(args):
         "weight": args.weight,
         "dimension": len(basis),
         "expected": 2 * dim_cusp_forms_gamma0(args.level, args.weight),
-        "basis": _basis_json(basis, args.weight),
+        "basis": _basis_json(basis),
     }
 
 
@@ -538,6 +537,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every command but verify takes a level; an input file is read later
+        if getattr(args, "level", 1) < 1:
+            raise MathPreconditionError("level must be positive")
         result = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -550,8 +552,13 @@ def main(argv=None) -> int:
         result, code = result
     text = _dumps(result)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: output file {args.output}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return USAGE_ERROR
     else:
         print(text)
     return code

@@ -77,11 +77,12 @@ class TorsionFunction:
 
     @classmethod
     def zero(cls, n: int) -> "TorsionFunction":
-        return cls(n, [[0] * n for _ in range(n)])
+        return cls.constant(n, Fraction(0))
 
     @classmethod
-    def constant(cls, n: int, c=Fraction(1)) -> "TorsionFunction":
-        return cls(n, [[c] * n for _ in range(n)])
+    def constant(cls, n: int, c: Fraction = Fraction(1)) -> "TorsionFunction":
+        # one shared Fraction, and a list of its own for every row
+        return cls._of(n, [[c] * n for _ in range(n)])
 
     @classmethod
     def indicator(cls, n: int, point) -> "TorsionFunction":

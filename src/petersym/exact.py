@@ -1,19 +1,18 @@
 """Exact rational arithmetic: Bernoulli numbers and linear algebra over Q.
 
 Rationals are `fractions.Fraction` throughout; the stdlib type already
-maintains the lowest-terms, positive-denominator normal form.  Matrices
-are plain lists of lists of ints or Fractions, row major.  The one
-elimination routine is sparse and fraction-free over Z: each row is
-scaled to a primitive integer row and kept as a dict of its nonzero
+maintains the lowest-terms, positive-denominator normal form.  The
+rows and vectors of a kernel are dicts {col: value} of their nonzero
 entries, so the Manin relations, which touch at most three blocks of
-columns each, stay sparse.  Fractions appear only in the results.
+columns each, and the kernel vectors stay sparse.  The one elimination
+routine is fraction-free over Z: each row is scaled to a primitive
+integer row.  Fractions appear only in the results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
 from math import comb, gcd, lcm
 
 __all__ = [
@@ -90,14 +89,10 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _int_row(row) -> dict[int, int]:
-    """The primitive integer multiple of a rational row, as {col: value}."""
-    vals = list(compress(row, row))
-    den = lcm(*(v.denominator for v in vals))
-    return _primitive(dict(zip(
-        compress(count(), row),
-        (v.numerator * (den // v.denominator) for v in vals),
-    )))
+def _int_row(row: dict) -> dict[int, int]:
+    """The primitive integer multiple of a rational row {col: value}."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return _primitive({j: v.numerator * (den // v.denominator) for j, v in row.items()})
 
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
@@ -118,7 +113,7 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
 
 
 def _echelonize(rows) -> dict[int, dict[int, int]]:
-    """Sparse, fraction-free reduction of rational rows over Z.
+    """Fraction-free reduction of rational rows {col: value} over Z.
 
     Returns {pivot col: row}, each row a primitive integer row
     {col: value} that is zero at every other pivot column; divided by
@@ -145,26 +140,23 @@ def _echelonize(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def kernel_basis(rows, ncols: int):
+def kernel_basis(rows, ncols: int) -> list[dict[int, Fraction]]:
     """Exact basis of the right null space of the matrix given by `rows`.
 
-    Rows may be any iterable of length-`ncols` sequences of ints or
-    Fractions.  Returns a list of Fraction vectors; rank + len(result)
-    == ncols.  The basis is in echelon order: basis vector i has a 1 in
-    the i-th free column and 0 in the other free columns.
+    Rows may be any iterable of dicts {col: nonzero int or Fraction}
+    with columns below `ncols`.  Returns one dict {col: Fraction} of
+    nonzero entries per basis vector, keys ascending; rank +
+    len(result) == ncols.  The basis is in echelon order: basis vector
+    i is 1 at the i-th free column, its last key, and 0 at the other
+    free columns.
     """
     pivots = _echelonize(rows)
-    by_free_col = {}
-    for fc in range(ncols):
-        if fc not in pivots:
-            vec = [Fraction(0)] * ncols
-            vec[fc] = Fraction(1)
-            by_free_col[fc] = vec
-    for lead, prow in pivots.items():
+    by_free_col = {fc: {} for fc in range(ncols) if fc not in pivots}
+    for lead, prow in sorted(pivots.items()):
         for fc, v in prow.items():
             if fc != lead:
                 by_free_col[fc][lead] = Fraction(-v, prow[lead])
-    return list(by_free_col.values())
+    return [{**vec, fc: Fraction(1)} for fc, vec in by_free_col.items()]
 
 
 def integer_row(row) -> tuple[list[int], int]:
@@ -176,15 +168,16 @@ def integer_row(row) -> tuple[list[int], int]:
 def solve_in_span(basis, target):
     """Coordinates of `target` in the span of `basis` vectors, or None.
 
-    `basis` is a list of equal-length rational vectors; solves the
-    overdetermined system exactly.
+    `basis` is a list of equal-length dense lists of rationals; solves
+    the overdetermined system exactly.
     """
     if not basis:
         return [] if not any(target) else None
     n = len(basis[0])
     m = len(basis)
     # augmented columns: basis vectors as columns, then the target
-    rows = [[b[r] for b in basis] + [target[r]] for r in range(n)]
+    rows = [{j: x for j, x in enumerate([*(b[r] for b in basis), target[r]]) if x}
+            for r in range(n)]
     pivots = _echelonize(rows)
     if m in pivots:
         return None  # inconsistent

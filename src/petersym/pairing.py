@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import groupby
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from operator import mul
 
 from .dims import gamma0_index
@@ -179,12 +179,11 @@ def hecke_matrix(space: ModularSymbolSpace, level: int, ell: int) -> list:
                     if x:
                         weights[j * n + t].append((r, x))
     cols = []
-    for support in space.supports:
+    for b in space.basis:
         # integer numerators over one denominator, as in Vk.act
-        den = lcm(*(x.denominator for _, x in support))
+        nums, den = integer_row(b.vector.values())
         acc = [0] * space.dimension()
-        for c, x in support:
-            num = x.numerator * (den // x.denominator)
+        for c, num in zip(b.vector, nums):
             for r, w in weights.get(c, ()):
                 acc[r] += w * num
         cols.append([Fraction(v, den) for v in acc])
@@ -211,14 +210,14 @@ def cuspidal_subspace(n: int, k: int) -> tuple[ModularSymbolSpace, list[SymbolEl
     space = build_space(symbol, k)
     rows = eisenstein_pairing_matrix(symbol, n, k, space)
     basis = []
-    for coeffs in kernel_basis(rows, space.dimension()):
-        # the coset vector sum_j c_j * (basis vector j), over its support
-        vec = [Fraction(0)] * len(space.basis[0].vector)
-        for c, support in zip(coeffs, space.supports):
-            if c:
-                for j, x in support:
-                    vec[j] += c * x
-        basis.append(SymbolElement(space, vec))
+    for coeffs in kernel_basis([{j: x for j, x in enumerate(row) if x} for row in rows],
+                               space.dimension()):
+        # the coset vector sum_j c_j * (basis vector j), without its zeros
+        vec = defaultdict(int)
+        for j, c in coeffs.items():
+            for col, x in space.basis[j].vector.items():
+                vec[col] += c * x
+        basis.append(SymbolElement(space, {col: vec[col] for col in sorted(vec) if vec[col]}))
     return space, basis
 
 

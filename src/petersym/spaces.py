@@ -1,9 +1,10 @@
 """Modular-symbol spaces and boundary symbols over a coset system.
 
-An element of the weight-k symbol space is stored as its coset vector:
-the coefficients of one polynomial per coset of the group in SL2(Z),
-the value on the coset translate of the path from 0 to infinity.  The
-two relations coming from the elliptic generators of SL2(Z),
+An element of the weight-k symbol space is stored as its coset vector,
+the nonzero coefficients {col: value} of one polynomial per coset of
+the group in SL2(Z), the value on the coset translate of the path from
+0 to infinity; the relations are rows of the same form.  The two
+relations coming from the elliptic generators of SL2(Z),
 transported through the coset action, cut out exactly the
 group-equivariant homomorphisms.  Each is written once per orbit of
 its generator on the cosets (two cosets or one for sigma, three or
@@ -55,25 +56,28 @@ def _transport(symbol: ExtendedFareySymbol, g: Mat):
 class SymbolElement:
     """One element of Hom_Gamma(Delta_0, V_k), given by its coset vector.
 
-    `vector` holds the k-1 coefficients of the value on each coset path
-    in turn, as `kernel_basis` returns it; the per-coset `Vk` values
-    are made from it on the first evaluation.
+    `vector` is the dict {col: value} that `kernel_basis` returns: col
+    i (k-1) + s is coefficient s of the value on the path of coset i.
+    The `Vk` values of the cosets it touches are made on first use.
     """
 
-    def __init__(self, space: "ModularSymbolSpace", vector):
+    def __init__(self, space: "ModularSymbolSpace", vector: dict[int, Fraction]):
         self.space = space
         self.vector = vector
 
     @cached_property
-    def values(self) -> list[Vk]:
+    def values(self) -> dict[int, Vk]:
         k = self.space.k
         n = k - 1
+        zero = Fraction(0)
         vec = self.vector
-        return [Vk(k, vec[i:i + n]) for i in range(0, len(vec), n)]
+        return {i: Vk(k, [vec.get(j, zero) for j in range(i * n, i * n + n)])
+                for i in {j // n for j in vec}}
 
     def value_on_coset_path(self, g: Mat) -> Vk:
         i, h = _transport(self.space.symbol, g)
-        return self.values[i].act(h)
+        value = self.values.get(i)
+        return Vk.zero(self.space.k) if value is None else value.act(h)
 
     def eval_path(self, r: CuspT, s: CuspT) -> Vk:
         """Value on {r, s} = {s} - {r}.
@@ -97,8 +101,8 @@ class ModularSymbolSpace:
     """A symbol space with a basis in echelon order.
 
     The basis elements hold the coset vectors as `kernel_basis` returns
-    them: vector i is 1 at its free column, which is its last nonzero
-    entry, and 0 at the free columns of the others.
+    them: vector i is 1 at its free column, which is its last key, and
+    0 at the free columns of the others.
     """
 
     def __init__(self, symbol: ExtendedFareySymbol, k: int, vectors):
@@ -106,14 +110,9 @@ class ModularSymbolSpace:
         self.k = k
         self.basis: list[SymbolElement] = [SymbolElement(self, v) for v in vectors]
 
-    @cached_property
-    def supports(self) -> list[list[tuple[int, Fraction]]]:
-        """Nonzero (column, value) pairs of each basis coset vector."""
-        return [[(j, x) for j, x in enumerate(b.vector) if x] for b in self.basis]
-
     @property
     def free_cols(self) -> list[int]:
-        return [support[-1][0] for support in self.supports]
+        return [next(reversed(b.vector)) for b in self.basis]
 
     def dimension(self) -> int:
         return len(self.basis)
@@ -123,36 +122,35 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     """Solve the coset-transported two-term and three-term relations.
 
     The kernel is taken of (k - 1) * (number of sigma-orbits plus number
-    of tau-orbits of cosets) dense rows, one block per relation: first
-    every two-term sigma relation, then every three-term tau relation,
-    each kind in coset order.  The sigma rows reduce to few nonzeros, so
-    the tau rows meet a sparse echelon (Stein, Modular Forms: A
-    Computational Approach, ch. 8); the kernel in echelon order does
-    not depend on the row order, since the reduced row echelon form is
-    unique.
+    of tau-orbits of cosets) rows of at most 3 (k - 1) entries, one block
+    per relation: first every two-term sigma relation, then every
+    three-term tau relation, each kind in coset order.  The sigma rows
+    reduce to few nonzeros, so the tau rows meet a sparse echelon
+    (Stein, Modular Forms: A Computational Approach, ch. 8); the kernel
+    in echelon order does not depend on the row order, since the
+    reduced row echelon form is unique.
     """
     if k < 2:
         raise ValueError("weight must be at least 2")
     table = symbol.require_direct_table()
-    nc = len(table.reps)
     n = k - 1
     if k % 2 == 1 and symbol.member(mneg(ID)):
         return ModularSymbolSpace(symbol, k, [])
 
     sigma_rows, tau_rows = [], []
-    ncols = nc * n
 
     def add_relation(rows, parts):
         # parts: list of (coset index, transport matrix h); each adds
-        # the action matrix of h on that coset's block of columns
-        block = [[0] * ncols for _ in range(n)]
+        # the action matrix of h on that coset's block of columns; an
+        # entry that cancels is dropped, and a row may become {}
+        block = [{} for _ in range(n)]
         for idx, h in parts:
             off = idx * n
             for row, mrow in zip(block, action_matrix(k, h)):
-                for s in range(n):
-                    if mrow[s]:
-                        row[off + s] += mrow[s]
-        rows.extend(block)
+                for s, x in enumerate(mrow):
+                    if x:
+                        row[off + s] = row.get(off + s, 0) + x
+        rows.extend({j: x for j, x in row.items() if x} for row in block)
 
     # one relation per sigma-orbit and per tau-orbit of cosets, written
     # at the orbit's first coset: at another coset of the orbit it is
@@ -167,6 +165,7 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
         if min(t[0], tt[0]) >= i:
             add_relation(tau_rows, [(i, ID), t, tt])
 
+    ncols = len(table.reps) * n
     return ModularSymbolSpace(symbol, k, kernel_basis(sigma_rows + tau_rows, ncols))
 
 

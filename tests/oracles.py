@@ -7,7 +7,9 @@ Gamma alpha is unfolded as a conjugated subgroup of the target symbol,
 and the image of a path map is sampled on every coset path.  They are
 the reference for the formula and for the adjointness tests.  A path
 map becomes a space element by `from_path_evaluator`, and `coordinates`
-reads it back in the basis.
+reads it back in the basis.  `sparse` and `dense` turn a row or coset
+vector into the package's {col: value} dict of nonzero entries and
+back.
 
 The pairing has second forms here that no command uses: the endpoint
 form `pair_alt`, the cusp-width shortcut `pair_eis_via_cusps` and the
@@ -70,6 +72,8 @@ from petersym.polyspace import Vk, action_matrix
 from petersym.spaces import BoundarySymbol, ModularSymbolSpace, SymbolElement, eval_tilde_arc
 
 __all__ = [
+    "sparse",
+    "dense",
     "from_path_evaluator",
     "coordinates",
     "conjugated_group",
@@ -95,12 +99,22 @@ __all__ = [
 ]
 
 
+def sparse(row) -> dict:
+    """The nonzero entries of a dense row, as {col: value}."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(vec: dict, ncols: int) -> list[Fraction]:
+    """A {col: value} row or vector written out with ncols Fractions."""
+    return [Fraction(vec.get(j, 0)) for j in range(ncols)]
+
+
 def from_path_evaluator(space: ModularSymbolSpace, eval_path) -> SymbolElement:
     """Sample an abstract path map on all coset paths."""
     vector = []
     for rep in space.symbol.require_direct_table().reps:
         vector.extend(eval_path(act(rep, (0, 1)), act(rep, (1, 0))).coeffs)
-    return SymbolElement(space, vector)
+    return SymbolElement(space, sparse(vector))
 
 
 def coordinates(space: ModularSymbolSpace, elem: SymbolElement) -> list:
@@ -108,13 +122,13 @@ def coordinates(space: ModularSymbolSpace, elem: SymbolElement) -> list:
 
     Raises ValueError unless the basis combination equals `elem`.
     """
-    residual = list(elem.vector)
-    coords = [Fraction(residual[j]) for j in space.free_cols]
-    for c, support in zip(coords, space.supports):
+    residual = dict(elem.vector)
+    coords = [Fraction(residual.get(j, 0)) for j in space.free_cols]
+    for c, b in zip(coords, space.basis):
         if c:
-            for j, x in support:
-                residual[j] -= c * x
-    if any(residual):
+            for j, x in b.vector.items():
+                residual[j] = residual.get(j, 0) - c * x
+    if any(residual.values()):
         raise ValueError("element is not in the space")
     return coords
 
@@ -309,7 +323,8 @@ def epsilon_conjugate_cocycle(cocycle):
 
 
 def rank(rows) -> int:
-    return len(_echelonize(rows))
+    """Rank of a matrix of dense rows."""
+    return len(_echelonize(map(sparse, rows)))
 
 
 def charpoly(mat):
@@ -334,12 +349,13 @@ def charpoly(mat):
     return coeffs
 
 
-def manin_relation_rows(symbol: ExtendedFareySymbol, k: int) -> list[list[int]]:
+def manin_relation_rows(symbol: ExtendedFareySymbol, k: int) -> list[dict]:
     """The two-term and three-term relations written at every coset.
 
     Each sigma-orbit's relation appears once per coset of the orbit, and
-    each tau-orbit's once per rotation: 2 * index blocks of k - 1 dense
-    rows, with the row space `build_space` solves.
+    each tau-orbit's once per rotation: 2 * index blocks of k - 1 rows,
+    written dense and handed on as {col: value} dicts, with the row
+    space `build_space` solves.
     """
     table = symbol.require_direct_table()
     n = k - 1
@@ -360,7 +376,7 @@ def manin_relation_rows(symbol: ExtendedFareySymbol, k: int) -> list[list[int]]:
                 for row, mrow in zip(block, action_matrix(k, h)):
                     for s, v in enumerate(mrow):
                         row[idx * n + s] += v
-            rows.extend(block)
+            rows.extend(map(sparse, block))
     return rows
 
 

@@ -131,6 +131,8 @@ def test_math_precondition_exit_code(capsys, tmp_path):
     # refused before the (missing) --fn file is read
     ["qexp", "--level", "5", "--weight", "4", "--terms", "0", "--fn", "missing.json"],
     ["qexp", "--level", "5", "--weight", "4", "--terms", "-3", "--fn", "missing.json"],
+    ["qexp", "--level", "0", "--weight", "4", "--fn", "missing.json"],
+    ["eis-symbol", "--level", "0", "--weight", "4", "--fn", "missing.json"],
 ])
 def test_bad_arguments_exit_code(capsys, argv):
     code = main(argv)
@@ -477,6 +479,14 @@ GOLDEN = [
      "46f3b66e6bf54e0de294a9fec3341c07454a86fe800664288c2f0672a41e629c"),
     (["farey", "--level", "894"],
      "702ea20453091881b701830992213fc11b71a387081c26db913886fc1e606d63"),
+    # recorded before the relation rows and the basis coset vectors
+    # became sparse {col: value} dicts
+    (["modsym-space", "--level", "300", "--weight", "2"],
+     "47613e15ff8cb2354048c0d4e0120a6d5ae7edec79be5e00446ad1ef37e965ad"),
+    (["hecke", "--level", "100", "--weight", "2", "--ell", "13"],
+     "ce66d3bbe3fcda7cb49c1703b90525f72f26330ffee72988d2ba030235a4ec78"),
+    (["hecke", "--level", "11", "--weight", "12", "--ell", "3"],
+     "d59d2bc5a16a50b839fb25ee7edad30b8f337b2f1163d73bd09f38047273cc03"),
 ]
 
 
@@ -650,6 +660,17 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["invariants"]["index"] == 3
+
+
+def test_output_file_that_cannot_be_opened(tmp_path, capsys):
+    out = tmp_path / "missing" / "res.json"
+    code = main(["--output", str(out), "hecke", "--level", "1", "--weight", "12",
+                 "--ell", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: output file {out}: FileNotFoundError")
+    assert not out.parent.exists()
 
 
 def test_pairing_matrix_antisymmetric(capsys):

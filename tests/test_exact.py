@@ -11,7 +11,7 @@ from petersym.exact import (
     kernel_basis,
     solve_in_span,
 )
-from .oracles import charpoly, rank
+from .oracles import charpoly, dense, rank, sparse
 
 
 def test_bernoulli_small_values():
@@ -40,16 +40,15 @@ def test_bernoulli_poly_reflection():
 
 
 def test_kernel_identity_and_zero():
-    ident = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    ident = [{i: Fraction(1)} for i in range(3)]
     assert kernel_basis(ident, 3) == []
-    zero = [[Fraction(0)] * 3 for _ in range(2)]
-    assert len(kernel_basis(zero, 3)) == 3
+    assert kernel_basis([{}, {}], 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_single_relation():
-    basis = kernel_basis([[Fraction(1), Fraction(1)]], 2)
+    basis = kernel_basis([{0: Fraction(1), 1: Fraction(1)}], 2)
     assert len(basis) == 1
-    v = basis[0]
+    v = dense(basis[0], 2)
     assert v[0] + v[1] == 0 and any(v)
 
 
@@ -59,9 +58,10 @@ def test_kernel_vectors_annihilate_random_matrices():
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
         m = [[Fraction(rng.randrange(-4, 5)) for _ in range(cols)] for _ in range(rows)]
-        basis = kernel_basis(m, cols)
+        basis = kernel_basis(map(sparse, m), cols)
         assert rank(m) + len(basis) == cols
         for v in basis:
+            v = dense(v, cols)
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
@@ -87,9 +87,9 @@ def test_frac_str():
 
 
 def test_kernel_takes_int_rows_and_returns_fractions():
-    basis = kernel_basis([[2, 0, -4], [0, 0, 0], [-3, 0, 6]], 3)
-    assert basis == [[0, 1, 0], [2, 0, 1]]
-    assert all(type(x) is Fraction for v in basis for x in v)
+    basis = kernel_basis([{0: 2, 2: -4}, {}, {0: -3, 2: 6}], 3)
+    assert basis == [{1: 1}, {0: 2, 2: 1}]
+    assert all(type(x) is Fraction for v in basis for x in v.values())
 
 
 # -- the dense Fraction elimination this package used before, as a reference
@@ -179,9 +179,11 @@ def matrices(draw):
 @given(matrices())
 def test_elimination_matches_dense_fraction_reference(mat):
     rows, ncols = mat
-    basis = kernel_basis(rows, ncols)
-    assert basis == _dense_kernel_basis(rows, ncols)
-    assert all(type(x) is Fraction for v in basis for x in v)
+    basis = kernel_basis(map(sparse, rows), ncols)
+    assert [dense(v, ncols) for v in basis] == _dense_kernel_basis(rows, ncols)
+    assert all(type(x) is Fraction and x for v in basis for x in v.values())
+    # keys ascending, the free column last with value 1
+    assert all(list(v) == sorted(v) and v[max(v)] == 1 for v in basis)
     assert rank(rows) == len(_dense_echelonize(rows)) == ncols - len(basis)
 
 

@@ -167,3 +167,8 @@ def test_orbit_indicator_returns_a_fresh_function():
     expected = [row[:] for row in first.values]
     first.values[0][0] += 5
     assert orbit_indicator(t, 12).values == expected
+    # each row is a list of its own: writing one cell changes no other row
+    second = orbit_indicator(t, 12)
+    second.values[0][1] += 7
+    assert second.values[1:] == expected[1:]
+    assert second.values[0][1] == expected[0][1] + 7

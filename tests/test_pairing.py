@@ -33,6 +33,7 @@ from petersym.polyspace import Vk
 from petersym.spaces import boundary_space, build_space
 from .oracles import (
     charpoly,
+    dense,
     double_coset_hecke_matrix,
     epsilon_conjugate_cocycle,
     epsilon_conjugate_hom,
@@ -175,14 +176,15 @@ def test_cuspidal_subspace_refuses_bad_arguments(n, k):
 def test_cuspidal_hecke_stability_and_boundary_intersection():
     space, cusp_basis = cuspidal_subspace(11, 2)
     sym = space.symbol
-    vecs = [b.vector for b in cusp_basis]
+    ncols = len(sym.require_direct_table().reps)
+    vecs = [dense(b.vector, ncols) for b in cusp_basis]
     for ell in (2, 3):
         hctx = hecke_context(sym, (1, 0, 0, ell), gamma0_group(11))
         for b in cusp_basis:
             img = from_path_evaluator(space, hecke_path_map(b, hctx).eval_path)
-            assert solve_in_span(vecs, img.vector) is not None
+            assert solve_in_span(vecs, dense(img.vector, ncols)) is not None
     boundary_vecs = [
-        from_path_evaluator(space, b0.eval_path).vector
+        dense(from_path_evaluator(space, b0.eval_path).vector, ncols)
         for b0 in boundary_space(sym, 2)
     ]
     joint = vecs + boundary_vecs
@@ -192,11 +194,12 @@ def test_cuspidal_hecke_stability_and_boundary_intersection():
 def test_t2_charpoly_on_11_2():
     space, cusp_basis = cuspidal_subspace(11, 2)
     hctx = hecke_context(space.symbol, (1, 0, 0, 2), gamma0_group(11))
-    vecs = [b.vector for b in cusp_basis]
+    ncols = len(space.symbol.require_direct_table().reps)
+    vecs = [dense(b.vector, ncols) for b in cusp_basis]
     cols = []
     for b in cusp_basis:
         img = from_path_evaluator(space, hecke_path_map(b, hctx).eval_path)
-        cols.append(solve_in_span(vecs, img.vector))
+        cols.append(solve_in_span(vecs, dense(img.vector, ncols)))
     mat = [[cols[j][i] for j in range(2)] for i in range(2)]
     # (x + 2)^2, with -2 the q^2 coefficient of the weight-2 eta product
     assert charpoly(mat) == [Fraction(1), Fraction(4), Fraction(4)]

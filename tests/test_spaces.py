@@ -20,7 +20,7 @@ from petersym.farey import (
 from petersym.modgroup import ID, SIGMA, TAU, act, cusp, madj, mmul, mneg
 from petersym.polyspace import Vk
 from petersym.spaces import SymbolElement, boundary_space, build_space, eval_tilde_arc
-from .oracles import coordinates, manin_relation_rows
+from .oracles import coordinates, dense, manin_relation_rows, sparse
 
 
 def symbol_for(n):
@@ -78,20 +78,21 @@ def test_basis_vectors_reproduce_their_coset_values():
     table = sp.symbol.require_direct_table()
     for phi in sp.basis:
         for i, rep in enumerate(table.reps):
-            assert phi.eval_path(act(rep, (0, 1)), act(rep, (1, 0))) == phi.values[i]
+            assert phi.eval_path(act(rep, (0, 1)), act(rep, (1, 0))) \
+                == phi.values.get(i, Vk.zero(2))
 
 
 def test_coordinates_roundtrip():
     sp = build_space(gamma0_symbol(11), 2)
-    v0, v2 = sp.basis[0].vector, sp.basis[2].vector
-    combo = SymbolElement(sp, [Fraction(2, 3) * a - 5 * b for a, b in zip(v0, v2)])
+    ncols = len(sp.symbol.require_direct_table().reps)
+    v0, v2 = dense(sp.basis[0].vector, ncols), dense(sp.basis[2].vector, ncols)
+    combo = SymbolElement(sp, sparse([Fraction(2, 3) * a - 5 * b for a, b in zip(v0, v2)]))
     coords = coordinates(sp, combo)
     assert coords == [Fraction(2, 3), Fraction(0), Fraction(-5)]
     # a unit vector at a pivot column is zero at every free column
-    pivot = min(set(range(len(v0))) - set(sp.free_cols))
-    outside = [Fraction(int(j == pivot)) for j in range(len(v0))]
+    pivot = min(set(range(ncols)) - set(sp.free_cols))
     with pytest.raises(ValueError):
-        coordinates(sp, SymbolElement(sp, outside))
+        coordinates(sp, SymbolElement(sp, {pivot: Fraction(1)}))
 
 
 def test_boundary_space_dimensions():
@@ -242,7 +243,7 @@ def test_one_relation_per_orbit_keeps_the_kernel(group):
     handed = []
 
     def kernel(rows, ncols):
-        handed.append(len(rows))
+        handed.append(rows)
         return kernel_basis(rows, ncols)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -251,6 +252,10 @@ def test_one_relation_per_orbit_keeps_the_kernel(group):
     if k % 2 and sym.member(mneg(ID)):
         assert handed == [] and space.dimension() == 0
         return
+    # each row is a dict of the nonzero entries of at most three blocks
+    assert all(type(row) is dict and len(row) <= 3 * (k - 1) and all(row.values())
+               for row in handed[0])
+    handed = [len(rows) for rows in handed]
     sigma_orbits = {frozenset({i, table.locate(mmul(rep, SIGMA))[0]})
                     for i, rep in enumerate(table.reps)}
     tau_orbits = {frozenset({i, table.locate(mmul(rep, TAU))[0],
