@@ -330,9 +330,9 @@ class EisSymbol:
         self.f = f
         self.k = k
         # nonzero cells of f as integer numerators over support_den
-        support_den = lcm(*(c.denominator for row in f.values for c in row if c))
-        self._support = [(u, v, c.numerator * (support_den // c.denominator))
-                         for u, row in enumerate(f.values) for v, c in enumerate(row) if c]
+        cells = [(u, v, c) for u, row in enumerate(f.values) for v, c in enumerate(row) if c]
+        nums, support_den = integer_row([c for _, _, c in cells])
+        self._support = [(u, v, x) for (u, v, _), x in zip(cells, nums)]
         self._cols_x, self._cols_y, den = _moment_rows(f.n, k)
         self._den = den * support_den
         self._twists: dict = {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .modgroup import (
@@ -226,11 +227,11 @@ class TildeArc:
     glue: Mat
     base: int          # index of the underlying symbol arc
     half: str          # 'whole', 'u' or 'v'
-    star: int = -1     # filled in after the full list exists
+    star: int          # position of the paired tilde arc
 
 
 class ExtendedFareySymbol:
-    def __init__(self, arcs, star, mu, glue, index, member, table=None, name="sl2z"):
+    def __init__(self, arcs, star, mu, glue, index, member, table=None):
         self.arcs: list[tuple[CuspT, CuspT]] = list(arcs)
         self.star: list[int] = list(star)
         self.mu: list[int] = list(mu)
@@ -239,7 +240,6 @@ class ExtendedFareySymbol:
         self.member = member             # raw matrix predicate of this group
         self.member2 = _symmetrize(member)
         self.table = table               # CosetTable inside the parent, None for SL2(Z)
-        self.name = name
         self._tilde = None
         self._cusp_classes = None
         self._trivial_table = None
@@ -294,25 +294,16 @@ class ExtendedFareySymbol:
         """Arc list with every elliptic arc split at its fixed point."""
         if self._tilde is not None:
             return self._tilde
-        raw = []
-        for i, (s, e) in enumerate(self.arcs):
-            if self.mu[i] == 1:
-                raw.append(TildeArc(("c", s), ("c", e), self.glue[i], i, "whole"))
-            else:
-                raw.append(TildeArc(("c", s), ("e", i), self.glue[i], i, "u"))
-                raw.append(TildeArc(("e", i), ("c", e), minv(self.glue[i]), i, "v"))
-        pos = {}
-        for t, ta in enumerate(raw):
-            pos[(ta.base, ta.half)] = t
+        # an elliptic arc's two halves take two positions
+        pos = list(accumulate((1 if m == 1 else 2 for m in self.mu), initial=0))
         out = []
-        for ta in raw:
-            if ta.half == "whole":
-                star = pos[(self.star[ta.base], "whole")]
-            elif ta.half == "u":
-                star = pos[(ta.base, "v")]
+        for i, (s, e) in enumerate(self.arcs):
+            g = self.glue[i]
+            if self.mu[i] == 1:
+                out.append(TildeArc(("c", s), ("c", e), g, i, "whole", pos[self.star[i]]))
             else:
-                star = pos[(ta.base, "u")]
-            out.append(TildeArc(ta.start, ta.end, ta.glue, ta.base, ta.half, star))
+                out.append(TildeArc(("c", s), ("e", i), g, i, "u", pos[i] + 1))
+                out.append(TildeArc(("e", i), ("c", e), minv(g), i, "v", pos[i]))
         for t, ta in enumerate(out):
             if out[ta.star].star != t:
                 raise FareyError("tilde pairing is not a fixed-point-free involution")
@@ -457,7 +448,6 @@ def base_symbol_sl2z() -> ExtendedFareySymbol:
         index=1,
         member=lambda g: True,
         table=None,
-        name="sl2z",
     )
 
 
@@ -567,92 +557,63 @@ def subgroup_farey(
         if not (work3 or work):
             break
 
-    # assemble arcs, the induced pairing and gluing data
+    # assemble in three maps keyed by arc label: each arc's endpoints,
+    # gluing matrix and partner under the induced pairing
     labels = layout()
-    arcs, star, mu, glue = [], [], [], []
-    ast, raw_glue = {}, {}
-    for ci, a in labels:
+    arc, glue, partner = {}, {}, {}
+    for lab in labels:
+        ci, a = lab
         xi = table.reps[ci]
         g = mmul(xi, pg[a])
         j, gamma = table.locate(g)
-        partner = (j, pstar[a])
-        if partner not in succ and a in ell3:
+        other = (j, pstar[a])
+        if other not in succ and a in ell3:
             # the known copy of a partial triangle pairs back with the bent side
             j, gamma = table.locate(mmul(g, pg[a]))
-            partner = (j, a)
-        if partner not in succ:
+            other = (j, a)
+        if other not in succ:
             raise FareyError("induced pairing leaves the polygon")
-        ast[(ci, a)] = partner
-        raw_glue[(ci, a)] = gamma
-
-    records = []
-    for ci, a in labels:
-        xi = table.reps[ci]
         s, e = parent.arcs[a]
-        partner = ast[(ci, a)]
-        m = pmu[a] if partner == (ci, a) else 1
-        records.append({
-            "arc": bent.get((ci, a), (act(xi, s), act(xi, e))),
-            "mu": m,
-            "glue": raw_glue[(ci, a)],
-            "partner": partner,
-            "label": (ci, a),
-        })
+        arc[lab] = bent.get(lab) or (act(xi, s), act(xi, e))
+        glue[lab] = gamma
+        partner[lab] = other
 
-    # rectify order-3 orbits of the induced pairing into four plain arcs
-    by_label = {r["label"]: r for r in records}
-    done = set()
-    for r in records:
-        lab = r["label"]
-        if lab in done:
+    # rectify each order-3 orbit A -> B -> C of the induced pairing into
+    # four plain arcs: A gives way to the labels (A, 1) and (A, 2), which
+    # pair with B and C; B and C are met later and pair back
+    order = []
+    for lab in labels:
+        b = partner[lab]
+        if b == lab or pmu[lab[1]] != 3 or partner[b] == lab:
+            order.append(lab)
             continue
-        partner = r["partner"]
-        if partner == lab or pmu[lab[1]] != 3 or by_label[partner]["partner"] == lab:
-            done.add(lab)
-            continue
-        lab_b = partner
-        lab_c = by_label[lab_b]["partner"]
-        if by_label[lab_c]["partner"] != lab:
+        c = partner[b]
+        if partner[c] != lab:
             raise FareyError("induced pairing on order-3 arcs is not a 3-cycle")
-        done.update([lab, lab_b, lab_c])
-        ga = r["glue"]
-        gc = by_label[lab_c]["glue"]
-        if not _is_projective_identity(mmul(ga, by_label[lab_b]["glue"], gc)):
+        ga, gc = glue[lab], glue[c]
+        if not _is_projective_identity(mmul(ga, glue[b], gc)):
             raise FareyError("order-3 orbit gluing product is not the identity")
-        bs, be = by_label[lab_b]["arc"]
-        cs, ce = by_label[lab_c]["arc"]
         gci = minv(gc)
-        a_prime = {"arc": (act(ga, be), act(ga, bs)), "mu": 1, "glue": ga,
-                   "pair_with": lab_b, "label": (lab, "p1")}
-        a_second = {"arc": (act(gci, ce), act(gci, cs)), "mu": 1, "glue": gci,
-                    "pair_with": lab_c, "label": (lab, "p2")}
-        by_label[lab_b]["glue"] = minv(ga)
-        by_label[lab_b]["pair_with"] = (lab, "p1")
-        by_label[lab_c]["pair_with"] = (lab, "p2")
-        r["replace_with"] = [a_prime, a_second]
+        (bs, be), (cs, ce) = arc[b], arc[c]
+        arc[lab, 1], glue[lab, 1], partner[lab, 1] = (act(ga, be), act(ga, bs)), ga, b
+        arc[lab, 2], glue[lab, 2], partner[lab, 2] = (act(gci, ce), act(gci, cs)), gci, c
+        glue[b], partner[b], partner[c] = minv(ga), (lab, 1), (lab, 2)
+        order += [(lab, 1), (lab, 2)]
 
-    final = []
-    for r in records:
-        if "replace_with" in r:
-            final.extend(r["replace_with"])
-        else:
-            final.append(r)
-    index_of = {r["label"]: i for i, r in enumerate(final)}
-    for r in final:
-        arcs.append(r["arc"])
-        mu.append(r["mu"])
-        glue.append(_sign_into(spec.member, r["glue"]))
-        if "pair_with" in r:
-            star.append(index_of[r["pair_with"]])
-        else:
-            star.append(index_of[r["partner"]])
+    position = {lab: i for i, lab in enumerate(order)}
+    arcs, star, mu, glues = [], [], [], []
+    for lab in order:
+        other = partner[lab]
+        arcs.append(arc[lab])
+        star.append(position[other])
+        mu.append(pmu[lab[1]] if other == lab else 1)
+        glues.append(_sign_into(spec.member, glue[lab]))
 
     sym = ExtendedFareySymbol(
-        arcs, star, mu, glue,
+        arcs, star, mu, glues,
         index=parent.index * len(table),
         member=spec.member,
         table=table,
-        name=spec.name,
     )
     sym.validate()
     return sym, table

@@ -48,9 +48,9 @@ class Vk:
         return cls(k, (Fraction(0),) * (k - 1))
 
     @classmethod
-    def monomial(cls, k: int, i: int, c=Fraction(1)) -> "Vk":
+    def monomial(cls, k: int, i: int) -> "Vk":
         coeffs = [Fraction(0)] * (k - 1)
-        coeffs[i] = c
+        coeffs[i] = Fraction(1)
         return cls(k, coeffs)
 
     @classmethod

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycVec
-from .eisenstein import TorsionFunction, beta_moment, beta_value, fourier2
+from .eisenstein import EisSymbol, TorsionFunction, beta_value, fourier2
 from .exact import bernoulli_number
 from .modgroup import SIGMA
 
@@ -61,16 +61,17 @@ def l_special(values, h: int):
     return total
 
 
-def l_special_numeric(values, h: int, terms: int = 6) -> float:
+def l_special_numeric(values, h: int) -> float:
     """Euler-Maclaurin continuation of the Dirichlet series at 1-h.
 
     Independent numeric route: sums the Hurwitz zeta values at s = 1-h
     with the standard tail corrections.  At negative integer arguments
-    the correction series terminates, so a short main sum keeps
-    cancellation (and hence rounding) small.
+    the correction series terminates, so a short main sum of six terms
+    keeps cancellation (and hence rounding) small.
     """
     n = len(values)
     s = 1.0 - h
+    terms = 6
 
     def hurwitz(x: float) -> float:
         parts = [(m + x) ** (-s) for m in range(terms)]
@@ -131,23 +132,22 @@ def eis_qexp(f, k: int, terms: int) -> QExpansion:
     transform at 0; the higher coefficients accumulate
     (P2(f)(n, -m) + (-1)^k P2(f-)(n, -m)) m^(k-1) on q_N^(n m).  The
     bracket depends only on (n mod N, -m mod N), so each residue pair's
-    value is computed once per call.
+    value is computed once per call; P2(f-)(a, b) is P2(f)(-a, -b).
     """
     if k < 2:
         raise ValueError("weight must be at least 2")
     n = f.n
     row = [_p2(f, 0, (-x) % n) for x in range(n)]
     constant = l_special(row, k)
-    fm = f.minus()
     sign = (-1) ** k
     coeffs = [CycVec(n) for _ in range(terms + 1)]
     brackets = {}
     for nn in range(1, terms + 1):
         for m in range(1, terms // nn + 1):
-            pair = (nn % n, (-m) % n)
-            val = brackets.get(pair)
+            a, b = nn % n, (-m) % n
+            val = brackets.get((a, b))
             if val is None:
-                val = brackets[pair] = _p2(f, *pair) + _p2(fm, *pair).scale(sign)
+                val = brackets[a, b] = _p2(f, a, b) + _p2(f, -a, -b).scale(sign)
             coeffs[nn * m] = coeffs[nn * m] + val.scale(Fraction(m) ** (k - 1))
     return QExpansion(n, k, terms, constant, coeffs)
 
@@ -161,11 +161,13 @@ def mellin_rational(f: TorsionFunction, k: int, j: int) -> Fraction:
     """Middle Mellin value of the normalized transform series, exact.
 
     Only 0 < j < k-2 is admitted: the boundary values carry
-    transcendental derivative terms and are out of scope.
+    transcendental derivative terms and are out of scope.  The value is
+    (-1)^(j+1) times the moment of f- against beta_(k-1-j) x beta_(j+1),
+    which is -p_mod[j] / C(k-2, j) of the period symbol of f.
     """
     if not 0 < j < k - 2:
         raise ValueError("only middle indices are rational")
-    return (-1) ** (j + 1) * beta_moment(f, k - 1 - j, j + 1, minus=True)
+    return -EisSymbol(f, k).p_mod.coeffs[j] / math.comb(k - 2, j)
 
 
 def _upper_gamma_integral(s: int, x: float) -> float:
@@ -202,7 +204,7 @@ def _terms_for_tail(n: int, k: int, tol: float) -> int:
     return m + n  # a full extra period of margin
 
 
-def mellin_numeric(f: TorsionFunction, k: int, js, terms: int | None = None) -> list[complex]:
+def mellin_numeric(f: TorsionFunction, k: int, js) -> list[complex]:
     """Numeric Mellin values at j+1 for each j in `js`, splitting the line integral at i.
 
     The lower half is folded through the weight-k inversion, leaving
@@ -211,8 +213,7 @@ def mellin_numeric(f: TorsionFunction, k: int, js, terms: int | None = None) -> 
     for all j.
     """
     n = f.n
-    if terms is None:
-        terms = _terms_for_tail(n, k, 1e-12)
+    terms = _terms_for_tail(n, k, 1e-12)
     g = normalized_transform(f)
     h = g.act(SIGMA)
     qg = eis_qexp(g, k, terms)
@@ -298,12 +299,14 @@ def delta_qexp(terms: int) -> list[int]:
     return out
 
 
-def delta_periods(terms: int = 60) -> list[complex]:
+def delta_periods() -> list[complex]:
     """Period integrals r_0..r_10 of the discriminant form.
 
     r_j = integral from i*infinity to 0 of Delta(t) t^j dt, folded at i
-    by weight-12 modularity into incomplete-gamma sums.
+    by weight-12 modularity into incomplete-gamma sums over the first
+    60 coefficients.
     """
+    terms = 60
     tau = delta_qexp(terms)
     out = []
     for j in range(11):
@@ -369,14 +372,16 @@ def _domain_integral(integrand, order: int, y_max: float) -> float:
     return 2.0 * total
 
 
-def petersson_norm_delta(terms: int = 30, y_max: float = 8.0) -> float:
+def petersson_norm_delta() -> float:
     """Petersson norm of the discriminant form by Gauss-Legendre quadrature.
 
     Integrates |Delta(x+iy)|^2 y^10 over the standard fundamental domain
-    cut at y_max (the integrand decays like exp(-4 pi y)); the error
-    estimate is the difference between the rules of order 40 and 30.
+    cut at y = 8 (the integrand decays like exp(-4 pi y)), with the
+    q-series summed to 30 terms; the error estimate is the difference
+    between the rules of order 40 and 30.
     """
-    tau = delta_qexp(terms)
+    tau = delta_qexp(30)
+    y_max = 8.0
 
     def integrand(x, y):
         return abs(_delta_value(complex(x, y), tau)) ** 2 * y ** 10

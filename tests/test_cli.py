@@ -518,6 +518,30 @@ GOLDEN_FROM_FILE = [
     ("farey-level-1200-parent-12", ["farey", "--level", "1200", "--parent"],
      {"group": "gamma0", "level": 12},
      "1cbe926370a5f1c8a8b6d7a5081aae101e0c50a7baa8cb92a47d714e4f2f4f15"),
+    # the other towers over Gamma0(7) that rectify an order-3 3-cycle
+    # (Gamma1(28) also attaches a bent partial triangle), recorded before
+    # the assembly was held in label maps
+    ("farey-level-14-parent-7", ["farey", "--level", "14", "--parent"],
+     {"group": "gamma0", "level": 7},
+     "62d04ca2d6cb0326f314d133abe874999d98db9f51bb4a6347970ad31e085459"),
+    ("farey-level-21-parent-7", ["farey", "--level", "21", "--parent"],
+     {"group": "gamma0", "level": 7},
+     "74ae81766e797df3a91d8bbb7dedb277b23f3fbcfb84ecadce49056a481efd94"),
+    ("farey-gamma1-7-parent-7", ["farey", "--group", "gamma1", "--level", "7", "--parent"],
+     {"group": "gamma0", "level": 7},
+     "785f746bcfc5b454d063b9d520f2c660cb7290b68b42b36c46b74be6758c0084"),
+    ("farey-gamma1-14-parent-7", ["farey", "--group", "gamma1", "--level", "14", "--parent"],
+     {"group": "gamma0", "level": 7},
+     "4aeb2a825912df0b6b7c01d2a1390e0bb1e144e4c37f5feeb27c62686c5fe52e"),
+    ("farey-gamma1-21-parent-7", ["farey", "--group", "gamma1", "--level", "21", "--parent"],
+     {"group": "gamma0", "level": 7},
+     "1b1fcab54f28df7f0c5e4906044fa486aedd12cb3e9cb2b317def0af519cc100"),
+    ("farey-gamma1-28-parent-7", ["farey", "--group", "gamma1", "--level", "28", "--parent"],
+     {"group": "gamma0", "level": 7},
+     "465bfce668442e9f7c4f610d95501df353e9a735799b898c782c0a91a7d016b0"),
+    ("farey-gamma-7-parent-7", ["farey", "--group", "gamma", "--level", "7", "--parent"],
+     {"group": "gamma0", "level": 7},
+     "e3fdb99e809b8d4c1e189a4398de0ebfe63b98478ae695c0b25bbf063da504fe"),
 ]
 
 

@@ -6,8 +6,10 @@ deletions honest are made here: every name a module exports in
 package and the test-side oracle), every name a package module
 exports is used by another package module or by a test, and every
 public method of a package class and public module constant is read
-somewhere in the package or the tests.  A last check
-keeps the package free of third-party numeric libraries.
+somewhere in the package or the tests, and every default parameter
+of a package function is passed by some call, so a default that no
+caller sets is a constant of the body instead.  A last check keeps the
+package free of third-party numeric libraries.
 """
 
 import ast
@@ -104,3 +106,56 @@ def test_public_methods_and_constants_are_used(name, path):
     files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.rglob("*.py"))
     used = set().union(*(_names_used(p) for p in files))
     assert [d for d in _public_definitions(path) if d.rsplit(".", 1)[-1] not in used] == []
+
+
+def _defaults(tree) -> list:
+    """(callee, parameter, positional index or None) for every default.
+
+    A constructor's callee is its class.  The index counts call
+    arguments, so it skips the bound first parameter of a method; a
+    keyword-only parameter has no index.
+    """
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef)):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            bound = isinstance(node, ast.ClassDef) and not static
+            callee = node.name if fn.name == "__init__" else fn.name
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            out += [(callee, arg.arg, i - bound) for i, arg in enumerate(args[first:], first)]
+            out += [(callee, arg.arg, None)
+                    for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+    return out
+
+
+def _passed(tree) -> set:
+    """(function, keyword) and (function, position) of every argument a call passes.
+
+    A call through `*args` or `**kwargs` is taken to pass everything.
+    """
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(kw.arg is None for kw in node.keywords):
+            out.add((name, "*"))
+        out.update((name, i) for i in range(len(node.args)))
+        out.update((name, kw.arg) for kw in node.keywords)
+    return out
+
+
+def test_every_default_parameter_is_passed_somewhere():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.rglob("*.py"))
+    passed = set().union(*(_passed(ast.parse(p.read_text())) for p in files))
+    unset = [f"{p.stem}.{fn}({arg})"
+             for p in sorted(PACKAGE.glob("*.py"))
+             for fn, arg, i in _defaults(ast.parse(p.read_text()))
+             if not {(fn, arg), (fn, i), (fn, "*")} & passed]
+    assert unset == []
