@@ -7,14 +7,15 @@ mathematical preconditions (a level below 1, odd weight with -Id,
 weight-2 data not vanishing at the origin, a Hecke index that is not
 prime or is above its bound, a group whose index exceeds the coset
 bound, a weight above the bound of its command, a `qexp` length
-outside its bound, ...), 4 for numeric verification failures,
-including a quadrature that misses its error target.  A ValueError or
-FareyError raised by the library on the given arguments is reported as
-a violated precondition.
+outside its bound, a basis with too many coefficients to print, ...),
+4 for numeric verification failures, including a quadrature that
+misses its error target.  A ValueError or FareyError raised by the
+library on the given arguments is reported as a violated precondition.
 Output is deterministic: cosets in discovery order, arcs in symbol
 order, basis vectors in echelon order.  The document is written with
 the bytes of json.dumps(result, indent=2, sort_keys=True), by a writer
-that joins the lists of strings and ints in one step.
+that joins the lists of strings and ints in one step, and each basis
+vector from its nonzero entries in one join.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ MAX_SPACE_WEIGHT = 100
 # The cost also grows with the weight: at ell = 1009, (11, 12) takes
 # 13 s and (11, 24) 60 s.
 MAX_HECKE_ELL = 1009
+
+# Most basis coefficients (dimension times cosets times (k - 1))
+# `modsym-space` and `cuspidal` may print, about 29 bytes of JSON each;
+# peak RSS is about three times the output.  At k = 2, Gamma0(1200)
+# (1.4e6 coefficients) takes 0.30 s end to end and writes 40 MB at
+# 135 MB peak RSS, Gamma0(2400) (5.5e6) 1.1 s, 161 MB and 483 MB
+# (2-CPU VM).  The count is checked after the space is built, before
+# any JSON is made.
+MAX_BASIS_CELLS = 6 * 10**6
 
 
 class UsageError(Exception):
@@ -180,26 +190,73 @@ def cmd_farey(args):
     return data
 
 
-def _basis_json(basis) -> list:
-    """Each coset vector as one (k-1)-tuple of coefficient strings per coset."""
-    out = []
-    for b in basis:
-        n = b.space.k - 1
-        entries = ["0"] * (len(b.space.symbol.require_direct_table().reps) * n)
-        for j, x in b.vector.items():
-            entries[j] = frac_str(x)
-        out.append(list(zip(*[iter(entries)] * n)))
-    return out
+class _BasisJSON:
+    """Coset vectors that `_dumps` writes from their sparse dicts.
+
+    Each vector is written as the list of one (k-1)-tuple of coefficient
+    strings per coset, in the bytes json.dumps would give at the
+    vector's indentation: every cell is one zero-cell string but the
+    cells of the cosets the vector touches, and the vector is one join.
+    """
+
+    def __init__(self, basis, cosets: int, k: int):
+        self.basis = basis
+        self.cosets = cosets
+        self.n = k - 1
+
+    def dumps(self, nl: str) -> str:
+        if not self.basis:
+            return "[]"
+        n = self.n
+        inner = nl + "  "
+        # a vector sits on the `inner` line, its cells one level in, and
+        # the cell's coefficients one more
+        cell_nl = inner + "  "
+        leaf_nl = cell_nl + "  "
+        open_cell, close_cell = "[" + leaf_nl, cell_nl + "]"
+        leaf_sep = "," + leaf_nl
+        zero = _encode_str("0")
+        zero_cell = open_cell + leaf_sep.join([zero] * n) + close_cell
+        cell_sep = "," + cell_nl
+        texts = []
+        for b in self.basis:
+            cells = [zero_cell] * self.cosets
+            touched = {}
+            for j, x in b.vector.items():
+                c, s = divmod(j, n)
+                leaves = touched.get(c)
+                if leaves is None:
+                    leaves = touched[c] = [zero] * n
+                leaves[s] = _encode_str(frac_str(x))
+            for c, leaves in touched.items():
+                cells[c] = open_cell + leaf_sep.join(leaves) + close_cell
+            texts.append("[" + cell_nl + cell_sep.join(cells) + inner + "]")
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+def _basis_json(basis, cosets: int, k: int) -> _BasisJSON:
+    """The coset vectors of `basis`, weight k over `cosets` cosets, for `_dumps`.
+
+    A basis of more than MAX_BASIS_CELLS coefficients is refused here,
+    before any of its text is made.
+    """
+    cells = len(basis) * cosets * (k - 1)
+    if cells > MAX_BASIS_CELLS:
+        raise MathPreconditionError(
+            f"the basis has {cells} coefficients, above the bound {MAX_BASIS_CELLS}"
+        )
+    return _BasisJSON(basis, cosets, k)
 
 
 def cmd_modsym_space(args):
     sym, space = _space(args)
+    cosets = len(sym.require_direct_table().reps)
     return {
         "level": args.level,
         "weight": args.weight,
         "dimension": space.dimension(),
-        "cosets": len(sym.require_direct_table().reps),
-        "basis": _basis_json(space.basis),
+        "cosets": cosets,
+        "basis": _basis_json(space.basis, cosets, args.weight),
     }
 
 
@@ -288,13 +345,13 @@ def cmd_hecke(args):
 def cmd_cuspidal(args):
     _check_bound("weight", args.weight, MAX_SPACE_WEIGHT)
     _check_index("gamma0", args.level)
-    space, basis = cuspidal_subspace(args.level, args.weight)
+    _, basis = cuspidal_subspace(args.level, args.weight)
     return {
         "level": args.level,
         "weight": args.weight,
         "dimension": len(basis),
         "expected": 2 * dim_cusp_forms_gamma0(args.level, args.weight),
-        "basis": _basis_json(basis),
+        "basis": _basis_json(basis, gamma0_index(args.level), args.weight),
     }
 
 
@@ -430,10 +487,12 @@ def _dumps(obj, nl: str = "\n") -> str:
     `nl` is a newline and the indentation of obj's line.  Strings go
     through the C string encoder and ints through int.__repr__.  A list
     of strings or of ints is one join; so is a list of cells of one
-    width that hold only strings or only ints (a basis vector): all the
-    leaves are joined at once with a repeated list of the separators
-    inside a cell and between cells, with no Python-level step per cell.
-    json.dumps with an indent runs the pure-Python encoder.  Any other
+    width that hold only strings or only ints (a Hecke or pairing
+    matrix): all the leaves are joined at once with a repeated list of
+    the separators inside a cell and between cells, with no
+    Python-level step per cell.  A `_BasisJSON` writes itself at obj's
+    indentation.  json.dumps with an indent runs the pure-Python
+    encoder.  Any other
     value is handed to json.dumps and re-indented: its strings are
     ASCII-escaped, so each newline of its text is a line break.
     """
@@ -462,6 +521,8 @@ def _dumps(obj, nl: str = "\n") -> str:
                 parts[1::2] = (seps * len(obj))[:-1]
                 return "[" + inner + "[" + cell + "".join(parts) + inner + "]" + nl + "]"
         return "[" + inner + sep.join([_dumps(x, inner) for x in obj]) + nl + "]"
+    if kind is _BasisJSON:
+        return obj.dumps(nl)
     if kind is dict and obj and all(type(key) is str for key in obj):
         inner = nl + "  "
         return "{" + inner + ("," + inner).join(

@@ -9,6 +9,10 @@ transported through the coset action, cut out exactly the
 group-equivariant homomorphisms.  Each is written once per orbit of
 its generator on the cosets (two cosets or one for sigma, three or
 one for tau): at the other cosets of the orbit it spans the same rows.
+At weight 2 no row is written: the relations are those of the graph
+whose vertices are the tau-orbits and whose edges are the
+sigma-orbits, and the basis is one fundamental cycle per edge off a
+spanning forest.
 A path {r, s} is one continued-fraction walk from r, a sum of
 unimodular steps that are one coset path each; a Farey arc is a single
 step.
@@ -56,7 +60,7 @@ def _transport(symbol: ExtendedFareySymbol, g: Mat):
 class SymbolElement:
     """One element of Hom_Gamma(Delta_0, V_k), given by its coset vector.
 
-    `vector` is the dict {col: value} that `kernel_basis` returns: col
+    `vector` is the dict {col: value} of a kernel basis vector: col
     i (k-1) + s is coefficient s of the value on the path of coset i.
     The `Vk` values of the cosets it touches are made on first use.
     """
@@ -101,8 +105,9 @@ class ModularSymbolSpace:
     """A symbol space with a basis in echelon order.
 
     The basis elements hold the coset vectors as `kernel_basis` returns
-    them: vector i is 1 at its free column, which is its last key, and
-    0 at the free columns of the others.
+    them (at weight 2 the spanning forest gives the same vectors):
+    vector i is 1 at its free column, which is its last key, and 0 at
+    the free columns of the others.
     """
 
     def __init__(self, symbol: ExtendedFareySymbol, k: int, vectors):
@@ -118,11 +123,93 @@ class ModularSymbolSpace:
         return len(self.basis)
 
 
+def _cycle_basis(table) -> list[dict[int, Fraction]]:
+    """The weight-2 kernel read off a spanning forest of the coset graph.
+
+    At k = 2 every action matrix is 1, so the relations are
+    x_i + x_sigma(i) = 0 and x_i + x_tau(i) + x_tau^2(i) = 0.  A
+    tau-orbit of three cosets is a vertex; a sigma-orbit {i < j} is an
+    edge from the vertex of i to that of j, its variable x_j = -x_i,
+    and the tau relations say the edge variables are a circulation.  A
+    sigma- or tau-fixed coset is 0, and so is its edge.  Scanned by
+    ascending j, an edge that closes a cycle (a loop too) is free: the
+    columns of a graph's incidence matrix are independent exactly on a
+    forest, so its column j is a combination of earlier ones and every
+    other column is a pivot.  The vector of a free edge is its
+    fundamental cycle through tree edges scanned before it: 1 at j, its
+    last key, and 0 at the other free columns, the vector
+    `kernel_basis` returns for the free column j.
+    """
+    reps = table.reps
+    index = table.class_index
+    sigma = [index(mmul(rep, SIGMA)) for rep in reps]
+    tau = [index(mmul(rep, TAU)) for rep in reps]
+    # vertex of a coset: the least coset of its tau-orbit, None if fixed
+    vertex = [None] * len(reps)
+    for i, t in enumerate(tau):
+        if t != i and vertex[i] is None:
+            vertex[i] = vertex[t] = vertex[tau[t]] = i
+    root = {}  # union-find over vertices
+
+    def find(v):
+        while root.get(v, v) != v:
+            root[v] = v = root.get(root[v], root[v])
+        return v
+
+    edges = {}  # tree edges by vertex: [(other vertex, i, j, sign)]
+    free = []
+    for j, i in enumerate(sigma):
+        if i >= j or vertex[i] is None or vertex[j] is None:
+            continue
+        u, v = vertex[i], vertex[j]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            free.append((i, j, u, v))
+            continue
+        root[ru] = rv
+        # walking u -> v along the edge adds x_j = 1, x_i = -1
+        edges.setdefault(u, []).append((v, i, j, 1))
+        edges.setdefault(v, []).append((u, i, j, -1))
+    # each tree rooted by a walk: parent edge and depth of every vertex
+    up, depth = {}, {}
+    for r in edges:
+        if r in depth:
+            continue
+        depth[r] = 0
+        stack = [r]
+        while stack:
+            a = stack.pop()
+            for b, i, j, sign in edges[a]:
+                if b not in depth:
+                    depth[b] = depth[a] + 1
+                    up[b] = (a, i, j, -sign)
+                    stack.append(b)
+    one, minus_one = Fraction(1), Fraction(-1)
+    basis = []
+    for i, j, u, v in free:
+        # the free edge runs u -> v; the tree path v -> u closes the cycle
+        vec = {i: minus_one, j: one}
+        a, b = v, u
+        while a != b:
+            # climb from the deeper end; a climb from b is walked
+            # downwards, against the parent edge
+            if depth[a] >= depth[b]:
+                a, ti, tj, sign = up[a]
+            else:
+                b, ti, tj, sign = up[b]
+                sign = -sign
+            vec[ti], vec[tj] = (minus_one, one) if sign > 0 else (one, minus_one)
+        basis.append(dict(sorted(vec.items())))
+    return basis
+
+
 def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     """Solve the coset-transported two-term and three-term relations.
 
-    The kernel is taken of (k - 1) * (number of sigma-orbits plus number
-    of tau-orbits of cosets) rows of at most 3 (k - 1) entries, one block
+    At k = 2 the kernel is read off a spanning forest of the coset
+    graph (`_cycle_basis`), with no elimination.  Above it the kernel
+    is taken of (k - 1) * (number of sigma-orbits plus number of
+    tau-orbits of cosets) rows of at most 3 (k - 1) entries, one block
     per relation: first every two-term sigma relation, then every
     three-term tau relation, each kind in coset order.  The sigma rows
     reduce to few nonzeros, so the tau rows meet a sparse echelon
@@ -133,6 +220,8 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     if k < 2:
         raise ValueError("weight must be at least 2")
     table = symbol.require_direct_table()
+    if k == 2:
+        return ModularSymbolSpace(symbol, k, _cycle_basis(table))
     n = k - 1
     if k % 2 == 1 and symbol.member(mneg(ID)):
         return ModularSymbolSpace(symbol, k, [])

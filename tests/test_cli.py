@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 
 import petersym
 from petersym.cli import (
+    MAX_BASIS_CELLS,
     MAX_HECKE_ELL,
     MAX_INDICATOR_CELLS,
     MAX_QEXP_CELLS,
     MAX_QEXP_WEIGHT,
     MAX_QEXP_WEIGHTED_CELLS,
     MAX_SPACE_WEIGHT,
+    _BasisJSON,
     _dumps,
     main,
 )
@@ -487,6 +490,14 @@ GOLDEN = [
      "ce66d3bbe3fcda7cb49c1703b90525f72f26330ffee72988d2ba030235a4ec78"),
     (["hecke", "--level", "11", "--weight", "12", "--ell", "3"],
      "d59d2bc5a16a50b839fb25ee7edad30b8f337b2f1163d73bd09f38047273cc03"),
+    # recorded before the weight-2 basis was read off a spanning forest
+    # and the basis vectors were rendered from their sparse dicts
+    (["modsym-space", "--group", "gamma1", "--level", "29", "--weight", "2"],
+     "4d8c331d9add1af3447c412cbf8629d97f699b046d0ea2784d601bb0fe45d5b7"),
+    (["modsym-space", "--group", "gamma", "--level", "9", "--weight", "2"],
+     "8af340e7214c2cb9554dc759c8fe0d84e712d7c58e8bcc34fb6a6d655e7efe19"),
+    (["modsym-space", "--level", "600", "--weight", "2"],
+     "cd7c5b5143e3ba272cc807211e63c4f5a4d8e5b39d6386f94d3049a8c540005b"),
 ]
 
 
@@ -593,6 +604,69 @@ def _cells(leaf):
 def test_json_writer_matches_json_dumps_on_basis_blocks(blocks):
     # basis vectors are lists of (k-1)-tuples of strings
     assert _dumps(blocks) == json.dumps(blocks, indent=2, sort_keys=True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda cosets: st.integers(2, 5).flatmap(
+    lambda k: st.tuples(
+        st.just(cosets), st.just(k),
+        st.lists(st.dictionaries(
+            st.integers(0, cosets * (k - 1) - 1),
+            st.fractions(max_denominator=9).filter(bool), max_size=6), max_size=3),
+        st.integers(0, 2)))))
+def test_basis_writer_matches_json_dumps(case):
+    # each vector is written from its {col: value} dict at its indentation,
+    # here at depth `depth` of the document
+    cosets, k, vectors, depth = case
+    n = k - 1
+    dense = [[tuple(str(v.get(c * n + s, 0)) for s in range(n)) for c in range(cosets)]
+             for v in vectors]
+    basis = _BasisJSON([SimpleNamespace(vector=v) for v in vectors], cosets, k)
+    wrap, expected = basis, dense
+    for _ in range(depth):
+        wrap, expected = {"basis": wrap, "k": k}, {"basis": expected, "k": k}
+    assert _dumps(wrap) == json.dumps(expected, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
+@pytest.mark.parametrize("command,level,weight,per_vector", [
+    ("modsym-space", 1, 2, 1),    # one coset of one coefficient
+    ("modsym-space", 7, 4, 24),   # 8 cosets of 3 coefficients
+    ("cuspidal", 1, 2, 1),
+    ("cuspidal", 11, 2, 12),
+])
+def test_basis_cells_bound(capsys, monkeypatch, command, level, weight, per_vector,
+                           extra, accepted):
+    # the basis is a range of the asked dimension: neither its vectors
+    # nor its text are made
+    dimension = MAX_BASIS_CELLS // per_vector + extra
+    cells = dimension * per_vector
+    assert cells == MAX_BASIS_CELLS + extra * per_vector
+    written = []
+
+    def space(sym, k):
+        out = ModularSymbolSpace(sym, k, [])
+        out.basis = range(dimension)
+        return out
+
+    def writer(basis, cosets, k):
+        written.append(len(basis) * cosets * (k - 1))
+        return []
+
+    monkeypatch.setattr("petersym.cli.build_space", space)
+    monkeypatch.setattr("petersym.cli.cuspidal_subspace",
+                        lambda n, k: (None, range(dimension)))
+    monkeypatch.setattr("petersym.cli._BasisJSON", writer)
+    code = main([command, "--level", str(level), "--weight", str(weight)])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0
+        assert written == [cells]
+        assert json.loads(captured.out)["dimension"] == dimension
+    else:
+        assert code == 3
+        assert written == [] and captured.out == ""
+        assert f"{cells} coefficients, above the bound {MAX_BASIS_CELLS}" in captured.err
 
 
 def _next_prime(n):

@@ -252,18 +252,68 @@ def test_one_relation_per_orbit_keeps_the_kernel(group):
     if k % 2 and sym.member(mneg(ID)):
         assert handed == [] and space.dimension() == 0
         return
-    # each row is a dict of the nonzero entries of at most three blocks
-    assert all(type(row) is dict and len(row) <= 3 * (k - 1) and all(row.values())
-               for row in handed[0])
-    handed = [len(rows) for rows in handed]
-    sigma_orbits = {frozenset({i, table.locate(mmul(rep, SIGMA))[0]})
-                    for i, rep in enumerate(table.reps)}
-    tau_orbits = {frozenset({i, table.locate(mmul(rep, TAU))[0],
-                             table.locate(mmul(rep, TAU, TAU))[0]})
-                  for i, rep in enumerate(table.reps)}
-    assert handed == [(k - 1) * (len(sigma_orbits) + len(tau_orbits))]
+    if k == 2:
+        # the weight-2 basis is read off a spanning forest, with no rows
+        assert handed == []
+    else:
+        # each row is a dict of the nonzero entries of at most three blocks
+        assert all(type(row) is dict and len(row) <= 3 * (k - 1) and all(row.values())
+                   for row in handed[0])
+        handed = [len(rows) for rows in handed]
+        sigma_orbits = {frozenset({i, table.locate(mmul(rep, SIGMA))[0]})
+                        for i, rep in enumerate(table.reps)}
+        tau_orbits = {frozenset({i, table.locate(mmul(rep, TAU))[0],
+                                 table.locate(mmul(rep, TAU, TAU))[0]})
+                      for i, rep in enumerate(table.reps)}
+        assert handed == [(k - 1) * (len(sigma_orbits) + len(tau_orbits))]
     ncols = len(table.reps) * (k - 1)
     assert [b.vector for b in space.basis] == kernel_basis(manin_relation_rows(sym, k), ncols)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(
+    st.tuples(st.just("gamma0"), st.integers(1, 300)),
+    st.tuples(st.just("gamma1"), st.integers(1, 40)),
+    st.tuples(st.just("gamma"), st.integers(1, 10)),
+))
+def test_forest_basis_is_the_kernel_of_the_relations(group):
+    # the weight-2 basis read off a spanning forest is the kernel, in
+    # echelon order, of the relations written at every coset
+    family, n = group
+    sym = _SYMBOLS[family](n)
+    ncols = len(sym.require_direct_table().reps)
+    expected = kernel_basis(manin_relation_rows(sym, 2), ncols)
+    basis = [b.vector for b in build_space(sym, 2).basis]
+    assert basis == expected
+    assert [list(v) for v in basis] == [sorted(v) for v in expected]
+
+
+def _coset_graph_features(sym):
+    """(sigma-fixed cosets, tau-fixed cosets, loops) of the coset graph."""
+    table = sym.require_direct_table()
+    sigma = [table.class_index(mmul(rep, SIGMA)) for rep in table.reps]
+    tau = [table.class_index(mmul(rep, TAU)) for rep in table.reps]
+    loops = sum(1 for i, j in enumerate(sigma)
+                if i < j and tau[i] != i and j in (tau[i], tau[tau[i]]))
+    return (sum(i == j for i, j in enumerate(sigma)),
+            sum(i == j for i, j in enumerate(tau)), loops)
+
+
+@pytest.mark.parametrize("n,features", [
+    (1, (1, 1, 0)),   # level 1: one coset, fixed by sigma and by tau
+    (2, (1, 0, 1)),
+    (3, (0, 1, 1)),
+    (13, (2, 2, 1)),
+])
+def test_forest_basis_at_fixed_cosets_and_loops(n, features):
+    # fixed cosets are 0 and drop their edge; a loop is a free edge
+    # whose cycle is itself
+    sym = symbol_for(n)
+    assert _coset_graph_features(sym) == features
+    ncols = len(sym.require_direct_table().reps)
+    basis = [b.vector for b in build_space(sym, 2).basis]
+    assert basis == kernel_basis(manin_relation_rows(sym, 2), ncols)
+    assert len(basis) == dim_modular_symbols_gamma0(n, 2)
 
 
 def _relation_rows(sym, k):
@@ -290,7 +340,12 @@ def test_kernel_does_not_depend_on_row_order(group, rng):
     # relation rows gives the basis of build_space, in echelon order
     family, n, k = group
     sym = _SYMBOLS[family](n)
-    rows, space = _relation_rows(sym, k)
+    if k == 2:
+        # no rows reach the kernel at weight 2: shuffle the relations
+        # written at every coset instead
+        rows, space = manin_relation_rows(sym, k), build_space(sym, k)
+    else:
+        rows, space = _relation_rows(sym, k)
     rows = list(rows)
     rng.shuffle(rows)
     ncols = len(sym.require_direct_table().reps) * (k - 1)
@@ -298,9 +353,10 @@ def test_kernel_does_not_depend_on_row_order(group, rng):
 
 
 def test_sigma_rows_first_take_fewer_eliminations():
-    # Gamma0(180), k = 2: with the sigma and tau relations interleaved
-    # coset by coset, the kernel ran 9548 eliminations; with every sigma
-    # row first it runs 4064
+    # Gamma0(60), k = 4: with the sigma and tau relations interleaved
+    # coset by coset, the kernel runs 513 eliminations; with every sigma
+    # row first it runs 433 (at Gamma0(180), k = 2, before the weight-2
+    # basis was read off a spanning forest, 9548 against 4064)
     calls = []
     eliminate = exact._eliminate
 
@@ -310,6 +366,6 @@ def test_sigma_rows_first_take_fewer_eliminations():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_eliminate", counted)
-        space = build_space(gamma0_symbol(180), 2)
-    assert space.dimension() == dim_modular_symbols_gamma0(180, 2)
-    assert len(calls) < 5000
+        space = build_space(gamma0_symbol(60), 4)
+    assert space.dimension() == dim_modular_symbols_gamma0(60, 4)
+    assert len(calls) < 470
