@@ -28,7 +28,8 @@ from itertools import chain
 from math import isqrt
 from operator import index
 
-from .dims import dim_cusp_forms_gamma0, gamma0_index, gamma1_index, gamma_full_index
+from .dims import (dim_cusp_forms_gamma0, dim_modular_symbols_gamma0, gamma0_index,
+                   gamma1_index, gamma_full_index)
 from .eisenstein import EisSymbol, TorsionFunction
 from .exact import frac_str
 from .farey import (
@@ -103,8 +104,8 @@ MAX_HECKE_ELL = 1009
 # peak RSS is about three times the output.  At k = 2, Gamma0(1200)
 # (1.4e6 coefficients) takes 0.30 s end to end and writes 40 MB at
 # 135 MB peak RSS, Gamma0(2400) (5.5e6) 1.1 s, 161 MB and 483 MB
-# (2-CPU VM).  The count is checked after the space is built, before
-# any JSON is made.
+# (2-CPU VM).  The count is checked before any work where `dims` gives
+# the dimension, and after the space is built, before any JSON is made.
 MAX_BASIS_CELLS = 6 * 10**6
 
 
@@ -234,21 +235,29 @@ class _BasisJSON:
         return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
+def _check_basis_cells(dimension: int, cosets: int, k: int) -> None:
+    cells = dimension * cosets * (k - 1)
+    if cells > MAX_BASIS_CELLS:
+        raise MathPreconditionError(
+            f"the basis has {cells} coefficients, above the bound {MAX_BASIS_CELLS}"
+        )
+
+
 def _basis_json(basis, cosets: int, k: int) -> _BasisJSON:
     """The coset vectors of `basis`, weight k over `cosets` cosets, for `_dumps`.
 
     A basis of more than MAX_BASIS_CELLS coefficients is refused here,
     before any of its text is made.
     """
-    cells = len(basis) * cosets * (k - 1)
-    if cells > MAX_BASIS_CELLS:
-        raise MathPreconditionError(
-            f"the basis has {cells} coefficients, above the bound {MAX_BASIS_CELLS}"
-        )
+    _check_basis_cells(len(basis), cosets, k)
     return _BasisJSON(basis, cosets, k)
 
 
 def cmd_modsym_space(args):
+    if args.group == "gamma0" and args.weight in range(2, MAX_SPACE_WEIGHT + 1, 2):
+        _check_index("gamma0", args.level)
+        _check_basis_cells(dim_modular_symbols_gamma0(args.level, args.weight),
+                           gamma0_index(args.level), args.weight)
     sym, space = _space(args)
     cosets = len(sym.require_direct_table().reps)
     return {
@@ -345,12 +354,14 @@ def cmd_hecke(args):
 def cmd_cuspidal(args):
     _check_bound("weight", args.weight, MAX_SPACE_WEIGHT)
     _check_index("gamma0", args.level)
+    expected = 2 * dim_cusp_forms_gamma0(args.level, args.weight)
+    _check_basis_cells(expected, gamma0_index(args.level), args.weight)
     _, basis = cuspidal_subspace(args.level, args.weight)
     return {
         "level": args.level,
         "weight": args.weight,
         "dimension": len(basis),
-        "expected": 2 * dim_cusp_forms_gamma0(args.level, args.weight),
+        "expected": expected,
         "basis": _basis_json(basis, gamma0_index(args.level), args.weight),
     }
 

@@ -33,12 +33,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from operator import mul
 
 from .cyclo import CycVec
 from .exact import bernoulli_values, frac_str, integer_row
 from .modgroup import ID, INF_SHIFT, MOD_SYM, Mat, PathTerm, madj, manin_path_infty, mdet, minv
-from .polyspace import Vk, action_matrix
+from .polyspace import Vk, act_coords
 
 __all__ = [
     "TorsionFunction",
@@ -298,7 +297,7 @@ def _cocycle_walk(k: int, g: Mat):
         else:
             nums = _shift_numerators(k, t.shift, den)
             if t.gamma != ID:
-                nums = [sum(map(mul, row, nums)) for row in action_matrix(k, minv(t.gamma))]
+                nums = act_coords(k, minv(t.gamma), nums)
             step[1] = [s + t.coeff * x for s, x in zip(step[1], nums)]
     return den ** (k - 1), [(gamma, coeff, tuple(shift))
                             for gamma, (coeff, shift) in steps.items()]
@@ -408,7 +407,7 @@ class EisSymbol:
             p, c = self._sums(gamma)
             if coeff:
                 if gamma != ID:
-                    p = [sum(map(mul, row, p)) for row in action_matrix(k, minv(gamma))]
+                    p = act_coords(k, minv(gamma), p)
                 mods = [s + coeff * x for s, x in zip(mods, p)]
             if c:
                 infs = [s + c * x for s, x in zip(infs, shift)]

@@ -146,7 +146,6 @@ def _descend_once(t: Triple, n: int, w: int):
     """One rewriting step, or None if t already satisfies the criterion."""
     q1, q2, u = t
     g = _modulus(t, n)
-    pw = Fraction(1)
     for p in _prime_factors(n):
         e = _ord(n // q1, p)
         f = _ord(q1 // q2, p)

@@ -34,8 +34,8 @@ from .exact import bernoulli_number, integer_row, kernel_basis
 from .farey import ExtendedFareySymbol, gamma0_symbol
 from .modgroup import T_MAT, CuspT, Mat, act, madj, minv, mmul
 from .orbits import basis_v, orbit_indicators
-from .polyspace import Vk, action_matrix, gram
-from .spaces import ModularSymbolSpace, SymbolElement, build_space, eval_tilde_arc
+from .polyspace import Vk, gram
+from .spaces import ModularSymbolSpace, SymbolElement, build_space, coset_rows, eval_tilde_arc
 
 __all__ = [
     "hom_cocycle",
@@ -159,31 +159,24 @@ def hecke_matrix(space: ModularSymbolSpace, level: int, ell: int) -> list:
     n = k - 1
     heil = heilbronn_merel(ell)
     weights = defaultdict(list)  # coset-vector column -> [(coordinate, integer weight)]
-    # free columns in one coset are consecutive: the action matrices of
-    # the Heilbronn terms of coset i are summed per target coset j once
+    # free columns in one coset are consecutive: one coset_rows per coset
     for i, cols in groupby(enumerate(space.free_cols), key=lambda rc: rc[1] // n):
         rep = table.reps[i]
-        blocks = {}  # coset j -> sum of the action matrices of rep_j adj(h) rep_i^-1
+        parts = []
         for h in heil:
             g = mmul(rep, h)
             if gcd(g[2], g[3], level) == 1:
                 j = table.class_index(g)
-                mat = action_matrix(k, mmul(table.reps[j], madj(h), minv(rep)))
-                block = blocks.get(j)
-                blocks[j] = mat if block is None else \
-                    [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(block, mat)]
+                parts.append((j, mmul(table.reps[j], madj(h), minv(rep))))
+        rows = coset_rows(k, parts)
         for r, col in cols:
-            s = col % n
-            for j, block in blocks.items():
-                for t, x in enumerate(block[s]):
-                    if x:
-                        weights[j * n + t].append((r, x))
+            for c, x in rows[col % n].items():
+                weights[c].append((r, x))
     cols = []
     for b in space.basis:
-        # integer numerators over one denominator, as in Vk.act
-        nums, den = integer_row(b.vector.values())
+        nums, den = b.numerators
         acc = [0] * space.dimension()
-        for c, num in zip(b.vector, nums):
+        for c, num in nums.items():
             for r, w in weights.get(c, ()):
                 acc[r] += w * num
         cols.append([Fraction(v, den) for v in acc])

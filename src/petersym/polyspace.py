@@ -11,9 +11,9 @@ which `Vk.pair` and the pairing matrices of `pairing` both read.
 
 Coefficients may be Fractions or complex floats (the numeric period
 oracle reuses the same class with complex entries).  The action of g
-is one integer matrix, `action_matrix(k, g)`, in a bounded memo:
-rational coefficients are multiplied as integer numerators over a
-common denominator, complex ones by a plain sum.
+is one integer matrix, `action_matrix(k, g)`, in a bounded memo,
+applied by `act_coords`: rational coefficients as integer numerators
+over a common denominator, complex ones by a plain sum.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import mul
 
 from .exact import frac_str, integer_row
 from .modgroup import Mat
@@ -90,15 +91,11 @@ class Vk:
 
     def act(self, g: Mat) -> "Vk":
         """Right action P|g; includes the det(g)^(k-2) normalization."""
-        mat = action_matrix(self.k, g)
-        coeffs = self.coeffs
-        if all(isinstance(c, (int, Fraction)) for c in coeffs):
+        if all(isinstance(c, (int, Fraction)) for c in self.coeffs):
             # exact coefficients: integer numerators over one common denominator
-            nums, den = integer_row(coeffs)
-            nums = [(s, num) for s, num in enumerate(nums) if num]
-            return Vk(self.k, [Fraction(sum(row[s] * num for s, num in nums), den)
-                               for row in mat])
-        return Vk(self.k, [sum(m * c for m, c in zip(row, coeffs)) for row in mat])
+            nums, den = integer_row(self.coeffs)
+            return Vk(self.k, [Fraction(x, den) for x in act_coords(self.k, g, nums)])
+        return Vk(self.k, act_coords(self.k, g, self.coeffs))
 
     def pair(self, other: "Vk"):
         """The weight-k bilinear form; symmetric iff k is even.
@@ -129,6 +126,11 @@ def gram(k: int) -> tuple[tuple[int, ...], int]:
     n = k - 2
     den = lcm(*(comb(n, j) for j in range(n + 1)))
     return tuple((-1) ** (n - i) * (den // comb(n, i)) for i in range(n + 1)), den
+
+
+def act_coords(k: int, g: Mat, coords) -> list:
+    """The monomial coordinates of P|g from those of P, integer or complex."""
+    return [sum(map(mul, row, coords)) for row in action_matrix(k, g)]
 
 
 @lru_cache(maxsize=512)

@@ -13,17 +13,19 @@ At weight 2 no row is written: the relations are those of the graph
 whose vertices are the tau-orbits and whose edges are the
 sigma-orbits, and the basis is one fundamental cycle per edge off a
 spanning forest.
-A path {r, s} is one continued-fraction walk from r, a sum of
-unimodular steps that are one coset path each; a Farey arc is a single
-step.
+A path {r, s} is one continued-fraction walk from r, a sum of unimodular
+steps that are one coset path each (a Farey arc is one step), walked once
+per space.  A relation, a path value and the Hecke transport are each one
+`coset_rows`, a sum of action matrices over coset blocks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
-from .exact import kernel_basis
+from .exact import integer_row, kernel_basis
 from .farey import CuspClass, ExtendedFareySymbol
 from .modgroup import (
     ID,
@@ -47,6 +49,7 @@ __all__ = [
     "BoundarySymbol",
     "build_space",
     "boundary_space",
+    "coset_rows",
 ]
 
 
@@ -57,12 +60,29 @@ def _transport(symbol: ExtendedFareySymbol, g: Mat):
     return i, minv(gamma)
 
 
+def coset_rows(k: int, parts) -> list[dict[int, int]]:
+    """The k - 1 integer rows of the sum of m(i)|h over parts [(coset i, h)].
+
+    Row r is {i (k-1) + s: sum of action_matrix(k, h)[r][s] over the
+    parts at coset i}, without the entries that cancel (it may be {}).
+    """
+    n = k - 1
+    blocks = {}  # coset -> sum of the action matrices at that coset
+    for i, h in parts:
+        mat = action_matrix(k, h)
+        block = blocks.get(i)
+        blocks[i] = mat if block is None else \
+            [list(map(add, r1, r2)) for r1, r2 in zip(block, mat)]
+    return [{i * n + s: x for i, block in blocks.items() for s, x in enumerate(block[r]) if x}
+            for r in range(n)]
+
+
 class SymbolElement:
     """One element of Hom_Gamma(Delta_0, V_k), given by its coset vector.
 
     `vector` is the dict {col: value} of a kernel basis vector: col
     i (k-1) + s is coefficient s of the value on the path of coset i.
-    The `Vk` values of the cosets it touches are made on first use.
+    Its integer numerators over one denominator are made on first use.
     """
 
     def __init__(self, space: "ModularSymbolSpace", vector: dict[int, Fraction]):
@@ -70,35 +90,16 @@ class SymbolElement:
         self.vector = vector
 
     @cached_property
-    def values(self) -> dict[int, Vk]:
-        k = self.space.k
-        n = k - 1
-        zero = Fraction(0)
-        vec = self.vector
-        return {i: Vk(k, [vec.get(j, zero) for j in range(i * n, i * n + n)])
-                for i in {j // n for j in vec}}
-
-    def value_on_coset_path(self, g: Mat) -> Vk:
-        i, h = _transport(self.space.symbol, g)
-        value = self.values.get(i)
-        return Vk.zero(self.space.k) if value is None else value.act(h)
+    def numerators(self) -> tuple[dict[int, int], int]:
+        """({col: integer numerator}, denominator) of `vector`."""
+        nums, den = integer_row(self.vector.values())
+        return dict(zip(self.vector, nums)), den
 
     def eval_path(self, r: CuspT, s: CuspT) -> Vk:
-        """Value on {r, s} = {s} - {r}.
-
-        With g sending infinity to r, {r, s} = g{infinity, t} for
-        t = g^-1 s: one coset path per convergent of t, and one in all
-        when {r, s} is unimodular (t is then an integer).
-        """
-        g = matrix_to_cusp(r)
-        t = act(minv(g), s)
-        out = Vk.zero(self.space.k)
-        if cusp_is_infinity(t):
-            return out
-        taus, _, _ = cf_decompose(Fraction(t[0], t[1]))
-        for tau in taus[1:]:
-            out = out + self.value_on_coset_path(mmul(g, tau))
-        return out
+        """Value on {r, s} = {s} - {r}, through `ModularSymbolSpace.path_rows`."""
+        nums, den = self.numerators
+        return Vk(self.space.k, [Fraction(sum(x * nums.get(c, 0) for c, x in row.items()), den)
+                                 for row in self.space.path_rows(r, s)])
 
 
 class ModularSymbolSpace:
@@ -107,13 +108,15 @@ class ModularSymbolSpace:
     The basis elements hold the coset vectors as `kernel_basis` returns
     them (at weight 2 the spanning forest gives the same vectors):
     vector i is 1 at its free column, which is its last key, and 0 at
-    the free columns of the others.
+    the free columns of the others.  The rows of each path asked for
+    are kept in a plain dict, read by every element.
     """
 
     def __init__(self, symbol: ExtendedFareySymbol, k: int, vectors):
         self.symbol = symbol
         self.k = k
         self.basis: list[SymbolElement] = [SymbolElement(self, v) for v in vectors]
+        self._paths: dict = {}
 
     @property
     def free_cols(self) -> list[int]:
@@ -121,6 +124,22 @@ class ModularSymbolSpace:
 
     def dimension(self) -> int:
         return len(self.basis)
+
+    def path_rows(self, r: CuspT, s: CuspT) -> list[dict[int, int]]:
+        """The `coset_rows` of the path {r, s}, walked once per space.
+
+        With g sending infinity to r, {r, s} = g{infinity, t} for
+        t = g^-1 s: one coset path per convergent of t, and one in all
+        when {r, s} is unimodular (t is then an integer).
+        """
+        rows = self._paths.get((r, s))
+        if rows is None:
+            g = matrix_to_cusp(r)
+            t = act(minv(g), s)
+            taus = [] if cusp_is_infinity(t) else cf_decompose(Fraction(t[0], t[1]))[0][1:]
+            rows = self._paths[(r, s)] = coset_rows(
+                self.k, [_transport(self.symbol, mmul(g, tau)) for tau in taus])
+        return rows
 
 
 def _cycle_basis(table) -> list[dict[int, Fraction]]:
@@ -222,39 +241,23 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     table = symbol.require_direct_table()
     if k == 2:
         return ModularSymbolSpace(symbol, k, _cycle_basis(table))
-    n = k - 1
     if k % 2 == 1 and symbol.member(mneg(ID)):
         return ModularSymbolSpace(symbol, k, [])
-
-    sigma_rows, tau_rows = [], []
-
-    def add_relation(rows, parts):
-        # parts: list of (coset index, transport matrix h); each adds
-        # the action matrix of h on that coset's block of columns; an
-        # entry that cancels is dropped, and a row may become {}
-        block = [{} for _ in range(n)]
-        for idx, h in parts:
-            off = idx * n
-            for row, mrow in zip(block, action_matrix(k, h)):
-                for s, x in enumerate(mrow):
-                    if x:
-                        row[off + s] = row.get(off + s, 0) + x
-        rows.extend({j: x for j, x in row.items() if x} for row in block)
 
     # one relation per sigma-orbit and per tau-orbit of cosets, written
     # at the orbit's first coset: at another coset of the orbit it is
     # the same relation transported by a group element, so adding it
     # would not change the row space
+    sigma_rows, tau_rows = [], []
     for i, rep in enumerate(table.reps):
         s = _transport(symbol, mmul(rep, SIGMA))
         if s[0] >= i:
-            add_relation(sigma_rows, [(i, ID), s])
+            sigma_rows += coset_rows(k, [(i, ID), s])
         t = _transport(symbol, mmul(rep, TAU))
         tt = _transport(symbol, mmul(rep, TAU, TAU))
         if min(t[0], tt[0]) >= i:
-            add_relation(tau_rows, [(i, ID), t, tt])
-
-    ncols = len(table.reps) * n
+            tau_rows += coset_rows(k, [(i, ID), t, tt])
+    ncols = len(table.reps) * (k - 1)
     return ModularSymbolSpace(symbol, k, kernel_basis(sigma_rows + tau_rows, ncols))
 
 
@@ -269,10 +272,9 @@ def eval_tilde_arc(phi, symbol: ExtendedFareySymbol, tilde_arc) -> Vk:
     r, s = symbol.arcs[base]
     if tilde_arc.half == "whole":
         return phi.eval_path(r, s)
-    g = symbol.glue[base]
     if symbol.mu[base] == 2:
         return phi.eval_path(r, s).scale(Fraction(1, 2))
-    t = act(g, r)
+    t = act(symbol.glue[base], r)
     third = Fraction(1, 3)
     if tilde_arc.half == "u":
         return (phi.eval_path(r, t) + phi.eval_path(r, s)).scale(third)
@@ -315,17 +317,10 @@ def _class_admits_line(symbol: ExtendedFareySymbol, cls: CuspClass, k: int) -> b
     # positive translation, which escapes the group at irregular cusps
     gen = cls.tau if cls.regular else mneg(cls.tau)
     stab = mmul(minv(cls.g0), gen, cls.g0)
-    if vinf.act(stab) != vinf:
-        return False
-    if symbol.member(mneg(ID)) and k % 2 == 1:
-        return False
-    return True
+    return vinf.act(stab) == vinf and not (k % 2 == 1 and symbol.member(mneg(ID)))
 
 
 def boundary_space(symbol: ExtendedFareySymbol, k: int) -> list[BoundarySymbol]:
     """One basis boundary symbol per cusp class carrying an invariant line."""
-    out = []
-    for cls in symbol.cusp_classes():
-        if _class_admits_line(symbol, cls, k):
-            out.append(BoundarySymbol(symbol, k, {cls.vertex: Fraction(1)}))
-    return out
+    return [BoundarySymbol(symbol, k, {cls.vertex: Fraction(1)})
+            for cls in symbol.cusp_classes() if _class_admits_line(symbol, cls, k)]

@@ -18,7 +18,10 @@ conjugation by the reflection eps of path maps and cocycles.
 `charpoly` reads Hecke eigenvalues off small exact matrices, and
 `rank` counts the pivots of the package's elimination.
 `manin_relation_rows` writes the Manin relations at every coset, the
-reference for the one-per-orbit rows of `build_space`.
+reference for the one-per-orbit rows of `build_space`, and
+`eval_path_by_cosets` walks a path with one `Vk` per coset moved by
+`Vk.act` at each convergent, the reference for the integer path rows
+that `SymbolElement.eval_path` reads.
 
 `eis_cocycle_walk` evaluates the Eisenstein cocycle term by term over
 Fractions, the reference for the integer walk of `EisSymbol.cocycle`,
@@ -60,8 +63,11 @@ from petersym.modgroup import (
     Mat,
     PathTerm,
     act,
+    cf_decompose,
+    cusp_is_infinity,
     madj,
     manin_path_infty,
+    matrix_to_cusp,
     mdet,
     minv,
     mmul,
@@ -90,6 +96,7 @@ __all__ = [
     "charpoly",
     "rank",
     "manin_relation_rows",
+    "eval_path_by_cosets",
     "eis_cocycle_walk",
     "pairing_matrix_by_pairs",
     "hecke_fn",
@@ -378,6 +385,30 @@ def manin_relation_rows(symbol: ExtendedFareySymbol, k: int) -> list[dict]:
                         row[idx * n + s] += v
             rows.extend(map(sparse, block))
     return rows
+
+
+def eval_path_by_cosets(phi: SymbolElement, r: CuspT, s: CuspT) -> Vk:
+    """The value of phi on {r, s}, one coset value moved per convergent.
+
+    With g sending infinity to r, the path is g{infinity, t} for
+    t = g^-1 s; the convergent matrix tau of t gives the coset path of
+    g tau = gamma rep_i, whose value is the coset value of i, a `Vk`
+    read off the vector, acted on by gamma^-1.
+    """
+    space = phi.space
+    k, n = space.k, space.k - 1
+    table = space.symbol.require_direct_table()
+    g = matrix_to_cusp(r)
+    t = act(minv(g), s)
+    out = Vk.zero(k)
+    if cusp_is_infinity(t):
+        return out
+    taus, _, _ = cf_decompose(Fraction(t[0], t[1]))
+    for tau in taus[1:]:
+        i, gamma = table.locate(mmul(g, tau))
+        value = Vk(k, [phi.vector.get(i * n + j, Fraction(0)) for j in range(n)])
+        out = out + value.act(minv(gamma))
+    return out
 
 
 # -- the Eisenstein cocycle as a Fraction walk -------------------------

@@ -669,6 +669,61 @@ def test_basis_cells_bound(capsys, monkeypatch, command, level, weight, per_vect
         assert f"{cells} coefficients, above the bound {MAX_BASIS_CELLS}" in captured.err
 
 
+@pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
+@pytest.mark.parametrize("command,dims_name,per_dim", [
+    # level 1, weight 2: one coset of one coefficient; cuspidal
+    # expects twice the cusp-form dimension
+    ("modsym-space", "dim_modular_symbols_gamma0", 1),
+    ("cuspidal", "dim_cusp_forms_gamma0", 2),
+])
+def test_basis_cells_bound_before_the_build(capsys, monkeypatch, command, dims_name,
+                                            per_dim, extra, accepted):
+    # the closed-form dimension is stubbed to the bound, or above it by
+    # `extra`: above it the space is not built
+    dimension = MAX_BASIS_CELLS // per_dim + extra
+    built = []
+
+    def space(sym, k):
+        built.append(k)
+        out = ModularSymbolSpace(sym, k, [])
+        out.basis = range(dimension * per_dim)
+        return out
+
+    def cuspidal(n, k):
+        built.append(k)
+        return None, range(dimension * per_dim)
+
+    monkeypatch.setattr(f"petersym.cli.{dims_name}", lambda n, k: dimension)
+    monkeypatch.setattr("petersym.cli.build_space", space)
+    monkeypatch.setattr("petersym.cli.cuspidal_subspace", cuspidal)
+    monkeypatch.setattr("petersym.cli._BasisJSON", lambda basis, cosets, k: [])
+    code = main([command, "--level", "1", "--weight", "2"])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0 and built == [2]
+    else:
+        assert code == 3
+        assert built == [] and captured.out == ""
+        cells = dimension * per_dim
+        assert f"{cells} coefficients, above the bound {MAX_BASIS_CELLS}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["modsym-space", "cuspidal"])
+def test_oversized_gamma0_basis_is_refused_before_any_work(capsys, monkeypatch, command):
+    # 3.1e7 coefficients at (300, 20) for modsym-space: refused from the
+    # closed-form dimension, with nothing unfolded or built
+    def refuse(*args):
+        raise AssertionError("the space was built")
+
+    monkeypatch.setattr("petersym.cli.subgroup_farey", refuse)
+    monkeypatch.setattr("petersym.cli.build_space", refuse)
+    monkeypatch.setattr("petersym.cli.cuspidal_subspace", refuse)
+    code = main([command, "--level", "300", "--weight", "20"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"above the bound {MAX_BASIS_CELLS}" in captured.err
+
+
 def _next_prime(n):
     n += 1
     while any(n % p == 0 for p in range(2, int(n ** 0.5) + 1)):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from petersym import exact
@@ -19,8 +19,14 @@ from petersym.farey import (
 )
 from petersym.modgroup import ID, SIGMA, TAU, act, cusp, madj, mmul, mneg
 from petersym.polyspace import Vk
-from petersym.spaces import SymbolElement, boundary_space, build_space, eval_tilde_arc
-from .oracles import coordinates, dense, manin_relation_rows, sparse
+from petersym.spaces import (
+    ModularSymbolSpace,
+    SymbolElement,
+    boundary_space,
+    build_space,
+    eval_tilde_arc,
+)
+from .oracles import coordinates, dense, eval_path_by_cosets, manin_relation_rows, sparse
 
 
 def symbol_for(n):
@@ -76,10 +82,11 @@ def test_eval_path_basic_identities():
 def test_basis_vectors_reproduce_their_coset_values():
     sp = build_space(gamma0_symbol(6), 2)
     table = sp.symbol.require_direct_table()
+    n = sp.k - 1
     for phi in sp.basis:
         for i, rep in enumerate(table.reps):
             assert phi.eval_path(act(rep, (0, 1)), act(rep, (1, 0))) \
-                == phi.values.get(i, Vk.zero(2))
+                == Vk(sp.k, [phi.vector.get(i * n + s, 0) for s in range(n)])
 
 
 def test_coordinates_roundtrip():
@@ -131,17 +138,19 @@ def test_boundary_embed_weight2_constants_die():
 
 
 def test_space_elements_satisfy_two_and_three_term_relations():
-    from petersym.modgroup import SIGMA, TAU
-
     sp = build_space(gamma0_symbol(5), 4)
     table = sp.symbol.require_direct_table()
     for phi in sp.basis:
+        def coset_path(g):
+            # the value on g{0, infinity}
+            return phi.eval_path(act(g, (0, 1)), act(g, (1, 0)))
+
         for rep in table.reps:
-            a = phi.value_on_coset_path(rep)
-            b = phi.value_on_coset_path(mmul(rep, SIGMA))
+            a = coset_path(rep)
+            b = coset_path(mmul(rep, SIGMA))
             assert not (a + b)
-            c = phi.value_on_coset_path(mmul(rep, TAU))
-            d = phi.value_on_coset_path(mmul(rep, TAU, TAU))
+            c = coset_path(mmul(rep, TAU))
+            d = coset_path(mmul(rep, TAU, TAU))
             assert not (a + c + d)
 
 
@@ -207,7 +216,6 @@ def test_tilde_arc_value_is_one_coset_lookup_per_piece(monkeypatch, n, k):
     # is one coset path; an order-3 half is two such arcs
     sp = build_space(gamma0_symbol(n), k)
     sym = sp.symbol
-    phi = sp.basis[-1]
     calls = []
     locate = CosetTable.locate
 
@@ -217,9 +225,16 @@ def test_tilde_arc_value_is_one_coset_lookup_per_piece(monkeypatch, n, k):
 
     monkeypatch.setattr(CosetTable, "locate", counted)
     for ta in sym.tilde():
+        # a fresh space per arc: the paths walked for one arc are kept
+        fresh = ModularSymbolSpace(sym, k, [b.vector for b in sp.basis])
+        phi, other = fresh.basis[-1], fresh.basis[0]
         calls.clear()
-        eval_tilde_arc(phi, sym, ta)
+        value = eval_tilde_arc(phi, sym, ta)
         expected = 2 if ta.half != "whole" and sym.mu[ta.base] == 3 else 1
+        assert len(calls) == expected, (ta, calls)
+        # every element of the space reads the same walk again
+        assert eval_tilde_arc(phi, sym, ta) == value
+        eval_tilde_arc(other, sym, ta)
         assert len(calls) == expected, (ta, calls)
 
 
@@ -228,6 +243,26 @@ _SYMBOLS = {
     "gamma1": gamma1_symbol,
     "gamma": lambda n: subgroup_farey(base_symbol_sl2z(), gamma_full_group(n))[0],
 }
+
+
+@lru_cache(maxsize=16)
+def _group_space(family, n, k):
+    return build_space(_SYMBOLS[family](n), k)
+
+
+@settings(deadline=None, max_examples=100)
+@given(group=st.one_of(st.tuples(st.just("gamma0"), st.integers(1, 40)),
+                       st.tuples(st.just("gamma1"), st.integers(3, 15)),
+                       st.tuples(st.just("gamma"), st.integers(3, 6))),
+       k=st.sampled_from([2, 3, 4, 6, 8]), r=cusps, s=cusps, data=st.data())
+def test_eval_path_matches_the_per_coset_walk(group, k, r, s, data):
+    sp = _group_space(*group, k)
+    assume(sp.dimension() > 0)
+    phi = sp.basis[data.draw(st.integers(0, sp.dimension() - 1))]
+    for a, b in ((r, s), (s, r), (r, r)):
+        value = phi.eval_path(a, b)
+        assert value == eval_path_by_cosets(phi, a, b)
+        assert all(type(c) is Fraction for c in value.coeffs)
 
 
 @settings(deadline=None, max_examples=40)

@@ -8,8 +8,10 @@ exports is used by another package module or by a test, and every
 public method of a package class and public module constant is read
 somewhere in the package or the tests, and every default parameter
 of a package function is passed by some call, so a default that no
-caller sets is a constant of the body instead.  A last check keeps the
-package free of third-party numeric libraries.
+caller sets is a constant of the body instead.  The integer matrix of
+the action on V_k is read only where it is defined and by
+`spaces.coset_rows`, the one sum of action matrices over coset blocks.
+A last check keeps the package free of third-party numeric libraries.
 """
 
 import ast
@@ -87,6 +89,14 @@ def test_exports_are_used_elsewhere(name, path):
     others = [p for p in sorted(PACKAGE.glob("*.py")) if p != path] + sorted(TESTS.rglob("*.py"))
     used = set().union(*(_names_used(p) for p in others))
     assert sorted(set(exported) - used) == []
+
+
+def test_action_matrix_is_read_by_polyspace_and_spaces_only():
+    # every other module acts through Vk.act, polyspace.act_coords or
+    # spaces.coset_rows, so no hand-written block sum comes back
+    readers = [p.stem for p in sorted(PACKAGE.glob("*.py"))
+               if "action_matrix" in _names_used(p)]
+    assert readers == ["polyspace", "spaces"]
 
 
 def test_no_numeric_libraries_imported():
