@@ -15,7 +15,9 @@ Output is deterministic: cosets in discovery order, arcs in symbol
 order, basis vectors in echelon order.  The document is written with
 the bytes of json.dumps(result, indent=2, sort_keys=True), by a writer
 that joins the lists of strings and ints in one step, and each basis
-vector from its nonzero entries in one join.
+vector from its nonzero entries in one join.  The arguments are read
+by a parser that holds the chosen subcommand alone; help before the
+subcommand, and every usage error, come from the parser of all of them.
 """
 
 from __future__ import annotations
@@ -60,18 +62,22 @@ MAX_INDICATOR_CELLS = 10**6
 
 # Most group-ring cell updates `qexp` may make.  Its divisor loop adds
 # an N-entry bracket to the coefficient of q^(n m) for every n m <=
-# terms, N * sum_(n <= terms) floor(terms / n) updates in all.  At level
-# 1 an update costs 10 us at weight 2 and 16 us at weight 40; weight 40
-# with 54200 terms (599176 updates) takes 9.6 s, and weight 2 with 99999
-# terms (1.17e6 updates) took 12.5-15.6 s (2-CPU VM).
+# terms, N * sum_(n <= terms) floor(terms / n) updates in all, each an
+# integer addition over one denominator.  End to end at level 1, weight
+# 2 with 54269 terms (599992 updates) takes 0.52 s and weight 40 with
+# 54200 terms (599176 updates) 0.65 s; level 7 at weight 6 with 9231
+# terms (599942 updates) takes 0.24 s, and level 1 at weight 2 with
+# 99999 terms (1.17e6 updates, above the bound) 0.99 s (2-CPU VM).
 MAX_QEXP_CELLS = 6 * 10**5
 
 # Most weighted coefficients ((terms + 1) times N times the weight)
 # `qexp` may write.  The coefficient of q^n has about (k - 1) log10(n)
 # digits in each of its N entries, so the output grows with this
-# product.  At level 1 and weight 1000, 2999 terms take 3.6 s and write
-# 9.2 MB, 10000 terms 6.6 s and 36 MB; at weight 100, 29999 terms take
-# 4.8 s and write 12.7 MB (2-CPU VM).
+# product.  At level 1 and weight 1000, 2999 terms take 1.9 s and write
+# 9.2 MB (most of the time is the Bernoulli number behind the constant
+# term, see MAX_QEXP_WEIGHT), and 10000 terms (above the bound) 3.4 s,
+# 36 MB and 176 MB peak RSS; at weight 100, 29999 terms take 0.45 s and
+# write 12.7 MB (2-CPU VM).
 MAX_QEXP_WEIGHTED_CELLS = 3 * 10**6
 
 # Highest weight `qexp` accepts, and `eis-symbol` at level 1.  The
@@ -168,16 +174,16 @@ def _symbol(kind: str, level: int, parent=None):
     return sym
 
 
-def _space(args):
-    if args.weight < 2:
+def _space(group: str, level: int, weight: int):
+    if weight < 2:
         raise MathPreconditionError("weight must be at least 2")
-    _check_bound("weight", args.weight, MAX_SPACE_WEIGHT)
-    sym = _symbol(args.group, args.level)
-    if args.weight % 2 and sym.member((-1, 0, 0, -1)):
+    _check_bound("weight", weight, MAX_SPACE_WEIGHT)
+    sym = _symbol(group, level)
+    if weight % 2 and sym.member((-1, 0, 0, -1)):
         raise MathPreconditionError(
             "odd weight with -Id in the group: the space is zero"
         )
-    return sym, build_space(sym, args.weight)
+    return sym, build_space(sym, weight)
 
 
 def cmd_farey(args):
@@ -258,7 +264,7 @@ def cmd_modsym_space(args):
         _check_index("gamma0", args.level)
         _check_basis_cells(dim_modular_symbols_gamma0(args.level, args.weight),
                            gamma0_index(args.level), args.weight)
-    sym, space = _space(args)
+    sym, space = _space(args.group, args.level, args.weight)
     cosets = len(sym.require_direct_table().reps)
     return {
         "level": args.level,
@@ -315,7 +321,7 @@ def cmd_eis_symbol(args):
 
 
 def cmd_pairing_matrix(args):
-    sym, space = _space(args)
+    sym, space = _space(args.group, args.level, args.weight)
     if args.eisenstein:
         rows = eisenstein_pairing_matrix(sym, args.level, args.weight, space)
     else:
@@ -341,7 +347,7 @@ def cmd_hecke(args):
             f"--ell must be a prime (got {args.ell}); only the prime Hecke "
             "operators are built"
         )
-    _, space = _space(args)
+    _, space = _space("gamma0", args.level, args.weight)
     mat = hecke_matrix(space, args.level, args.ell)
     return {
         "level": args.level,
@@ -542,72 +548,121 @@ def _dumps(obj, nl: str = "\n") -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+_LEVEL = ("--level", {"type": int, "required": True})
+_WEIGHT = ("--weight", {"type": int, "required": True})
+_GROUP = ("--group", {"choices": ["gamma0", "gamma1", "gamma"], "default": "gamma0"})
+_FN = ("--fn", {"required": True, "help": "TorsionFunction JSON file"})
+
+
+def _commands() -> list:
+    """(name, help, function, arguments) of every subcommand, in the order
+    of the help text; an argument is (flag, keyword arguments of
+    add_argument).
+
+    The list is made on each call, so that it holds the module's cmd_*
+    functions as they are when the parser is built: the benchmark's
+    tracer replaces them with timed wrappers.
+    """
+    return [
+        ("farey", "Farey symbol of a congruence subgroup", cmd_farey, [
+            _LEVEL, _GROUP, ("--parent", {"help": "JSON file {group, level} to build through"})]),
+        ("modsym-space", "basis of the symbol space", cmd_modsym_space,
+         [_LEVEL, _WEIGHT, _GROUP]),
+        ("eisbasis", "basis orbits and indicator functions", cmd_eisbasis, [_LEVEL, _WEIGHT]),
+        ("eis-symbol", "period data of a torsion function", cmd_eis_symbol,
+         [_LEVEL, _WEIGHT, _FN]),
+        ("pairing-matrix", "pairing matrix on the basis", cmd_pairing_matrix, [
+            _LEVEL, _WEIGHT, _GROUP,
+            ("--eisenstein", {"action": "store_true",
+                              "help": "rows over basis Eisenstein symbols instead"})]),
+        ("hecke", "Hecke operator matrix over Gamma0(N)", cmd_hecke, [
+            _LEVEL, _WEIGHT, ("--ell", {"type": int, "required": True})]),
+        ("cuspidal", "cuspidal subspace basis", cmd_cuspidal, [_LEVEL, _WEIGHT]),
+        ("qexp", "q-expansion of the weight-k series", cmd_qexp, [
+            _LEVEL, _WEIGHT, ("--terms", {"type": int, "default": 10}), _FN]),
+        ("verify", "numeric verification suites", cmd_verify, [
+            ("--suite", {"choices": ["mellin", "delta", "petersson"], "required": True})]),
+    ]
+
+
+_COMMAND_NAMES = {name for name, *_ in _commands()}
+
+
+class _Refused(Exception):
+    pass
+
+
+class _ChosenParser(argparse.ArgumentParser):
+    """A parser that raises on a usage error instead of reporting it."""
+
+    def error(self, message):
+        raise _Refused(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.
+
+    A parser with one subcommand reads that command's arguments exactly
+    as the full parser does, but its top-level help and usage would list
+    one command, so it raises `_Refused` on a usage error instead of
+    reporting it.
+    """
+    parser = (argparse.ArgumentParser if command is None else _ChosenParser)(
         prog="petersym",
         description="Exact modular symbols, Farey symbols and the algebraic pairing",
     )
     parser.add_argument("--output", help="write the JSON result to this file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, weight=True, group=True):
-        p.add_argument("--level", type=int, required=True)
-        if weight:
-            p.add_argument("--weight", type=int, required=True)
-        if group:
-            p.add_argument("--group", choices=["gamma0", "gamma1", "gamma"],
-                           default="gamma0")
-
-    p = sub.add_parser("farey", help="Farey symbol of a congruence subgroup")
-    common(p, weight=False)
-    p.add_argument("--parent", help="JSON file {group, level} to build through")
-    p.set_defaults(func=cmd_farey)
-
-    p = sub.add_parser("modsym-space", help="basis of the symbol space")
-    common(p)
-    p.set_defaults(func=cmd_modsym_space)
-
-    p = sub.add_parser("eisbasis", help="basis orbits and indicator functions")
-    common(p, group=False)
-    p.set_defaults(func=cmd_eisbasis)
-
-    p = sub.add_parser("eis-symbol", help="period data of a torsion function")
-    common(p, group=False)
-    p.add_argument("--fn", required=True, help="TorsionFunction JSON file")
-    p.set_defaults(func=cmd_eis_symbol)
-
-    p = sub.add_parser("pairing-matrix", help="pairing matrix on the basis")
-    common(p)
-    p.add_argument("--eisenstein", action="store_true",
-                   help="rows over basis Eisenstein symbols instead")
-    p.set_defaults(func=cmd_pairing_matrix)
-
-    p = sub.add_parser("hecke", help="Hecke operator matrix over Gamma0(N)")
-    common(p, group=False)
-    p.add_argument("--ell", type=int, required=True)
-    p.set_defaults(func=cmd_hecke, group="gamma0")
-
-    p = sub.add_parser("cuspidal", help="cuspidal subspace basis")
-    common(p, group=False)
-    p.set_defaults(func=cmd_cuspidal)
-
-    p = sub.add_parser("qexp", help="q-expansion of the weight-k series")
-    common(p, group=False)
-    p.add_argument("--terms", type=int, default=10)
-    p.add_argument("--fn", required=True, help="TorsionFunction JSON file")
-    p.set_defaults(func=cmd_qexp)
-
-    p = sub.add_parser("verify", help="numeric verification suites")
-    p.add_argument("--suite", choices=["mellin", "delta", "petersson"],
-                   required=True)
-    p.set_defaults(func=cmd_verify)
-
+    for name, text, func, arguments in _commands():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
+def _command_of(argv: list[str]) -> str | None:
+    """The subcommand argparse would read from argv, when that is plain.
+
+    The command is the first positional token: `--output VALUE`,
+    `--output=VALUE` and their abbreviations are skipped, and after
+    `--` the next token is the command.  Any other option ahead of the
+    command (help above all), or a token that names no command, gives
+    None.
+    """
+    i = 0
+    while i < len(argv) and argv[i].startswith("-") and argv[i] != "-":
+        if argv[i] == "--":
+            i += 1
+            break
+        flag, eq, _ = argv[i].partition("=")
+        if len(flag) < 3 or not "--output".startswith(flag):
+            return None
+        i += 1 if eq else 2
+    return argv[i] if i < len(argv) and argv[i] in _COMMAND_NAMES else None
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The arguments of argv, as `build_parser().parse_args` reads them.
+
+    Only the chosen command's subparser is built.  A usage error is
+    reported by the full parser, so its message and usage text are those
+    of every command; so is everything when `_command_of` finds no
+    command.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _command_of(argv)
+    if command is not None:
+        try:
+            return build_parser(command).parse_args(argv)
+        except _Refused:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         # every command but verify takes a level; an input file is read later
         if getattr(args, "level", 1) < 1:

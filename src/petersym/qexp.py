@@ -3,13 +3,16 @@
 The exact half computes L(1-h, g) as a finite Bernoulli sum, the
 q-expansion of the normalized weight-k series of a torsion function
 with coefficients in the group ring of Z/NZ, and the rational middle
-Mellin values.  The numeric half sums the same q-series against
-incomplete gamma factors (exponentially convergent, no quadrature
-grids) for Mellin transforms and level-one period integrals, and
-integrates over the standard fundamental domain for the Petersson norm
-by Gauss-Legendre quadrature with a two-order error check.  Only the
-standard library is used: every incomplete gamma order is a positive
-integer, where the function has a closed form.
+Mellin values.  The q-expansion is summed in integers over one
+denominator, the lcm of the denominators of the function's table, and
+made into Fractions once per output coefficient.  The numeric half
+sums the same q-series against incomplete gamma factors
+(exponentially convergent, no quadrature grids) for Mellin transforms
+and level-one period integrals, and integrates over the standard
+fundamental domain for the Petersson norm by Gauss-Legendre
+quadrature with a two-order error check.  Only the standard library
+is used: every incomplete gamma order is a positive integer, where the
+function has a closed form.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .cyclo import CycVec
 from .eisenstein import EisSymbol, TorsionFunction, beta_value, fourier2
-from .exact import bernoulli_number
+from .exact import bernoulli_number, integer_row
 from .modgroup import SIGMA
 
 __all__ = [
@@ -95,16 +99,42 @@ def l_special_numeric(values, h: int) -> float:
     )
 
 
-def _p2(f, a: int, b: int) -> CycVec:
-    """Partial transform in the second variable, an exact group-ring value."""
-    n = f.n
-    out = CycVec(n)
-    for y in range(n):
-        v = f(a, y)
-        if isinstance(v, CycVec):
-            out = out + v.rotate((-y * b) % n)
+def _integer_table(f) -> tuple[list, int]:
+    """f's value table over one denominator: (rows, D).
+
+    D is the lcm of the denominators in the table; a rational value v
+    becomes the integer v D, a group-ring value the list of its
+    coefficients times D.
+    """
+    dens = set()
+    for row in f.values:
+        for v in row:
+            if isinstance(v, CycVec):
+                dens.update(c.denominator for c in v.coeffs)
+            else:
+                dens.add(v.denominator)
+    den = math.lcm(*dens)
+    rows = [
+        [[c.numerator * (den // c.denominator) for c in v.coeffs] if isinstance(v, CycVec)
+         else v.numerator * (den // v.denominator) for v in row]
+        for row in f.values
+    ]
+    return rows, den
+
+
+def _p2_row(row: list, n: int, b: int) -> list[int]:
+    """P2(f)(a, b) times D, for `row` the integer row of f at a.
+
+    The value at (a, y) is multiplied by z^(-y b): a rational value
+    lands on one cell, a group-ring value is rotated.
+    """
+    out = [0] * n
+    for y, v in enumerate(row):
+        s = (-y * b) % n
+        if type(v) is list:
+            out = list(map(add, out, v[-s:] + v[:-s]))
         elif v:
-            out.add_root_multiple((-y * b) % n, v)
+            out[s] += v
     return out
 
 
@@ -114,7 +144,7 @@ class QExpansion:
     weight: int
     terms: int
     constant: CycVec
-    coeffs: list  # coeffs[t] for 1 <= t <= terms; CycVec values
+    coeffs: list  # coeffs[t] for 1 <= t <= terms; CycVec values of Fractions
 
     def coefficient(self, t: int) -> CycVec:
         if t == 0:
@@ -133,23 +163,43 @@ def eis_qexp(f, k: int, terms: int) -> QExpansion:
     (P2(f)(n, -m) + (-1)^k P2(f-)(n, -m)) m^(k-1) on q_N^(n m).  The
     bracket depends only on (n mod N, -m mod N), so each residue pair's
     value is computed once per call; P2(f-)(a, b) is P2(f)(-a, -b).
+
+    The work is done in integers over one denominator D, the lcm of the
+    denominators of f's table: each bracket is an integer list made by
+    rotations, and m^(k-1) times it is added into an integer coefficient
+    list.  The constant is the integer row of beta_k applied to the
+    partial transforms, over D times the row's denominator.  Fractions
+    are made once per output coefficient.
     """
     if k < 2:
         raise ValueError("weight must be at least 2")
     n = f.n
-    row = [_p2(f, 0, (-x) % n) for x in range(n)]
-    constant = l_special(row, k)
-    sign = (-1) ** k
-    coeffs = [CycVec(n) for _ in range(terms + 1)]
+    rows, den = _integer_table(f)
+
+    def over(ints: list[int], d: int) -> CycVec:
+        return CycVec._of(n, [Fraction(x, d) for x in ints])
+
+    beta, beta_den = integer_row([beta_value(k, x, n) for x in range(n)])
+    constant = [0] * n
+    for x, c in enumerate(beta):
+        if c:
+            constant = [t + c * v for t, v in zip(constant, _p2_row(rows[0], n, -x))]
+    combine = add if k % 2 == 0 else sub
+    acc = [[0] * n for _ in range(terms + 1)]
     brackets = {}
-    for nn in range(1, terms + 1):
-        for m in range(1, terms // nn + 1):
-            a, b = nn % n, (-m) % n
-            val = brackets.get((a, b))
-            if val is None:
-                val = brackets[a, b] = _p2(f, a, b) + _p2(f, -a, -b).scale(sign)
-            coeffs[nn * m] = coeffs[nn * m] + val.scale(Fraction(m) ** (k - 1))
-    return QExpansion(n, k, terms, constant, coeffs)
+    for m in range(1, terms + 1):
+        w = m ** (k - 1)
+        b = (-m) % n
+        for nn in range(1, terms // m + 1):
+            a = nn % n
+            bracket = brackets.get((a, b))
+            if bracket is None:
+                bracket = brackets[a, b] = list(map(
+                    combine, _p2_row(rows[a], n, b), _p2_row(rows[-a], n, -b)))
+            t = nn * m
+            acc[t] = [c + w * x for c, x in zip(acc[t], bracket)]
+    coeffs = [CycVec(n)] + [over(c, den) for c in acc[1:]]
+    return QExpansion(n, k, terms, over(constant, den * beta_den), coeffs)
 
 
 def normalized_transform(f: TorsionFunction) -> TorsionFunction:

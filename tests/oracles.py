@@ -26,12 +26,15 @@ that `SymbolElement.eval_path` reads.
 `eis_cocycle_walk` evaluates the Eisenstein cocycle term by term over
 Fractions, the reference for the integer walk of `EisSymbol.cocycle`,
 and `pairing_matrix_by_pairs` sums `Vk.pair` over the tilde arcs, the
-reference for the integer Gram sums of `pairing_matrix`.  `hecke_fn`
-is the Hecke operator on torsion functions.  `intersection_group`
-intersects group predicates, and `coset_decompose` factors a matrix
-through a symbol's coset system into gluing letters.  `gamma0_key` is
-the closed-form coset key of Gamma0(N), recomputed on every call: the
-reference for the tabled key of `gamma0_group`.
+reference for the integer Gram sums of `pairing_matrix`.  `p2` is the
+partial transform in the second variable as a sum of `CycVec`s of
+Fractions, the reference for the integer brackets of `qexp.eis_qexp`.
+`hecke_fn` is the Hecke operator on torsion functions.
+`intersection_group` intersects group predicates, and
+`coset_decompose` factors a matrix through a symbol's coset system
+into gluing letters.  `gamma0_key` is the closed-form coset key of
+Gamma0(N), recomputed on every call: the reference for the tabled key
+of `gamma0_group`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
+from petersym.cyclo import CycVec
 from petersym.eisenstein import EisSymbol, TorsionFunction
 from petersym.exact import _echelonize
 from petersym.farey import (
@@ -99,6 +103,7 @@ __all__ = [
     "eval_path_by_cosets",
     "eis_cocycle_walk",
     "pairing_matrix_by_pairs",
+    "p2",
     "hecke_fn",
     "intersection_group",
     "coset_decompose",
@@ -472,6 +477,20 @@ def pairing_matrix_by_pairs(symbol: ExtendedFareySymbol, lefts, rights) -> list:
     return [[sum((value.pair(eval_tilde_arc(right, symbol, ta))
                   for value, ta in zip(row, tilde)), Fraction(0)) / 2
              for right in rights] for row in rows]
+
+
+def p2(f: TorsionFunction, a: int, b: int) -> CycVec:
+    """Partial transform in the second variable, an exact group-ring value:
+    sum over y of f(a, y) z^(-y b)."""
+    n = f.n
+    out = CycVec(n)
+    for y in range(n):
+        v = f(a, y)
+        if isinstance(v, CycVec):
+            out = out + v.rotate((-y * b) % n)
+        elif v:
+            out.add_root_multiple((-y * b) % n, v)
+    return out
 
 
 # -- the Hecke operator on torsion functions ---------------------------

@@ -21,8 +21,12 @@ from petersym.cli import (
     MAX_QEXP_WEIGHTED_CELLS,
     MAX_SPACE_WEIGHT,
     _BasisJSON,
+    _command_of,
+    _commands,
     _dumps,
+    build_parser,
     main,
+    parse_args,
 )
 from petersym.cyclo import CycVec
 from petersym.dims import gamma0_invariants
@@ -790,6 +794,67 @@ def test_python_dash_m_runs_the_cli():
                             env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert result.stdout.startswith("usage: petersym")
+
+
+VALID_ARGV = {
+    "farey": ["farey", "--level", "6", "--group", "gamma1", "--parent", "p.json"],
+    "modsym-space": ["modsym-space", "--level", "5", "--weight", "4"],
+    "eisbasis": ["eisbasis", "--level", "4", "--weight", "4"],
+    "eis-symbol": ["eis-symbol", "--level", "4", "--weight", "4", "--fn", "f.json"],
+    "pairing-matrix": ["pairing-matrix", "--level", "11", "--weight", "2", "--eisenstein"],
+    "hecke": ["hecke", "--level", "11", "--weight", "2", "--ell", "3"],
+    "cuspidal": ["cuspidal", "--level", "11", "--weight", "2"],
+    "qexp": ["qexp", "--level", "4", "--weight", "4", "--fn", "f.json"],
+    "verify": ["verify", "--suite", "delta"],
+}
+OUTPUT_PREFIXES = [[], ["--output=X"], ["--out", "X"], ["--o=X"], ["--output", "farey"],
+                   ["--"], ["--output", "X", "--"]]
+HECKE = VALID_ARGV["hecke"]
+OTHER_ARGV = [
+    [], ["-h"], ["--help"], ["--he"], ["--output", "X", "-h", *HECKE], ["hecke", "-h"],
+    ["--output", "X", "qexp", "--help"], ["no-such-command"], ["--output", "X", "farey-x"],
+    ["--output"], ["--output", "X"], ["--output", "-h", *HECKE], ["--output", "-1", *HECKE],
+    ["--", "-h"], ["--"],
+    ["--bogus", *HECKE], ["-", *HECKE], ["--outputs", "X", *HECKE],
+    [*HECKE, "--bogus"], [*HECKE, "--output", "X"], [*HECKE, "--group", "gamma1"],
+    ["hecke", "--level", "11", "--weight", "two", "--ell", "3"], ["hecke", "--level", "11"],
+    ["verify", "--suite", "nope"], ["farey", "--level", "6", "--group", "gamma2"],
+    ["qexp", "--level", "4", "--weight", "4", "--terms", "5", "--fn", "f.json"],
+    ["--output", "X", "--", "cuspidal", "--level", "11", "--weight", "2"],
+    ["--", "--output", "X", *HECKE],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, the namespace as a dict or None, stdout, stderr) of one parse."""
+    try:
+        namespace, code = vars(parse(argv)), 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, namespace, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [prefix + VALID_ARGV[name] for name, *_ in _commands()
+                                  for prefix in OUTPUT_PREFIXES] + OTHER_ARGV)
+def test_chosen_command_parser_matches_the_full_parser(capsys, argv):
+    full = _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(parse_args, argv, capsys) == full
+
+
+@pytest.mark.parametrize("prefix", OUTPUT_PREFIXES)
+@pytest.mark.parametrize("name", [name for name, *_ in _commands()])
+def test_command_of_finds_every_command(prefix, name):
+    assert _command_of(prefix + VALID_ARGV[name]) == name
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["--output", "X", "-h", *HECKE], ["no-such-command"],
+    ["--bogus", *HECKE], ["-", *HECKE], ["--outputs", "X", *HECKE],
+    ["--output"], ["--"], ["--", "-h"],
+])
+def test_command_of_builds_the_full_parser_when_no_command_is_plain(argv):
+    assert _command_of(argv) is None
 
 
 def test_usage_exit_code():

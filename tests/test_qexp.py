@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from petersym.cyclo import CycVec
 from petersym.eisenstein import TorsionFunction, beta_moment
 from petersym.exact import bernoulli_number
+from petersym.modgroup import SIGMA
 from petersym.pairing import lambda_coeffs
 from petersym.qexp import (
-    _p2,
     _upper_gamma_integral,
     delta_periods,
     delta_qexp,
@@ -25,6 +25,7 @@ from petersym.qexp import (
     period_haberland,
     petersson_norm_delta,
 )
+from .oracles import p2
 from .test_eisenstein import random_fn, small_fracs
 
 
@@ -189,29 +190,38 @@ def test_upper_gamma_integral_rejects_non_integer_orders(s):
         _upper_gamma_integral(s, 1.0)
 
 
-def per_pair_coeffs(f, k, terms):
-    """The higher coefficients of eis_qexp, two partial transforms per pair."""
+def per_pair_expansion(f, k, terms):
+    """The constant and the coefficients of eis_qexp over Fractions, two
+    partial transforms per pair."""
     n = f.n
     fm = f.minus()
+    constant = l_special([p2(f, 0, (-x) % n) for x in range(n)], k)
     coeffs = [CycVec(n) for _ in range(terms + 1)]
     for nn in range(1, terms + 1):
         for m in range(1, terms // nn + 1):
-            val = _p2(f, nn % n, (-m) % n) + _p2(fm, nn % n, (-m) % n).scale((-1) ** k)
+            val = p2(f, nn % n, (-m) % n) + p2(fm, nn % n, (-m) % n).scale((-1) ** k)
             coeffs[nn * m] = coeffs[nn * m] + val.scale(Fraction(m) ** (k - 1))
-    return coeffs
+    return constant, coeffs
 
 
 @st.composite
 def qexp_fns(draw):
-    """Rational functions on (Z/NZ)^2, N <= 8, or their normalized transforms."""
-    n = draw(st.integers(1, 8))
+    """Rational functions on (Z/NZ)^2, N <= 12, their normalized transforms,
+    or the transforms moved by sigma, as `mellin_numeric` builds them."""
+    n = draw(st.integers(1, 12))
     f = TorsionFunction(n, [[draw(small_fracs) for _ in range(n)] for _ in range(n)])
-    return normalized_transform(f) if draw(st.booleans()) else f
+    kind = draw(st.sampled_from(["rational", "transform", "sigma"]))
+    if kind == "rational":
+        return f
+    g = normalized_transform(f)
+    return g if kind == "transform" else g.act(SIGMA)
 
 
 @settings(deadline=None, max_examples=40)
-@given(f=qexp_fns(), k=st.integers(2, 8), terms=st.integers(1, 40))
+@given(f=qexp_fns(), k=st.integers(2, 12), terms=st.integers(1, 40))
 def test_eis_qexp_equals_the_per_pair_loop(f, k, terms):
     q = eis_qexp(f, k, terms)
-    ref = per_pair_coeffs(f, k, terms)
-    assert [c.coeffs for c in q.coeffs] == [c.coeffs for c in ref]
+    constant, coeffs = per_pair_expansion(f, k, terms)
+    assert q.constant.coeffs == constant.coeffs
+    assert [c.coeffs for c in q.coeffs] == [c.coeffs for c in coeffs]
+    assert all(type(x) is Fraction for c in [q.constant] + q.coeffs for x in c.coeffs)

@@ -11,7 +11,10 @@ of a package function is passed by some call, so a default that no
 caller sets is a constant of the body instead.  The integer matrix of
 the action on V_k is read only where it is defined and by
 `spaces.coset_rows`, the one sum of action matrices over coset blocks.
-A last check keeps the package free of third-party numeric libraries.
+The q-expansion brackets make no group-ring arithmetic: the count of
+`CycVec` sums, scalings and rotations in one `eis_qexp` does not grow
+with the number of terms.  A last check keeps the package free of
+third-party numeric libraries.
 """
 
 import ast
@@ -19,11 +22,15 @@ import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import petersym
+from petersym.cyclo import CycVec
+from petersym.eisenstein import TorsionFunction
+from petersym.qexp import eis_qexp, normalized_transform
 
 PACKAGE = Path(petersym.__file__).parent
 MODULES = [pytest.param(f"petersym.{p.stem}", p, id=p.stem)
@@ -97,6 +104,31 @@ def test_action_matrix_is_read_by_polyspace_and_spaces_only():
     readers = [p.stem for p in sorted(PACKAGE.glob("*.py"))
                if "action_matrix" in _names_used(p)]
     assert readers == ["polyspace", "spaces"]
+
+
+def test_eis_qexp_group_ring_arithmetic_does_not_grow_with_the_terms(monkeypatch):
+    calls = {"__add__": 0, "scale": 0, "rotate": 0}
+
+    def counted(name):
+        method = getattr(CycVec, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(CycVec, name, counted(name))
+    n = 7
+    # a group-ring valued table, as mellin_numeric hands eis_qexp
+    f = normalized_transform(TorsionFunction(
+        n, [[Fraction(x - 2 * y, 1 + (x + y) % 3) for y in range(n)] for x in range(n)]))
+    counts = []
+    for terms in (10, 40):
+        calls.update(dict.fromkeys(calls, 0))
+        eis_qexp(f, 4, terms)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
 
 
 def test_no_numeric_libraries_imported():
