@@ -295,8 +295,7 @@ def cmd_eisbasis(args):
 
 
 def _load_fn(path: str) -> TorsionFunction:
-    return _read_input(path, lambda d: TorsionFunction(
-        index(d["N"]), [[Fraction(v) for v in row] for row in d["values"]]))
+    return _read_input(path, lambda d: TorsionFunction(index(d["N"]), d["values"]))
 
 
 def _eis_symbol_weight_bound(level: int) -> int:

@@ -19,10 +19,10 @@ does.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
+from typing import NamedTuple
 
 from .modgroup import (
     ID,
@@ -78,8 +78,7 @@ def _sign_into(member, g: Mat) -> Mat:
     raise FareyError("matrix lies in neither sign class of the subgroup")
 
 
-@dataclass
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Membership predicate plus an optional perfect left-coset key.
 
     The key must satisfy key(g) == key(h) iff the projective cosets
@@ -220,8 +219,7 @@ class CosetTable:
 Endpoint = tuple  # ('c', cusp) or ('e', base arc index)
 
 
-@dataclass(frozen=True)
-class TildeArc:
+class TildeArc(NamedTuple):
     start: Endpoint
     end: Endpoint
     glue: Mat
@@ -428,8 +426,7 @@ class ExtendedFareySymbol:
         }
 
 
-@dataclass(frozen=True)
-class CuspClass:
+class CuspClass(NamedTuple):
     vertex: CuspT
     g0: Mat              # sends infinity to the class vertex
     width: int

@@ -16,9 +16,9 @@ a unimodular step, one coset path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 Mat = tuple[int, int, int, int]
 CuspT = tuple[int, int]
@@ -187,8 +187,7 @@ MOD_SYM = "mod"      # the path {infinity, 0}
 INF_SHIFT = "inf"    # the infinitesimal symbol [0, m] based at infinity
 
 
-@dataclass(frozen=True)
-class PathTerm:
+class PathTerm(NamedTuple):
     """One term coeff * gamma . (base symbol) of a path decomposition."""
 
     coeff: int

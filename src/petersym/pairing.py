@@ -3,17 +3,20 @@
 The pairing consumes its left argument as a cocycle, a callable sending
 group matrices to coefficient polynomials.  Both period symbols of
 Eisenstein data (via their exact cocycle) and plain symbol-space
-elements (via the based-path cocycle) fit this interface, so the one
-sum over the tilde arcs of a Farey symbol
+elements (via the based-path cocycle) fit this interface; the right
+argument is a symbol-space element.  The one sum over the tilde arcs
+of a Farey symbol
 
     1/2 sum_a < cocycle(glue_a^-1), value of the right argument on a >
 
-covers every combination the theory produces.  `pairing_matrix`
-evaluates it for lists of left and right arguments at once, and `pair`
-is its 1x1 case.  The form < , > is read from its integer Gram weights
-(`polyspace.gram`), and the values of a row or a column become integer
-numerators over one denominator, so each entry is one integer sum over
-the arcs.  All values are exact rationals.
+reads the right on whole paths only: a half arc's value is 1/2 or 1/3
+of values on whole unimodular paths, and those weights join the terms
+of the sum.  `pairing_matrix` evaluates it for lists of left and right
+arguments at once, and `pair` is its 1x1 case.  The form < , > is read
+from its integer Gram weights (`polyspace.gram`), a row's values and a
+right's path rows become integer numerators over one denominator, so
+each entry is one integer sum over the paths.  All values are exact
+rationals.
 
 Hecke operators on Gamma0(N) act on the coset values directly, through
 Merel's set of Heilbronn matrices of determinant ell; no second Farey
@@ -35,7 +38,7 @@ from .farey import ExtendedFareySymbol, gamma0_symbol
 from .modgroup import T_MAT, CuspT, Mat, act, madj, minv, mmul
 from .orbits import basis_v, orbit_indicators
 from .polyspace import Vk, gram
-from .spaces import ModularSymbolSpace, SymbolElement, build_space, coset_rows, eval_tilde_arc
+from .spaces import ModularSymbolSpace, SymbolElement, build_space, coset_rows
 
 __all__ = [
     "hom_cocycle",
@@ -59,23 +62,39 @@ def hom_cocycle(phi, base: CuspT = (1, 0)):
     return cocycle
 
 
+def _arc_terms(symbol: ExtendedFareySymbol, ta) -> list:
+    """A tilde arc's value as [(weight in sixths, whole path)].
+
+    An elliptic half goes through the triangle at its fixed point, with
+    third vertex t = glue r (Manin's trick, Stein, ch. 8).
+    """
+    r, s = symbol.arcs[ta.base]
+    if ta.half == "whole":
+        return [(6, (r, s))]
+    if symbol.mu[ta.base] == 2:
+        return [(3, (r, s))]
+    t = act(symbol.glue[ta.base], r)
+    return [(2, (r, t)), (2, (r, s))] if ta.half == "u" else [(2, (r, s)), (2, (t, s))]
+
+
 def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
     """Matrix of the pairing of each left against each right argument.
 
     A left is a cocycle (a callable on group matrices) or anything with
-    an eval_path method, in which case its based cocycle at infinity is
-    used (the value does not depend on the base point); a right is a
-    path map.  Entry (i, j) is
+    an eval_path method, read through its based cocycle at infinity
+    (the value does not depend on the base point); a right is a
+    `SymbolElement`, whose space may sit on another symbol of the group.
+    Entry (i, j) is
 
-        1/2 sum_a < left_i(glue_a^-1), value of right_j on tilde arc a >.
+        1/2 sum_a < left_i(glue_a^-1), value of right_j on tilde arc a >,
 
-    Each left value at each inverse glue is computed once, and the value
-    of each right on a tilde arc once, only on arcs where some left
-    value is nonzero.  A row's values, reversed and weighted by the
-    Gram weights of `gram`, and a column's values are laid out on those
-    arcs as integer numerators over one denominator each, so an entry
-    is one integer dot product and one Fraction.  With no rights the
-    result has no rows.
+    that is 1/12 of a sum over the (arc, weight, whole path) terms
+    of `_arc_terms`.  Each left is evaluated once per inverse glue; its
+    nonzero values, reversed and weighted by `gram` and by the terms,
+    are summed per path as integer numerators over one denominator.
+    Each right is read once per path: its space's `path_rows` applied
+    to its integer numerators.  So an entry is one integer dot product
+    and one Fraction.  With no rights the result has no rows.
     """
     tilde = symbol.tilde()
     glues = [minv(ta.glue) for ta in tilde]
@@ -83,7 +102,10 @@ def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
     for left in lefts:
         cocycle = left if callable(left) else hom_cocycle(left)
         rows.append({a: value for a, value in enumerate(map(cocycle, glues)) if value})
-    used = sorted({a for row in rows for a in row})
+    paths = {}  # whole path -> its position
+    terms = [(a, w, paths.setdefault(path, len(paths)))
+             for a in sorted({a for row in rows for a in row})
+             for w, path in _arc_terms(symbol, tilde[a])]
     int_rows = []
     for row in rows:
         if not row:
@@ -91,28 +113,30 @@ def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
             continue
         width = next(iter(row.values())).k - 1
         weights, gram_den = gram(width + 1)
-        reversed_weights = weights[::-1]
-        zero = (0,) * width
-        nums, den = integer_row([c for a in used for c in (row[a].coeffs if a in row else zero)])
-        flat = []
-        for start in range(0, len(nums), width):
-            flat.extend(map(mul, reversed_weights, reversed(nums[start:start + width])))
-        int_rows.append((flat, 2 * gram_den * den))
+        nums, den = integer_row([c for value in row.values() for c in value.coeffs])
+        at = {a: nums[i * width:(i + 1) * width] for i, a in enumerate(row)}
+        flat = [0] * (len(paths) * width)
+        for a, w, p in terms:
+            if a in at:
+                for i, x in enumerate(map(mul, weights[::-1], reversed(at[a])), p * width):
+                    flat[i] += w * x
+        int_rows.append((flat, 12 * gram_den * den))
     cols = []
     for right in rights:
-        nums, den = integer_row([c for a in used
-                                 for c in eval_tilde_arc(right, symbol, tilde[a]).coeffs])
+        nums, den = right.numerators
+        values = [sum(x * nums.get(c, 0) for c, x in prow.items())
+                  for path in paths for prow in right.space.path_rows(*path)]
         col = []
         for left, row_den in int_rows:
-            if left and len(left) != len(nums):
+            if left and len(left) != len(values):
                 raise ValueError("weight mismatch between a left and a right argument")
-            col.append(Fraction(sum(map(mul, left, nums)), row_den * den))
+            col.append(Fraction(sum(map(mul, left, values)), row_den * den))
         cols.append(col)
     return [list(row) for row in zip(*cols)]
 
 
 def pair(symbol: ExtendedFareySymbol, left, right) -> Fraction:
-    """Pairing of a cocycle (or path map) against a path map."""
+    """Pairing of a cocycle (or path map) against a symbol-space element."""
     return pairing_matrix(symbol, [left], [right])[0][0]
 
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
+from typing import NamedTuple
 
 from .cyclo import CycVec
 from .eisenstein import EisSymbol, TorsionFunction, beta_value, fourier2
@@ -138,8 +138,7 @@ def _p2_row(row: list, n: int, b: int) -> list[int]:
     return out
 
 
-@dataclass
-class QExpansion:
+class QExpansion(NamedTuple):
     level: int
     weight: int
     terms: int

@@ -15,8 +15,9 @@ sigma-orbits, and the basis is one fundamental cycle per edge off a
 spanning forest.
 A path {r, s} is one continued-fraction walk from r, a sum of unimodular
 steps that are one coset path each (a Farey arc is one step), walked once
-per space.  A relation, a path value and the Hecke transport are each one
-`coset_rows`, a sum of action matrices over coset blocks.
+per space into integer rows (`path_rows`), which `eval_path` and the
+pairing's right side apply to an element's integer numerators.  A
+relation, a path and the Hecke transport are each one `coset_rows`.
 """
 
 from __future__ import annotations
@@ -259,26 +260,6 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
             tau_rows += coset_rows(k, [(i, ID), t, tt])
     ncols = len(table.reps) * (k - 1)
     return ModularSymbolSpace(symbol, k, kernel_basis(sigma_rows + tau_rows, ncols))
-
-
-def eval_tilde_arc(phi, symbol: ExtendedFareySymbol, tilde_arc) -> Vk:
-    """Value of a path map on a (possibly half) arc of the tilde list.
-
-    phi only needs an eval_path(r, s) method; elliptic halves take the
-    exact 1/2 and 1/3 combinations through the triangle at the fixed
-    point.
-    """
-    base = tilde_arc.base
-    r, s = symbol.arcs[base]
-    if tilde_arc.half == "whole":
-        return phi.eval_path(r, s)
-    if symbol.mu[base] == 2:
-        return phi.eval_path(r, s).scale(Fraction(1, 2))
-    t = act(symbol.glue[base], r)
-    third = Fraction(1, 3)
-    if tilde_arc.half == "u":
-        return (phi.eval_path(r, t) + phi.eval_path(r, s)).scale(third)
-    return (phi.eval_path(r, s) + phi.eval_path(t, s)).scale(third)
 
 
 class BoundarySymbol:

@@ -26,7 +26,10 @@ that `SymbolElement.eval_path` reads.
 `eis_cocycle_walk` evaluates the Eisenstein cocycle term by term over
 Fractions, the reference for the integer walk of `EisSymbol.cocycle`,
 and `pairing_matrix_by_pairs` sums `Vk.pair` over the tilde arcs, the
-reference for the integer Gram sums of `pairing_matrix`.  `p2` is the
+reference for the integer Gram sums of `pairing_matrix`; it reads a
+right argument on each tilde arc by `eval_tilde_arc`, the Fraction
+values of the half arcs, where `pairing_matrix` folds their 1/2 and
+1/3 weights into its term list and reads whole paths only.  `p2` is the
 partial transform in the second variable as a sum of `CycVec`s of
 Fractions, the reference for the integer brackets of `qexp.eis_qexp`.
 `hecke_fn` is the Hecke operator on torsion functions.
@@ -79,7 +82,7 @@ from petersym.modgroup import (
 )
 from petersym.pairing import hom_cocycle
 from petersym.polyspace import Vk, action_matrix
-from petersym.spaces import BoundarySymbol, ModularSymbolSpace, SymbolElement, eval_tilde_arc
+from petersym.spaces import BoundarySymbol, ModularSymbolSpace, SymbolElement
 
 __all__ = [
     "sparse",
@@ -102,6 +105,7 @@ __all__ = [
     "manin_relation_rows",
     "eval_path_by_cosets",
     "eis_cocycle_walk",
+    "eval_tilde_arc",
     "pairing_matrix_by_pairs",
     "p2",
     "hecke_fn",
@@ -466,8 +470,31 @@ def eis_cocycle_walk(eis: EisSymbol, g: Mat) -> Vk:
     return _eval_terms(eis, terms)
 
 
+def eval_tilde_arc(phi, symbol: ExtendedFareySymbol, tilde_arc) -> Vk:
+    """Value of a path map on a (possibly half) arc of the tilde list.
+
+    phi only needs an eval_path(r, s) method; elliptic halves take the
+    exact 1/2 and 1/3 combinations through the triangle at the fixed
+    point.
+    """
+    base = tilde_arc.base
+    r, s = symbol.arcs[base]
+    if tilde_arc.half == "whole":
+        return phi.eval_path(r, s)
+    if symbol.mu[base] == 2:
+        return phi.eval_path(r, s).scale(Fraction(1, 2))
+    t = act(symbol.glue[base], r)
+    third = Fraction(1, 3)
+    if tilde_arc.half == "u":
+        return (phi.eval_path(r, t) + phi.eval_path(r, s)).scale(third)
+    return (phi.eval_path(r, s) + phi.eval_path(t, s)).scale(third)
+
+
 def pairing_matrix_by_pairs(symbol: ExtendedFareySymbol, lefts, rights) -> list:
-    """The pairing matrix as plain sums of `Vk.pair` over the tilde arcs."""
+    """The pairing matrix as plain sums of `Vk.pair` over the tilde arcs.
+
+    A right is any path map, read on each tilde arc by `eval_tilde_arc`.
+    """
     tilde = symbol.tilde()
     glues = [minv(ta.glue) for ta in tilde]
     rows = []

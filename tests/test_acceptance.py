@@ -212,11 +212,12 @@ def test_acceptance_5_eisenstein_duality():
     for n in (3, 5, 11):
         sym = gamma0_symbol(n)
         for k in (2, 4):
+            sp = build_space(sym, k)
             for t in basis_v(n, k):
                 eis = EisSymbol(orbit_indicator(t, n), k)
                 for b0 in boundary_space(sym, k):
                     assert pair_eis_via_cusps(sym, eis, b0) \
-                        == pair(sym, eis.cocycle, b0)
+                        == pair(sym, eis.cocycle, from_path_evaluator(sp, b0.eval_path))
     # nondegeneracy of the Eisenstein-versus-boundary matrix
     for n in range(1, 31):
         sym = symbol_for(n)

@@ -125,6 +125,13 @@ def test_math_precondition_exit_code(capsys, tmp_path):
                  "--fn", str(fn_file)])
     capsys.readouterr()
     assert code == 3
+    # a value that is no rational number is a bad value, not a bad file
+    fn_file.write_text(json.dumps({"N": 1, "values": [["x"]]}))
+    for command in ("qexp", "eis-symbol"):
+        code = main([command, "--level", "1", "--weight", "4", "--fn", str(fn_file)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

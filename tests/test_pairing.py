@@ -132,7 +132,8 @@ def test_epsilon_pairing_identity(n, k):
         coc = hom_cocycle(b1)
         for b2 in sp.basis[:3]:
             lhs = pair(sym, epsilon_conjugate_cocycle(coc), b2)
-            rhs = sign * pair(sym, b1, epsilon_conjugate_hom(b2))
+            rhs = sign * pair(sym, b1,
+                              from_path_evaluator(sp, epsilon_conjugate_hom(b2).eval_path))
             assert lhs == rhs
     # double conjugation is the identity
     twice = epsilon_conjugate_hom(epsilon_conjugate_hom(sp.basis[0]))
@@ -151,7 +152,7 @@ def test_epsilon_pairing_identity_eisenstein():
     e_eps = EisSymbol(f.act(EPS), k)
     for b in sp.basis:
         lhs = pair(sym, e_eps.cocycle, b)
-        rhs = pair(sym, e.cocycle, epsilon_conjugate_hom(b))
+        rhs = pair(sym, e.cocycle, from_path_evaluator(sp, epsilon_conjugate_hom(b).eval_path))
         assert lhs == rhs
 
 
@@ -399,8 +400,10 @@ def test_noncusp_route_matches_direct_pairing():
 
 
 
+# Gamma0(13) and Gamma0(37) have half arcs of order 2 and 3, Gamma1(3)
+# one of order 3
 @pytest.mark.parametrize("n,k", [(40, 2), (37, 2), (24, 2), (1, 4), (30, 4), (17, 4),
-                                 (16, 6), (11, 6), (2, 6)])
+                                 (16, 6), (11, 6), (2, 6), (13, 2), (13, 4), (13, 6)])
 def test_pairing_matrix_matches_the_sum_of_pairs(n, k):
     sym = gamma0_symbol(n)
     sp = build_space(sym, k)
@@ -409,7 +412,7 @@ def test_pairing_matrix_matches_the_sum_of_pairs(n, k):
     assert pairing_matrix(sym, lefts, sp.basis) == pairing_matrix_by_pairs(sym, lefts, sp.basis)
 
 
-@pytest.mark.parametrize("n,k", [(5, 3), (7, 5)])
+@pytest.mark.parametrize("n,k", [(5, 3), (7, 5), (3, 3), (3, 5)])
 def test_pairing_matrix_matches_the_sum_of_pairs_at_odd_weight(n, k):
     # an antisymmetric form: the Gram weights are not a palindrome
     sym = gamma1_symbol(n)
@@ -418,6 +421,21 @@ def test_pairing_matrix_matches_the_sum_of_pairs_at_odd_weight(n, k):
                             for x in range(n)])
     lefts = [EisSymbol(f, k).cocycle] + sp.basis[:4]
     assert pairing_matrix(sym, lefts, sp.basis) == pairing_matrix_by_pairs(sym, lefts, sp.basis)
+
+
+@pytest.mark.parametrize("n,parent,k", [(26, 13, 2), (26, 13, 4), (21, 7, 2), (21, 7, 4)])
+def test_pairing_matrix_matches_the_sum_of_pairs_on_a_tower_route(n, parent, k):
+    # the rights' space sits on the direct symbol, the pairing runs over
+    # the arcs of a tower route: order-2 half arcs at 26, order 3 at 21
+    route, _ = subgroup_farey(subgroup_farey(base_symbol_sl2z(), gamma0_group(parent))[0],
+                              gamma0_group(n))
+    sp = build_space(gamma0_symbol(n), k)
+    assert route.arcs != sp.symbol.arcs and set(route.mu) == {1, 2 if n == 26 else 3}
+    lefts = [EisSymbol(f, k).cocycle for f in orbit_indicators(basis_v(n, k), n)]
+    lefts += sp.basis[:4]
+    mat = pairing_matrix(route, lefts, sp.basis)
+    assert mat == pairing_matrix_by_pairs(route, lefts, sp.basis)
+    assert mat == pairing_matrix(sp.symbol, lefts, sp.basis)
 
 
 @pytest.mark.parametrize("n,k", [(21, 2), (12, 4)])

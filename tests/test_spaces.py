@@ -19,14 +19,15 @@ from petersym.farey import (
 )
 from petersym.modgroup import ID, SIGMA, TAU, act, cusp, madj, mmul, mneg
 from petersym.polyspace import Vk
-from petersym.spaces import (
-    ModularSymbolSpace,
-    SymbolElement,
-    boundary_space,
-    build_space,
+from petersym.spaces import ModularSymbolSpace, SymbolElement, boundary_space, build_space
+from .oracles import (
+    coordinates,
+    dense,
+    eval_path_by_cosets,
     eval_tilde_arc,
+    manin_relation_rows,
+    sparse,
 )
-from .oracles import coordinates, dense, eval_path_by_cosets, manin_relation_rows, sparse
 
 
 def symbol_for(n):

@@ -13,8 +13,10 @@ the action on V_k is read only where it is defined and by
 `spaces.coset_rows`, the one sum of action matrices over coset blocks.
 The q-expansion brackets make no group-ring arithmetic: the count of
 `CycVec` sums, scalings and rotations in one `eis_qexp` does not grow
-with the number of terms.  A last check keeps the package free of
-third-party numeric libraries.
+with the number of terms, and one `cuspidal_subspace` evaluates no
+right argument of the pairing through `SymbolElement.eval_path`.  The
+last checks keep the package free of third-party numeric libraries
+and the command-line import free of `dataclasses` and `inspect`.
 """
 
 import ast
@@ -30,7 +32,9 @@ import pytest
 import petersym
 from petersym.cyclo import CycVec
 from petersym.eisenstein import TorsionFunction
+from petersym.pairing import cuspidal_subspace
 from petersym.qexp import eis_qexp, normalized_transform
+from petersym.spaces import SymbolElement
 
 PACKAGE = Path(petersym.__file__).parent
 MODULES = [pytest.param(f"petersym.{p.stem}", p, id=p.stem)
@@ -131,16 +135,42 @@ def test_eis_qexp_group_ring_arithmetic_does_not_grow_with_the_terms(monkeypatch
     assert counts[0] == counts[1]
 
 
-def test_no_numeric_libraries_imported():
+def _loaded_after_import(imports: str, modules: tuple) -> str:
+    """Which of `modules` a fresh interpreter holds after `import <imports>`."""
     src = str(PACKAGE.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, petersym.cli, petersym.qexp; "
-            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
+    code = (f"import sys, {imports}; "
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_no_numeric_libraries_imported():
+    assert _loaded_after_import("petersym.cli, petersym.qexp", ("scipy", "numpy")) == "[]"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # the records are named tuples; dataclasses would pull in inspect
+    assert _loaded_after_import("petersym.cli", ("dataclasses", "inspect")) == "[]"
+
+
+def test_cuspidal_subspace_reads_rights_through_path_rows_only(monkeypatch):
+    # the pairing applies each space's integer path rows to the right's
+    # numerators; no right argument is evaluated as a Vk
+    calls = []
+    eval_path = SymbolElement.eval_path
+
+    def counted(self, r, s):
+        calls.append((r, s))
+        return eval_path(self, r, s)
+
+    monkeypatch.setattr(SymbolElement, "eval_path", counted)
+    _, basis = cuspidal_subspace(37, 2)
+    assert len(basis) == 4
+    assert calls == []
 
 
 @pytest.mark.parametrize("name,path", PACKAGE_MODULES)
