@@ -3,11 +3,13 @@
 Exit codes: 2 for usage errors (including an input file that cannot
 be read, is not JSON, or lacks a field or has one of the wrong type,
 and an output file that cannot be written), 3 for violated
-mathematical preconditions (a level below 1, odd weight with -Id,
-weight-2 data not vanishing at the origin, a Hecke index that is not
-prime or is above its bound, a group whose index exceeds the coset
-bound, a weight above the bound of its command, a `qexp` length
-outside its bound, a basis with too many coefficients to print, ...),
+mathematical preconditions (a level below 1 or a weight below 2, both
+refused before an input file is read, odd weight with -Id, weight-2
+data not vanishing at the origin, a Hecke index that is not prime or
+is above its bound, a group whose index exceeds the coset bound, a
+`--parent` group that does not contain the group, a weight above the
+bound of its command, a `qexp` length outside its bound, a basis with
+too many coefficients to print, ...),
 4 for numeric verification failures, including a quadrature that
 misses its error target.  A ValueError or FareyError raised by the
 library on the given arguments is reported as a violated precondition.
@@ -149,8 +151,14 @@ def _check_bound(option: str, value: int, bound: int) -> None:
         raise MathPreconditionError(f"--{option} {value} is above the bound {bound}")
 
 
-def _check_index(kind: str, level: int, parent_index: int = 1) -> None:
-    """Refuse a group whose unfolding would discover too many cosets.
+def _check_weight(weight: int) -> None:
+    if weight < 2:
+        raise MathPreconditionError("weight must be at least 2")
+
+
+def _check_index(kind: str, level: int, parent_index: int = 1) -> int:
+    """The group's index, refusing a group whose unfolding would discover
+    too many cosets.
 
     Every index is at least the level, so a huge level is refused
     before it is factored.
@@ -162,21 +170,32 @@ def _check_index(kind: str, level: int, parent_index: int = 1) -> None:
         raise MathPreconditionError(
             f"{kind}({level}) has more than {MAX_INDEX} cosets in its parent group"
         )
+    return group_index(level)
 
 
 def _symbol(kind: str, level: int, parent=None):
+    """The symbol of the group, unfolded from the parent's symbol.
+
+    The unfolding finds the intersection of the group with the parent,
+    which is the group itself exactly when its index is the group's.
+    An index that the parent's does not divide is refused beforehand.
+    """
     if level < 1:
         raise MathPreconditionError("level must be positive")
     if parent is None:
         parent = base_symbol_sl2z()
-    _check_index(kind, level, parent.index)
+    group_index = _check_index(kind, level, parent.index)
+    refused = MathPreconditionError(f"{kind}({level}) is not a subgroup of the parent group")
+    if group_index % parent.index:
+        raise refused
     sym, _ = subgroup_farey(parent, _GROUPS[kind][0](level))
+    if sym.index != group_index:
+        raise refused
     return sym
 
 
 def _space(group: str, level: int, weight: int):
-    if weight < 2:
-        raise MathPreconditionError("weight must be at least 2")
+    _check_weight(weight)
     _check_bound("weight", weight, MAX_SPACE_WEIGHT)
     sym = _symbol(group, level)
     if weight % 2 and sym.member((-1, 0, 0, -1)):
@@ -276,8 +295,7 @@ def cmd_modsym_space(args):
 
 
 def cmd_eisbasis(args):
-    if args.weight < 2:
-        raise MathPreconditionError("weight must be at least 2")
+    _check_weight(args.weight)
     cells = args.level ** 2
     # one N x N table per basis orbit; a level whose single table is over
     # the bound is refused before basis_v lists its divisors
@@ -306,6 +324,7 @@ def _eis_symbol_weight_bound(level: int) -> int:
 
 
 def cmd_eis_symbol(args):
+    _check_weight(args.weight)
     _check_bound("weight", args.weight, _eis_symbol_weight_bound(args.level))
     f = _load_fn(args.fn)
     if f.n != args.level:
@@ -380,6 +399,7 @@ def _divisor_sum(t: int) -> int:
 def cmd_qexp(args):
     from .qexp import eis_qexp
 
+    _check_weight(args.weight)
     if args.terms < 1:
         raise MathPreconditionError(f"--terms must be at least 1 (got {args.terms})")
     if args.level * _divisor_sum(args.terms) > MAX_QEXP_CELLS:
@@ -396,8 +416,6 @@ def cmd_qexp(args):
     f = _load_fn(args.fn)
     if f.n != args.level:
         raise MathPreconditionError("function level does not match --level")
-    if args.weight < 2:
-        raise MathPreconditionError("weight must be at least 2")
     q = eis_qexp(f, args.weight, args.terms)
     return {
         "level": args.level,

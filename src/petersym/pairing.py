@@ -1,11 +1,10 @@
 """The algebraic intersection pairing, Hecke operators, cuspidal subspace.
 
-The pairing consumes its left argument as a cocycle, a callable sending
-group matrices to coefficient polynomials.  Both period symbols of
-Eisenstein data (via their exact cocycle) and plain symbol-space
-elements (via the based-path cocycle) fit this interface; the right
-argument is a symbol-space element.  The one sum over the tilde arcs
-of a Farey symbol
+A left argument of the pairing is a symbol-space element or a cocycle,
+a callable sending group matrices to coefficient polynomials (the exact
+cocycle of an Eisenstein period symbol, or `hom_cocycle` of a path
+map); a right argument is a symbol-space element.  The one sum over the
+tilde arcs of a Farey symbol
 
     1/2 sum_a < cocycle(glue_a^-1), value of the right argument on a >
 
@@ -13,9 +12,10 @@ reads the right on whole paths only: a half arc's value is 1/2 or 1/3
 of values on whole unimodular paths, and those weights join the terms
 of the sum.  `pairing_matrix` evaluates it for lists of left and right
 arguments at once, and `pair` is its 1x1 case.  The form < , > is read
-from its integer Gram weights (`polyspace.gram`), a row's values and a
-right's path rows become integer numerators over one denominator, so
-each entry is one integer sum over the paths.  All values are exact
+from its integer Gram weights (`polyspace.gram`); a space element on
+either side is read by `SymbolElement.path_values`, as integer
+numerators over one denominator, and so is a cocycle's row of values,
+so each entry is one integer sum over the paths.  All values are exact
 rationals.
 
 Hecke operators on Gamma0(N) act on the coset values directly, through
@@ -80,41 +80,39 @@ def _arc_terms(symbol: ExtendedFareySymbol, ta) -> list:
 def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
     """Matrix of the pairing of each left against each right argument.
 
-    A left is a cocycle (a callable on group matrices) or anything with
-    an eval_path method, read through its based cocycle at infinity
-    (the value does not depend on the base point); a right is a
-    `SymbolElement`, whose space may sit on another symbol of the group.
-    Entry (i, j) is
+    A left is a `SymbolElement`, read as its based cocycle at infinity
+    (the value does not depend on the base point), or a cocycle, a
+    callable on group matrices; a right is a `SymbolElement`, whose
+    space may sit on another symbol of the group.  Entry (i, j) is
 
         1/2 sum_a < left_i(glue_a^-1), value of right_j on tilde arc a >,
 
     that is 1/12 of a sum over the (arc, weight, whole path) terms
-    of `_arc_terms`.  Each left is evaluated once per inverse glue; its
-    nonzero values, reversed and weighted by `gram` and by the terms,
-    are summed per path as integer numerators over one denominator.
-    Each right is read once per path: its space's `path_rows` applied
-    to its integer numerators.  So an entry is one integer dot product
-    and one Fraction.  With no rights the result has no rows.
+    of `_arc_terms`.  A space element is read by `path_values`: a left
+    on the based paths {infinity, glue_a infinity}, a right on the
+    whole paths.  A cocycle is evaluated once per inverse glue.  A
+    left's nonzero values, reversed and weighted by `gram` and by the
+    terms, are summed per path as integer numerators over one
+    denominator, so an entry is one integer dot product and one
+    Fraction.  With no rights the result has no rows.
     """
     tilde = symbol.tilde()
+    based = [((1, 0), act(ta.glue, (1, 0))) for ta in tilde]
     glues = [minv(ta.glue) for ta in tilde]
-    rows = []
+    rows = []  # per left: ({arc: integer numerators of its value}, denominator, k - 1)
     for left in lefts:
-        cocycle = left if callable(left) else hom_cocycle(left)
-        rows.append({a: value for a, value in enumerate(map(cocycle, glues)) if value})
+        nums, den = left.path_values(based) if isinstance(left, SymbolElement) \
+            else integer_row([c for g in glues for c in left(g).coeffs])
+        width = len(nums) // len(tilde)
+        chunks = (nums[i:i + width] for i in range(0, len(nums), width))
+        rows.append(({a: chunk for a, chunk in enumerate(chunks) if any(chunk)}, den, width))
     paths = {}  # whole path -> its position
     terms = [(a, w, paths.setdefault(path, len(paths)))
-             for a in sorted({a for row in rows for a in row})
+             for a in sorted({a for at, _, _ in rows for a in at})
              for w, path in _arc_terms(symbol, tilde[a])]
     int_rows = []
-    for row in rows:
-        if not row:
-            int_rows.append(([], 1))
-            continue
-        width = next(iter(row.values())).k - 1
+    for at, den, width in rows:
         weights, gram_den = gram(width + 1)
-        nums, den = integer_row([c for value in row.values() for c in value.coeffs])
-        at = {a: nums[i * width:(i + 1) * width] for i, a in enumerate(row)}
         flat = [0] * (len(paths) * width)
         for a, w, p in terms:
             if a in at:
@@ -123,20 +121,16 @@ def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
         int_rows.append((flat, 12 * gram_den * den))
     cols = []
     for right in rights:
-        nums, den = right.numerators
-        values = [sum(x * nums.get(c, 0) for c, x in prow.items())
-                  for path in paths for prow in right.space.path_rows(*path)]
-        col = []
-        for left, row_den in int_rows:
-            if left and len(left) != len(values):
-                raise ValueError("weight mismatch between a left and a right argument")
-            col.append(Fraction(sum(map(mul, left, values)), row_den * den))
-        cols.append(col)
+        values, den = right.path_values(paths)
+        if any(len(flat) != len(values) for flat, _ in int_rows):
+            raise ValueError("weight mismatch between a left and a right argument")
+        cols.append([Fraction(sum(map(mul, flat, values)), row_den * den)
+                     for flat, row_den in int_rows])
     return [list(row) for row in zip(*cols)]
 
 
 def pair(symbol: ExtendedFareySymbol, left, right) -> Fraction:
-    """Pairing of a cocycle (or path map) against a symbol-space element."""
+    """Pairing of a space element or cocycle against a space element."""
     return pairing_matrix(symbol, [left], [right])[0][0]
 
 

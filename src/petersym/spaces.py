@@ -15,9 +15,10 @@ sigma-orbits, and the basis is one fundamental cycle per edge off a
 spanning forest.
 A path {r, s} is one continued-fraction walk from r, a sum of unimodular
 steps that are one coset path each (a Farey arc is one step), walked once
-per space into integer rows (`path_rows`), which `eval_path` and the
-pairing's right side apply to an element's integer numerators.  A
-relation, a path and the Hecke transport are each one `coset_rows`.
+per space into integer rows (`path_rows`); `SymbolElement.path_values`
+alone applies them to an element's integer numerators, for `eval_path`
+and both sides of the pairing.  A relation, a path and the Hecke
+transport are each one `coset_rows`.
 """
 
 from __future__ import annotations
@@ -96,11 +97,16 @@ class SymbolElement:
         nums, den = integer_row(self.vector.values())
         return dict(zip(self.vector, nums)), den
 
-    def eval_path(self, r: CuspT, s: CuspT) -> Vk:
-        """Value on {r, s} = {s} - {r}, through `ModularSymbolSpace.path_rows`."""
+    def path_values(self, paths) -> tuple[list[int], int]:
+        """(values, denominator): each path's `path_rows` applied to `numerators`."""
         nums, den = self.numerators
-        return Vk(self.space.k, [Fraction(sum(x * nums.get(c, 0) for c, x in row.items()), den)
-                                 for row in self.space.path_rows(r, s)])
+        return [sum(x * nums.get(c, 0) for c, x in row.items())
+                for r, s in paths for row in self.space.path_rows(r, s)], den
+
+    def eval_path(self, r: CuspT, s: CuspT) -> Vk:
+        """Value on {r, s} = {s} - {r}, as a `Vk` of `path_values`."""
+        values, den = self.path_values([(r, s)])
+        return Vk(self.space.k, [Fraction(v, den) for v in values])
 
 
 class ModularSymbolSpace:

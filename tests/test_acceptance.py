@@ -122,7 +122,7 @@ def test_acceptance_3_pairing_structure():
             emb = b0
             emb_elem = from_path_evaluator(sp, emb.eval_path)
             for b in sp.basis:
-                assert pair(sym, emb, b) == 0
+                assert pair(sym, hom_cocycle(emb), b) == 0
                 assert pair(sym, b, emb_elem) == 0
         # (b) antisymmetry for even weight, (c) endpoint-form agreement
         for b1 in sp.basis:

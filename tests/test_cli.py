@@ -1,8 +1,11 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,7 +32,7 @@ from petersym.cli import (
     parse_args,
 )
 from petersym.cyclo import CycVec
-from petersym.dims import gamma0_invariants
+from petersym.dims import gamma0_index, gamma0_invariants, gamma1_index, gamma_full_index
 from petersym.eisenstein import TorsionFunction
 from petersym.orbits import basis_v
 from petersym.qexp import QExpansion
@@ -58,6 +61,22 @@ def test_farey_through_parent(tmp_path, capsys):
                      "--parent", str(parent))
     assert code == 0
     assert data["invariants"] == gamma0_symbol(6).invariants()
+
+
+@pytest.mark.parametrize("group,level,parent", [
+    ("gamma0", 2, {"group": "gamma0", "level": 3}),
+    # the index 12 is a multiple of 3; the unfolding finds Gamma0(18)
+    ("gamma0", 9, {"group": "gamma0", "level": 2}),
+    ("gamma0", 6, {"group": "gamma", "level": 2}),
+    ("gamma1", 5, {"group": "gamma0", "level": 10}),
+])
+def test_farey_parent_that_is_not_a_supergroup(tmp_path, capsys, group, level, parent):
+    path = tmp_path / "parent.json"
+    path.write_text(json.dumps(parent))
+    code = main(["farey", "--group", group, "--level", str(level), "--parent", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_farey_tower_over_gamma0_7(tmp_path, capsys):
@@ -147,6 +166,8 @@ def test_math_precondition_exit_code(capsys, tmp_path):
     ["qexp", "--level", "5", "--weight", "4", "--terms", "-3", "--fn", "missing.json"],
     ["qexp", "--level", "0", "--weight", "4", "--fn", "missing.json"],
     ["eis-symbol", "--level", "0", "--weight", "4", "--fn", "missing.json"],
+    ["qexp", "--level", "5", "--weight", "1", "--fn", "missing.json"],
+    ["eis-symbol", "--level", "5", "--weight", "1", "--fn", "missing.json"],
 ])
 def test_bad_arguments_exit_code(capsys, argv):
     code = main(argv)
@@ -904,3 +925,82 @@ def test_pairing_matrix_antisymmetric(capsys):
     m = data["matrix"]
     for i in range(len(m)):
         assert m[i][i] == "0"
+
+
+_FUZZ_INDEX = {"gamma0": gamma0_index, "gamma1": gamma1_index, "gamma": gamma_full_index}
+_small = st.integers(-1, 8)
+_rational = st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(lambda nd: f"{nd[0]}/{nd[1]}")
+
+
+def _fn_tables(level):
+    """--fn documents: an N x N table of rationals at N = level, or one
+    of any small N (a string too) whose rows may be ragged and whose
+    values may be no rationals."""
+    n = max(level, 0)
+    square = st.fixed_dictionaries({"N": st.just(level), "values": st.lists(
+        st.lists(_rational, min_size=n, max_size=n), min_size=n, max_size=n)})
+    broken = st.integers(0, 4).flatmap(lambda m: st.fixed_dictionaries({
+        "N": st.one_of(st.just(m), _small, st.just("2")),
+        "values": st.lists(st.lists(_rational | st.sampled_from(["x", "", 1, None, [1]]),
+                                    min_size=max(m - 1, 0), max_size=m + 1),
+                           min_size=max(m - 1, 0), max_size=m + 1)}))
+    return square | broken
+
+
+_parents = st.fixed_dictionaries({
+    "group": st.sampled_from(["gamma0", "gamma1", "gamma", "sl2"]),
+    "level": _small | st.just("2"),
+})
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """argv of any command but verify, with small and nonpositive values,
+    and the document of its input file, if it takes one."""
+    options = {"--level": draw(_small)}
+    command = draw(st.sampled_from([name for name, *_ in _commands() if name != "verify"]))
+    if command != "farey":
+        options["--weight"] = draw(st.integers(-1, 6))
+    if command in ("farey", "modsym-space", "pairing-matrix"):
+        options["--group"] = draw(st.sampled_from(["gamma0", "gamma1", "gamma"]))
+    if command == "hecke":
+        options["--ell"] = draw(st.integers(-2, 13))
+    if command == "qexp":
+        options["--terms"] = draw(_small)
+    document = None
+    if command in ("eis-symbol", "qexp"):
+        document = draw(_fn_tables(options["--level"]))
+    elif command == "farey" and draw(st.booleans()):
+        document = draw(_parents)
+    # now and then a required option goes missing: a usage error
+    dropped = draw(st.sampled_from([None, *options]) if draw(st.integers(0, 9)) == 0
+                   else st.none())
+    argv = [command] + [str(x) for flag, value in options.items() if flag != dropped
+                        for x in (flag, value)]
+    if command == "pairing-matrix" and draw(st.booleans()):
+        argv.append("--eisenstein")
+    return argv, document
+
+
+@settings(deadline=None, max_examples=200)
+@given(_fuzz_argv())
+def test_every_command_exits_with_a_documented_code(case):
+    argv, document = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if document is not None:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w") as fh:
+                json.dump(document, fh)
+            argv = argv + ["--fn" if argv[0] != "farey" else "--parent", path]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3, 4), (argv, document, err.getvalue())
+    assert (code == 0) == (out.getvalue() != ""), (argv, err.getvalue())
+    if code == 0 and argv[0] == "farey" and document is not None:
+        group = argv[argv.index("--group") + 1] if "--group" in argv else "gamma0"
+        level = int(argv[argv.index("--level") + 1])
+        assert json.loads(out.getvalue())["invariants"]["index"] == _FUZZ_INDEX[group](level)

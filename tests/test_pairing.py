@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from petersym.dims import dim_cusp_forms_gamma0
@@ -47,7 +48,7 @@ from .oracles import (
     pairing_matrix_by_pairs,
     rank,
 )
-from .test_spaces import random_cusp, symbol_for
+from .test_spaces import _group_space, cusps, random_cusp, symbol_for
 
 
 GRID = [(1, 12), (2, 2), (3, 4), (5, 2), (6, 4), (11, 2)]
@@ -72,7 +73,7 @@ def test_boundary_images_in_radical(n, k):
         emb = b0
         emb_elem = from_path_evaluator(sp, emb.eval_path)
         for b in sp.basis:
-            assert pair(sym, emb, b) == 0
+            assert pair(sym, hom_cocycle(emb), b) == 0
             assert pair(sym, b, emb_elem) == 0
         eis = EisSymbol(orbit_indicator(basis_v(n, k)[0], n), k)
         assert pair(sym, eis.cocycle, emb_elem) == pair_eis_via_cusps(sym, eis, b0)
@@ -436,6 +437,32 @@ def test_pairing_matrix_matches_the_sum_of_pairs_on_a_tower_route(n, parent, k):
     mat = pairing_matrix(route, lefts, sp.basis)
     assert mat == pairing_matrix_by_pairs(route, lefts, sp.basis)
     assert mat == pairing_matrix(sp.symbol, lefts, sp.basis)
+
+
+@lru_cache(maxsize=1)
+def _gamma0_26_via_13():
+    return subgroup_farey(subgroup_farey(base_symbol_sl2z(), gamma0_group(13))[0],
+                          gamma0_group(26))[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(group=st.one_of(st.tuples(st.just("gamma0"), st.integers(1, 40)),
+                       st.tuples(st.just("gamma1"), st.integers(1, 12)),
+                       st.tuples(st.just("gamma"), st.integers(1, 5)),
+                       st.tuples(st.just("tower"), st.just(26))),
+       k=st.integers(2, 6), base=cusps, data=st.data())
+def test_space_element_lefts_pair_as_their_based_cocycles(group, k, base, data):
+    # a space element as a left is read on its based paths from infinity;
+    # its cocycle at any base point gives the same matrix, on the direct
+    # symbol and on the tower route Gamma0(26) through Gamma0(13)
+    family, n = group
+    tower = family == "tower"
+    sp = _group_space("gamma0" if tower else family, n, k)
+    assume(sp.dimension() > 0)
+    symbol = _gamma0_26_via_13() if tower else sp.symbol
+    rights = data.draw(st.lists(st.sampled_from(sp.basis), min_size=1, max_size=4))
+    assert pairing_matrix(symbol, sp.basis, rights) \
+        == pairing_matrix(symbol, [hom_cocycle(b, base) for b in sp.basis], rights)
 
 
 @pytest.mark.parametrize("n,k", [(21, 2), (12, 4)])

@@ -13,8 +13,10 @@ the action on V_k is read only where it is defined and by
 `spaces.coset_rows`, the one sum of action matrices over coset blocks.
 The q-expansion brackets make no group-ring arithmetic: the count of
 `CycVec` sums, scalings and rotations in one `eis_qexp` does not grow
-with the number of terms, and one `cuspidal_subspace` evaluates no
-right argument of the pairing through `SymbolElement.eval_path`.  The
+with the number of terms, one `cuspidal_subspace` evaluates no right
+argument of the pairing through `SymbolElement.eval_path`, and the
+pairing reads a space element given as a left with no `hom_cocycle`
+and no `eval_path` either.  The
 last checks keep the package free of third-party numeric libraries
 and the command-line import free of `dataclasses` and `inspect`.
 """
@@ -32,9 +34,10 @@ import pytest
 import petersym
 from petersym.cyclo import CycVec
 from petersym.eisenstein import TorsionFunction
-from petersym.pairing import cuspidal_subspace
+from petersym.farey import gamma0_symbol
+from petersym.pairing import cuspidal_subspace, hom_cocycle, pairing_matrix
 from petersym.qexp import eis_qexp, normalized_transform
-from petersym.spaces import SymbolElement
+from petersym.spaces import SymbolElement, build_space
 
 PACKAGE = Path(petersym.__file__).parent
 MODULES = [pytest.param(f"petersym.{p.stem}", p, id=p.stem)
@@ -170,6 +173,28 @@ def test_cuspidal_subspace_reads_rights_through_path_rows_only(monkeypatch):
     monkeypatch.setattr(SymbolElement, "eval_path", counted)
     _, basis = cuspidal_subspace(37, 2)
     assert len(basis) == 4
+    assert calls == []
+
+
+def test_space_element_lefts_skip_the_fraction_route(monkeypatch):
+    # a left space element is read by `path_values` on its based paths,
+    # with no cocycle and no Vk in between
+    calls = []
+    eval_path = SymbolElement.eval_path
+
+    def counted_eval_path(self, r, s):
+        calls.append("eval_path")
+        return eval_path(self, r, s)
+
+    def counted_hom_cocycle(*args):
+        calls.append("hom_cocycle")
+        return hom_cocycle(*args)
+
+    monkeypatch.setattr(SymbolElement, "eval_path", counted_eval_path)
+    monkeypatch.setattr("petersym.pairing.hom_cocycle", counted_hom_cocycle)
+    sp = build_space(gamma0_symbol(37), 2)
+    mat = pairing_matrix(sp.symbol, sp.basis, sp.basis)
+    assert any(any(row) for row in mat)
     assert calls == []
 
 
