@@ -17,20 +17,20 @@ Output is deterministic: cosets in discovery order, arcs in symbol
 order, basis vectors in echelon order.  The document is written with
 the bytes of json.dumps(result, indent=2, sort_keys=True), by a writer
 that joins the lists of strings and ints in one step, and each basis
-vector from its nonzero entries in one join.  The arguments are read
-by a parser that holds the chosen subcommand alone; help before the
-subcommand, and every usage error, come from the parser of all of them.
+vector from its nonzero entries in one join.  A plain argv is read
+straight from the command table; help and every usage error come from
+the argparse parser of all the commands, built only for them.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
 from operator import index
+from types import SimpleNamespace
 
 from .dims import (dim_cusp_forms_gamma0, dim_modular_symbols_gamma0, gamma0_index,
                    gamma1_index, gamma_full_index)
@@ -577,8 +577,8 @@ def _commands() -> list:
     add_argument).
 
     The list is made on each call, so that it holds the module's cmd_*
-    functions as they are when the parser is built: the benchmark's
-    tracer replaces them with timed wrappers.
+    functions as they are when an argv is read: the benchmark's tracer
+    replaces them with timed wrappers.
     """
     return [
         ("farey", "Farey symbol of a congruence subgroup", cmd_farey, [
@@ -602,80 +602,80 @@ def _commands() -> list:
     ]
 
 
-_COMMAND_NAMES = {name for name, *_ in _commands()}
+def build_parser():
+    """The argparse parser of every subcommand.
 
-
-class _Refused(Exception):
-    pass
-
-
-class _ChosenParser(argparse.ArgumentParser):
-    """A parser that raises on a usage error instead of reporting it."""
-
-    def error(self, message):
-        raise _Refused(message)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone.
-
-    A parser with one subcommand reads that command's arguments exactly
-    as the full parser does, but its top-level help and usage would list
-    one command, so it raises `_Refused` on a usage error instead of
-    reporting it.
+    `parse_args` builds it only for an argv that `_read_plain` does not
+    take, so that help and every usage error come from it.
     """
-    parser = (argparse.ArgumentParser if command is None else _ChosenParser)(
+    import argparse
+
+    parser = argparse.ArgumentParser(
         prog="petersym",
         description="Exact modular symbols, Farey symbols and the algebraic pairing",
     )
     parser.add_argument("--output", help="write the JSON result to this file")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text, func, arguments in _commands():
-        if command in (None, name):
-            p = sub.add_parser(name, help=text)
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
-def _command_of(argv: list[str]) -> str | None:
-    """The subcommand argparse would read from argv, when that is plain.
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args` gives for a plain argv, else None.
 
-    The command is the first positional token: `--output VALUE`,
-    `--output=VALUE` and their abbreviations are skipped, and after
-    `--` the next token is the command.  Any other option ahead of the
-    command (help above all), or a token that names no command, gives
-    None.
+    A plain argv is an optional `--output VALUE`, a command, and each
+    of the command's flags at most once, in any order, with every
+    required one: `--flag VALUE`, or the flag alone for a store_true
+    one.  A value does not start with "-", an int is ASCII digits, and
+    a value with choices is one of them.  Help, abbreviations, `=`
+    forms, `--` and anything else give None.
     """
-    i = 0
-    while i < len(argv) and argv[i].startswith("-") and argv[i] != "-":
-        if argv[i] == "--":
-            i += 1
+    output = None
+    if argv[:1] == ["--output"] and argv[1:2] and not argv[1].startswith("-"):
+        output, argv = argv[1], argv[2:]
+    for name, _, func, arguments in _commands():
+        if argv[:1] == [name]:
             break
-        flag, eq, _ = argv[i].partition("=")
-        if len(flag) < 3 or not "--output".startswith(flag):
+    else:
+        return None
+    values = {"output": output, "command": name}
+    unread = dict(arguments)
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        opts = unread.pop(flag, None)
+        if opts is None:
             return None
-        i += 1 if eq else 2
-    return argv[i] if i < len(argv) and argv[i] in _COMMAND_NAMES else None
+        value = True  # a store_true flag
+        if "action" not in opts:
+            value = next(tokens, "-")  # a missing value reads as "-"
+            is_int = opts.get("type") is int
+            if value.startswith("-") or is_int and not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value) if is_int else value
+            if value not in opts.get("choices", [value]):
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    for flag, opts in unread.items():
+        if opts.get("required"):
+            return None
+        values[flag[2:].replace("-", "_")] = opts.get("default", False if "action" in opts else None)
+    return SimpleNamespace(**values, func=func)
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def parse_args(argv=None):
     """The arguments of argv, as `build_parser().parse_args` reads them.
 
-    Only the chosen command's subparser is built.  A usage error is
-    reported by the full parser, so its message and usage text are those
-    of every command; so is everything when `_command_of` finds no
-    command.
+    A plain argv is read from the command table by `_read_plain`; for
+    any other the full parser is built, and gives the help or the usage
+    error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = _command_of(argv)
-    if command is not None:
-        try:
-            return build_parser(command).parse_args(argv)
-        except _Refused:
-            pass
-    return build_parser().parse_args(argv)
+    args = _read_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import groupby
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .dims import gamma0_index
@@ -93,8 +93,9 @@ def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
     whole paths.  A cocycle is evaluated once per inverse glue.  A
     left's nonzero values, reversed and weighted by `gram` and by the
     terms, are summed per path as integer numerators over one
-    denominator, so an entry is one integer dot product and one
-    Fraction.  With no rights the result has no rows.
+    denominator, so an entry is one integer dot product over the
+    right's nonzero path values, and one Fraction.  With no rights the
+    result has no rows.
     """
     tilde = symbol.tilde()
     based = [((1, 0), act(ta.glue, (1, 0))) for ta in tilde]
@@ -124,7 +125,8 @@ def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
         values, den = right.path_values(paths)
         if any(len(flat) != len(values) for flat, _ in int_rows):
             raise ValueError("weight mismatch between a left and a right argument")
-        cols.append([Fraction(sum(map(mul, flat, values)), row_den * den)
+        nonzero = [(i, v) for i, v in enumerate(values) if v]
+        cols.append([Fraction(sum(flat[i] * v for i, v in nonzero), row_den * den)
                      for flat, row_den in int_rows])
     return [list(row) for row in zip(*cols)]
 
@@ -223,12 +225,19 @@ def cuspidal_subspace(n: int, k: int) -> tuple[ModularSymbolSpace, list[SymbolEl
     basis = []
     for coeffs in kernel_basis([{j: x for j, x in enumerate(row) if x} for row in rows],
                                space.dimension()):
-        # the coset vector sum_j c_j * (basis vector j), without its zeros
+        # the coset vector sum_j c_j * (basis vector j), without its zeros,
+        # summed as integer numerators over one denominator
+        cnums, cden = integer_row(coeffs.values())
+        parts = [(c, space.basis[j].numerators) for j, c in zip(coeffs, cnums)]
+        den = lcm(*(bden for _, (_, bden) in parts))
         vec = defaultdict(int)
-        for j, c in coeffs.items():
-            for col, x in space.basis[j].vector.items():
+        for c, (nums, bden) in parts:
+            c *= den // bden
+            for col, x in nums.items():
                 vec[col] += c * x
-        basis.append(SymbolElement(space, {col: vec[col] for col in sorted(vec) if vec[col]}))
+        den *= cden
+        basis.append(SymbolElement(space, {col: Fraction(vec[col], den)
+                                           for col in sorted(vec) if vec[col]}))
     return space, basis
 
 

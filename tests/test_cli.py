@@ -24,7 +24,6 @@ from petersym.cli import (
     MAX_QEXP_WEIGHTED_CELLS,
     MAX_SPACE_WEIGHT,
     _BasisJSON,
-    _command_of,
     _commands,
     _dumps,
     build_parser,
@@ -814,12 +813,17 @@ def test_verify_petersson_quadrature_failure_exit_code(capsys, monkeypatch):
     assert self_pairing["status"] == "pass"
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*args):
+    """A fresh interpreter run with this checkout's petersym on its path."""
     src = str(Path(petersym.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-m", "petersym", "--help"],
-                            env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    result = _run_python("-m", "petersym", "--help")
     assert result.returncode == 0
     assert result.stdout.startswith("usage: petersym")
 
@@ -836,7 +840,9 @@ VALID_ARGV = {
     "verify": ["verify", "--suite", "delta"],
 }
 OUTPUT_PREFIXES = [[], ["--output=X"], ["--out", "X"], ["--o=X"], ["--output", "farey"],
-                   ["--"], ["--output", "X", "--"]]
+                   ["--"], ["--output", "X", "--"], ["--output", "X"]]
+# the prefixes of an argv that the command table reads without argparse
+PLAIN_PREFIXES = [[], ["--output", "farey"], ["--output", "X"]]
 HECKE = VALID_ARGV["hecke"]
 OTHER_ARGV = [
     [], ["-h"], ["--help"], ["--he"], ["--output", "X", "-h", *HECKE], ["hecke", "-h"],
@@ -850,30 +856,95 @@ OTHER_ARGV = [
     ["qexp", "--level", "4", "--weight", "4", "--terms", "5", "--fn", "f.json"],
     ["--output", "X", "--", "cuspidal", "--level", "11", "--weight", "2"],
     ["--", "--output", "X", *HECKE],
+    [*HECKE, "--level", "12"], ["eis-symbol", "--level", "4", "--weight", "4", "--fn", "-x"],
+    ["hecke", "--level", "-3", "--weight", "2", "--ell", "3"],
+    ["hecke", "--level", "²", "--weight", "2", "--ell", "3"],
+    ["hecke", "--level", "١١", "--weight", "2", "--ell", "3"],
+    ["hecke", "--level", " 11", "--weight", "+2", "--ell", "3"],
+    ["hecke", "--lev", "11", "--weight", "2", "--ell", "3"], ["hecke", "--level=11", *HECKE[3:]],
+    ["pairing-matrix", "--eisenstein", "yes", "--level", "11", "--weight", "2"],
+    ["qexp", "--level", "4", "--weight", "4", "--fn", ""], [*HECKE[:-1]],
 ]
 
 
-def _parse_outcome(parse, argv, capsys):
+def _parse_outcome(parse, argv):
     """(exit code, the namespace as a dict or None, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        namespace, code = vars(parse(argv)), 0
+        with redirect_stdout(out), redirect_stderr(err):
+            namespace, code = vars(parse(argv)), 0
     except SystemExit as exc:
         namespace, code = None, exc.code
-    captured = capsys.readouterr()
-    return code, namespace, captured.out, captured.err
+    return code, namespace, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [prefix + VALID_ARGV[name] for name, *_ in _commands()
                                   for prefix in OUTPUT_PREFIXES] + OTHER_ARGV)
-def test_chosen_command_parser_matches_the_full_parser(capsys, argv):
-    full = _parse_outcome(build_parser().parse_args, argv, capsys)
-    assert _parse_outcome(parse_args, argv, capsys) == full
+def test_chosen_command_parser_matches_the_full_parser(argv):
+    """parse_args, whether it reads the command table or builds the full
+    parser, gives what the full parser gives."""
+    assert _parse_outcome(parse_args, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+_NAMES = [name for name, *_ in _commands()]
+_FLAGS = sorted({flag for *_, arguments in _commands() for flag, _ in arguments})
+_HOSTILE = ["-h", "--help", "--", "--lev", "--level=5", "-3", "-x", "-", "two", "²", "١١",
+            "", " 7", "no-such-command"]
+
+
+@st.composite
+def _argvs(draw):
+    """One command's flags in any order, optional ones left out at random,
+    an int now and then in digits other than ASCII, and one change: a
+    hostile value or flag, a flag given twice, a token put in anywhere,
+    or the whole argv drawn as a list of tokens."""
+    name, _, _, arguments = draw(st.sampled_from(_commands()))
+    pairs = []
+    for flag, options in draw(st.permutations(arguments)):
+        if options.get("required") or draw(st.booleans()):
+            values = options.get("choices") or (
+                ["11", "007"] * 3 + ["١١", "²"] if "type" in options else ["f.json"])
+            pairs.append([flag] + ([] if "action" in options else [draw(st.sampled_from(values))]))
+    change = draw(st.sampled_from([None, "value", "value", "twice", "insert", "tokens"]))
+    if change == "value":
+        draw(st.sampled_from(pairs))[-1] = draw(st.sampled_from(_HOSTILE))
+    elif change == "twice":
+        flag, *value = draw(st.sampled_from(pairs))
+        pairs.append([flag] + [draw(st.sampled_from(["3", "gamma", "mellin", "g.json"]))
+                               for _ in value])
+    argv = draw(st.sampled_from(PLAIN_PREFIXES)) + [name] + [t for pair in pairs for t in pair]
+    tokens = st.sampled_from(_HOSTILE + _FLAGS + _NAMES + ["--output", "11"])
+    if change == "insert":
+        argv.insert(draw(st.integers(0, len(argv))), draw(tokens))
+    elif change == "tokens":
+        argv = draw(st.lists(tokens, max_size=8))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_plain_reader_matches_the_full_parser_on_any_argv(argv):
+    assert _parse_outcome(parse_args, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+class _BuiltParser(Exception):
+    pass
+
+
+def _no_parser():
+    raise _BuiltParser
 
 
 @pytest.mark.parametrize("prefix", OUTPUT_PREFIXES)
-@pytest.mark.parametrize("name", [name for name, *_ in _commands()])
-def test_command_of_finds_every_command(prefix, name):
-    assert _command_of(prefix + VALID_ARGV[name]) == name
+@pytest.mark.parametrize("name", _NAMES)
+def test_command_of_finds_every_command(monkeypatch, prefix, name):
+    """A plain argv is read without argparse; any other builds the full parser."""
+    monkeypatch.setattr("petersym.cli.build_parser", _no_parser)
+    if prefix in PLAIN_PREFIXES:
+        assert parse_args(prefix + VALID_ARGV[name]).command == name
+    else:
+        with pytest.raises(_BuiltParser):
+            parse_args(prefix + VALID_ARGV[name])
 
 
 @pytest.mark.parametrize("argv", [
@@ -881,8 +952,26 @@ def test_command_of_finds_every_command(prefix, name):
     ["--bogus", *HECKE], ["-", *HECKE], ["--outputs", "X", *HECKE],
     ["--output"], ["--"], ["--", "-h"],
 ])
-def test_command_of_builds_the_full_parser_when_no_command_is_plain(argv):
-    assert _command_of(argv) is None
+def test_command_of_builds_the_full_parser_when_no_command_is_plain(monkeypatch, argv):
+    monkeypatch.setattr("petersym.cli.build_parser", _no_parser)
+    with pytest.raises(_BuiltParser):
+        parse_args(argv)
+
+
+def test_importing_the_cli_loads_no_argparse():
+    result = _run_python("-c", "import sys, petersym.cli; print(sorted("
+                         "{'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    assert result.returncode == 0 and result.stdout == "[]\n"
+
+
+def test_plain_argv_reads_the_command_function_at_parse_time(monkeypatch):
+    """The benchmark's tracer swaps cli.cmd_* after import; parse_args must
+    hand back the swapped function."""
+    def timed(args):
+        return {}
+
+    monkeypatch.setattr("petersym.cli.cmd_hecke", timed)
+    assert parse_args(HECKE).func is timed
 
 
 def test_usage_exit_code():
