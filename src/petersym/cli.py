@@ -28,7 +28,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain
-from math import isqrt
+from math import gcd, isqrt
 from operator import index
 from types import SimpleNamespace
 
@@ -217,7 +217,7 @@ def cmd_farey(args):
 
 
 class _BasisJSON:
-    """Coset vectors that `_dumps` writes from their sparse dicts.
+    """Coset vectors that `_dumps` writes from their integer numerators.
 
     Each vector is written as the list of one (k-1)-tuple of coefficient
     strings per coset, in the bytes json.dumps would give at the
@@ -246,14 +246,16 @@ class _BasisJSON:
         cell_sep = "," + cell_nl
         texts = []
         for b in self.basis:
+            den = b.den
             cells = [zero_cell] * self.cosets
             touched = {}
-            for j, x in b.vector.items():
+            for j, x in b.nums.items():
                 c, s = divmod(j, n)
                 leaves = touched.get(c)
                 if leaves is None:
                     leaves = touched[c] = [zero] * n
-                leaves[s] = _encode_str(frac_str(x))
+                g = gcd(x, den)
+                leaves[s] = _encode_str(str(x // g) if g == den else f"{x // g}/{den // g}")
             for c, leaves in touched.items():
                 cells[c] = open_cell + leaf_sep.join(leaves) + close_cell
             texts.append("[" + cell_nl + cell_sep.join(cells) + inner + "]")

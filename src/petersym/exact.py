@@ -1,12 +1,11 @@
 """Exact rational arithmetic: Bernoulli numbers and linear algebra over Q.
 
-Rationals are `fractions.Fraction` throughout; the stdlib type already
-maintains the lowest-terms, positive-denominator normal form.  The
-rows and vectors of a kernel are dicts {col: value} of their nonzero
-entries, so the Manin relations, which touch at most three blocks of
-columns each, and the kernel vectors stay sparse.  The one elimination
-routine is fraction-free over Z: each row is scaled to a primitive
-integer row.  Fractions appear only in the results.
+Rationals are `fractions.Fraction`.  Kernel rows are dicts {col: value}
+of their nonzero entries, so the Manin relations, which touch at most
+three blocks of columns each, stay sparse.  The one elimination routine
+is fraction-free over Z: each row is scaled to a primitive integer row.
+A kernel vector is made with no Fraction, as the pair ({col: int}, den)
+of its numerators over one denominator prime to them.
 """
 
 from __future__ import annotations
@@ -89,12 +88,6 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _int_row(row: dict) -> dict[int, int]:
-    """The primitive integer multiple of a rational row {col: value}."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return _primitive({j: v.numerator * (den // v.denominator) for j, v in row.items()})
-
-
 def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
     """Primitive a*row - b*prow with the entry at `col` cancelled."""
     # g takes the sign of the pivot entry, so the multiplier a is
@@ -122,7 +115,8 @@ def _echelonize(rows) -> dict[int, dict[int, int]]:
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = _int_row(row)
+        # the primitive integer multiple of the rational row
+        row = _primitive(dict(zip(row, integer_row(row.values())[0])))
         while row:
             lead = min(row)
             prow = pivots.get(lead)
@@ -140,23 +134,33 @@ def _echelonize(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def kernel_basis(rows, ncols: int) -> list[dict[int, Fraction]]:
+def kernel_basis(rows, ncols: int) -> list[tuple[dict[int, int], int]]:
     """Exact basis of the right null space of the matrix given by `rows`.
 
     Rows may be any iterable of dicts {col: nonzero int or Fraction}
-    with columns below `ncols`.  Returns one dict {col: Fraction} of
-    nonzero entries per basis vector, keys ascending; rank +
-    len(result) == ncols.  The basis is in echelon order: basis vector
-    i is 1 at the i-th free column, its last key, and 0 at the other
-    free columns.
+    with columns below `ncols`.  Returns one pair (nums, den) per basis
+    vector nums / den: nums is {col: nonzero int}, keys ascending, and
+    den > 0 is prime to its values; rank + len(result) == ncols.  The
+    basis is in echelon order: basis vector i is 1 at the i-th free
+    column, its last key, and 0 at the other free columns.
     """
     pivots = _echelonize(rows)
-    by_free_col = {fc: {} for fc in range(ncols) if fc not in pivots}
+    # entry lead of vector fc is -v / p, v at fc and p at lead of the pivot
+    # row at lead; dens[fc] is the lcm of their lowest-terms denominators
+    dens = {fc: 1 for fc in range(ncols) if fc not in pivots}
+    for lead, prow in pivots.items():
+        p = prow[lead]
+        if p != 1:
+            for fc, v in prow.items():
+                if fc != lead:
+                    dens[fc] = lcm(dens[fc], p // gcd(v, p))
+    by_free_col = {fc: {} for fc in dens}
     for lead, prow in sorted(pivots.items()):
+        p = -prow[lead]
         for fc, v in prow.items():
             if fc != lead:
-                by_free_col[fc][lead] = Fraction(-v, prow[lead])
-    return [{**vec, fc: Fraction(1)} for fc, vec in by_free_col.items()]
+                by_free_col[fc][lead] = v * dens[fc] // p
+    return [(vec, vec.setdefault(fc, dens[fc])) for fc, vec in by_free_col.items()]
 
 
 def integer_row(row) -> tuple[list[int], int]:

@@ -15,12 +15,11 @@ arguments at once, and `pair` is its 1x1 case.  The form < , > is read
 from its integer Gram weights (`polyspace.gram`); a space element on
 either side is read by `SymbolElement.path_values`, as integer
 numerators over one denominator, and so is a cocycle's row of values,
-so each entry is one integer sum over the paths.  All values are exact
-rationals.
+so each entry is one integer sum over the paths, and one Fraction.
 
 Hecke operators on Gamma0(N) act on the coset values directly, through
 Merel's set of Heilbronn matrices of determinant ell; no second Farey
-symbol is unfolded.
+symbol is unfolded, and space elements are read in integers here too.
 """
 
 from __future__ import annotations
@@ -194,12 +193,11 @@ def hecke_matrix(space: ModularSymbolSpace, level: int, ell: int) -> list:
                 weights[c].append((r, x))
     cols = []
     for b in space.basis:
-        nums, den = b.numerators
         acc = [0] * space.dimension()
-        for c, num in nums.items():
+        for c, num in b.nums.items():
             for r, w in weights.get(c, ()):
                 acc[r] += w * num
-        cols.append([Fraction(v, den) for v in acc])
+        cols.append([Fraction(v, b.den) for v in acc])
     return [list(row) for row in zip(*cols)]
 
 
@@ -223,21 +221,20 @@ def cuspidal_subspace(n: int, k: int) -> tuple[ModularSymbolSpace, list[SymbolEl
     space = build_space(symbol, k)
     rows = eisenstein_pairing_matrix(symbol, n, k, space)
     basis = []
-    for coeffs in kernel_basis([{j: x for j, x in enumerate(row) if x} for row in rows],
-                               space.dimension()):
-        # the coset vector sum_j c_j * (basis vector j), without its zeros,
-        # summed as integer numerators over one denominator
-        cnums, cden = integer_row(coeffs.values())
-        parts = [(c, space.basis[j].numerators) for j, c in zip(coeffs, cnums)]
-        den = lcm(*(bden for _, (_, bden) in parts))
+    for cnums, cden in kernel_basis([{j: x for j, x in enumerate(row) if x} for row in rows],
+                                    space.dimension()):
+        # sum_j (cnums_j / cden) * (basis vector j), without its zeros, in
+        # integer numerators over one denominator reduced by their gcd
+        den = lcm(*(space.basis[j].den for j in cnums))
         vec = defaultdict(int)
-        for c, (nums, bden) in parts:
-            c *= den // bden
-            for col, x in nums.items():
+        for j, c in cnums.items():
+            b = space.basis[j]
+            c *= den // b.den
+            for col, x in b.nums.items():
                 vec[col] += c * x
-        den *= cden
-        basis.append(SymbolElement(space, {col: Fraction(vec[col], den)
-                                           for col in sorted(vec) if vec[col]}))
+        g = gcd(den * cden, *vec.values())
+        basis.append(SymbolElement(space, {col: vec[col] // g for col in sorted(vec) if vec[col]},
+                                   den * cden // g))
     return space, basis
 
 

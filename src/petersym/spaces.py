@@ -1,10 +1,11 @@
 """Modular-symbol spaces and boundary symbols over a coset system.
 
 An element of the weight-k symbol space is stored as its coset vector,
-the nonzero coefficients {col: value} of one polynomial per coset of
-the group in SL2(Z), the value on the coset translate of the path from
-0 to infinity; the relations are rows of the same form.  The two
-relations coming from the elliptic generators of SL2(Z),
+the nonzero coefficients of one polynomial per coset of the group in
+SL2(Z), the value on the coset translate of the path from 0 to
+infinity, held only as `kernel_basis` returns it: integer numerators
+{col: int} over one denominator.  The relations are rows {col: value}.
+The two relations coming from the elliptic generators of SL2(Z),
 transported through the coset action, cut out exactly the
 group-equivariant homomorphisms.  Each is written once per orbit of
 its generator on the cosets (two cosets or one for sigma, three or
@@ -24,10 +25,9 @@ transport are each one `coset_rows`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from operator import add
 
-from .exact import integer_row, kernel_basis
+from .exact import kernel_basis
 from .farey import CuspClass, ExtendedFareySymbol
 from .modgroup import (
     ID,
@@ -82,26 +82,21 @@ def coset_rows(k: int, parts) -> list[dict[int, int]]:
 class SymbolElement:
     """One element of Hom_Gamma(Delta_0, V_k), given by its coset vector.
 
-    `vector` is the dict {col: value} of a kernel basis vector: col
-    i (k-1) + s is coefficient s of the value on the path of coset i.
-    Its integer numerators over one denominator are made on first use.
+    The coset vector is `nums` / `den`, a pair as `kernel_basis` returns
+    it: col i (k-1) + s is coefficient s of the value on the path of
+    coset i.
     """
 
-    def __init__(self, space: "ModularSymbolSpace", vector: dict[int, Fraction]):
+    def __init__(self, space: "ModularSymbolSpace", nums: dict[int, int], den: int):
         self.space = space
-        self.vector = vector
-
-    @cached_property
-    def numerators(self) -> tuple[dict[int, int], int]:
-        """({col: integer numerator}, denominator) of `vector`."""
-        nums, den = integer_row(self.vector.values())
-        return dict(zip(self.vector, nums)), den
+        self.nums = nums
+        self.den = den
 
     def path_values(self, paths) -> tuple[list[int], int]:
-        """(values, denominator): each path's `path_rows` applied to `numerators`."""
-        nums, den = self.numerators
+        """(values, `den`): each path's `path_rows` applied to `nums`."""
+        nums = self.nums
         return [sum(x * nums.get(c, 0) for c, x in row.items())
-                for r, s in paths for row in self.space.path_rows(r, s)], den
+                for r, s in paths for row in self.space.path_rows(r, s)], self.den
 
     def eval_path(self, r: CuspT, s: CuspT) -> Vk:
         """Value on {r, s} = {s} - {r}, as a `Vk` of `path_values`."""
@@ -112,8 +107,8 @@ class SymbolElement:
 class ModularSymbolSpace:
     """A symbol space with a basis in echelon order.
 
-    The basis elements hold the coset vectors as `kernel_basis` returns
-    them (at weight 2 the spanning forest gives the same vectors):
+    The basis elements hold the (nums, den) pairs `kernel_basis`
+    returns (at weight 2 the spanning forest gives the same pairs):
     vector i is 1 at its free column, which is its last key, and 0 at
     the free columns of the others.  The rows of each path asked for
     are kept in a plain dict, read by every element.
@@ -122,12 +117,12 @@ class ModularSymbolSpace:
     def __init__(self, symbol: ExtendedFareySymbol, k: int, vectors):
         self.symbol = symbol
         self.k = k
-        self.basis: list[SymbolElement] = [SymbolElement(self, v) for v in vectors]
+        self.basis: list[SymbolElement] = [SymbolElement(self, *v) for v in vectors]
         self._paths: dict = {}
 
     @property
     def free_cols(self) -> list[int]:
-        return [next(reversed(b.vector)) for b in self.basis]
+        return [next(reversed(b.nums)) for b in self.basis]
 
     def dimension(self) -> int:
         return len(self.basis)
@@ -149,7 +144,7 @@ class ModularSymbolSpace:
         return rows
 
 
-def _cycle_basis(table) -> list[dict[int, Fraction]]:
+def _cycle_basis(table) -> list[tuple[dict[int, int], int]]:
     """The weight-2 kernel read off a spanning forest of the coset graph.
 
     At k = 2 every action matrix is 1, so the relations are
@@ -163,8 +158,8 @@ def _cycle_basis(table) -> list[dict[int, Fraction]]:
     forest, so its column j is a combination of earlier ones and every
     other column is a pivot.  The vector of a free edge is its
     fundamental cycle through tree edges scanned before it: 1 at j, its
-    last key, and 0 at the other free columns, the vector
-    `kernel_basis` returns for the free column j.
+    last key, and 0 at the other free columns, the ±1 entries over 1
+    that `kernel_basis` returns for the free column j.
     """
     reps = table.reps
     index = table.class_index
@@ -210,11 +205,10 @@ def _cycle_basis(table) -> list[dict[int, Fraction]]:
                     depth[b] = depth[a] + 1
                     up[b] = (a, i, j, -sign)
                     stack.append(b)
-    one, minus_one = Fraction(1), Fraction(-1)
     basis = []
     for i, j, u, v in free:
         # the free edge runs u -> v; the tree path v -> u closes the cycle
-        vec = {i: minus_one, j: one}
+        vec = {i: -1, j: 1}
         a, b = v, u
         while a != b:
             # climb from the deeper end; a climb from b is walked
@@ -224,8 +218,8 @@ def _cycle_basis(table) -> list[dict[int, Fraction]]:
             else:
                 b, ti, tj, sign = up[b]
                 sign = -sign
-            vec[ti], vec[tj] = (minus_one, one) if sign > 0 else (one, minus_one)
-        basis.append(dict(sorted(vec.items())))
+            vec[ti], vec[tj] = (-1, 1) if sign > 0 else (1, -1)
+        basis.append((dict(sorted(vec.items())), 1))
     return basis
 
 

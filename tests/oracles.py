@@ -9,7 +9,9 @@ the reference for the formula and for the adjointness tests.  A path
 map becomes a space element by `from_path_evaluator`, and `coordinates`
 reads it back in the basis.  `sparse` and `dense` turn a row or coset
 vector into the package's {col: value} dict of nonzero entries and
-back.
+back.  A space element holds integer numerators over one denominator;
+`fraction_vector` reads it as a {col: Fraction} dict, and
+`from_fraction_vector` makes one from such a dict.
 
 The pairing has second forms here that no command uses: the endpoint
 form `pair_alt`, the cusp-width shortcut `pair_eis_via_cusps` and the
@@ -48,7 +50,7 @@ from math import comb, gcd
 
 from petersym.cyclo import CycVec
 from petersym.eisenstein import EisSymbol, TorsionFunction
-from petersym.exact import _echelonize
+from petersym.exact import _echelonize, integer_row
 from petersym.farey import (
     CosetTable,
     ExtendedFareySymbol,
@@ -87,6 +89,8 @@ from petersym.spaces import BoundarySymbol, ModularSymbolSpace, SymbolElement
 __all__ = [
     "sparse",
     "dense",
+    "fraction_vector",
+    "from_fraction_vector",
     "from_path_evaluator",
     "coordinates",
     "conjugated_group",
@@ -125,12 +129,23 @@ def dense(vec: dict, ncols: int) -> list[Fraction]:
     return [Fraction(vec.get(j, 0)) for j in range(ncols)]
 
 
+def fraction_vector(elem: SymbolElement) -> dict[int, Fraction]:
+    """The coset vector of a space element as {col: Fraction} of its nonzero entries."""
+    return {j: Fraction(x, elem.den) for j, x in elem.nums.items()}
+
+
+def from_fraction_vector(space: ModularSymbolSpace, vector: dict) -> SymbolElement:
+    """The space element of a {col: value} coset vector, keys ascending."""
+    nums, den = integer_row(vector.values())
+    return SymbolElement(space, dict(zip(vector, nums)), den)
+
+
 def from_path_evaluator(space: ModularSymbolSpace, eval_path) -> SymbolElement:
     """Sample an abstract path map on all coset paths."""
     vector = []
     for rep in space.symbol.require_direct_table().reps:
         vector.extend(eval_path(act(rep, (0, 1)), act(rep, (1, 0))).coeffs)
-    return SymbolElement(space, sparse(vector))
+    return from_fraction_vector(space, sparse(vector))
 
 
 def coordinates(space: ModularSymbolSpace, elem: SymbolElement) -> list:
@@ -138,11 +153,11 @@ def coordinates(space: ModularSymbolSpace, elem: SymbolElement) -> list:
 
     Raises ValueError unless the basis combination equals `elem`.
     """
-    residual = dict(elem.vector)
+    residual = fraction_vector(elem)
     coords = [Fraction(residual.get(j, 0)) for j in space.free_cols]
     for c, b in zip(coords, space.basis):
         if c:
-            for j, x in b.vector.items():
+            for j, x in fraction_vector(b).items():
                 residual[j] = residual.get(j, 0) - c * x
     if any(residual.values()):
         raise ValueError("element is not in the space")
@@ -413,9 +428,10 @@ def eval_path_by_cosets(phi: SymbolElement, r: CuspT, s: CuspT) -> Vk:
     if cusp_is_infinity(t):
         return out
     taus, _, _ = cf_decompose(Fraction(t[0], t[1]))
+    vector = fraction_vector(phi)
     for tau in taus[1:]:
         i, gamma = table.locate(mmul(g, tau))
-        value = Vk(k, [phi.vector.get(i * n + j, Fraction(0)) for j in range(n)])
+        value = Vk(k, [vector.get(i * n + j, Fraction(0)) for j in range(n)])
         out = out + value.act(minv(gamma))
     return out
 

@@ -53,6 +53,7 @@ from petersym.spaces import boundary_space, build_space
 from .oracles import (
     charpoly,
     dense,
+    fraction_vector,
     from_path_evaluator,
     hecke_context,
     hecke_cocycle,
@@ -189,12 +190,12 @@ def test_acceptance_4_hecke_adjointness_and_stability():
     # cuspidal subspace stability and commutation
     space, cusp_basis = cuspidal_subspace(11, 2)
     ncols = len(space.symbol.require_direct_table().reps)
-    vecs = [dense(b.vector, ncols) for b in cusp_basis]
+    vecs = [dense(fraction_vector(b), ncols) for b in cusp_basis]
     for ell in (2, 3, 5):
         hctx = hecke_context(space.symbol, (1, 0, 0, ell), gamma0_group(11))
         for b in cusp_basis:
             img = from_path_evaluator(space, hecke_path_map(b, hctx).eval_path)
-            assert solve_in_span(vecs, dense(img.vector, ncols)) is not None
+            assert solve_in_span(vecs, dense(fraction_vector(img), ncols)) is not None
     sp5 = build_space(gamma0_symbol(5), 4)
     m2, m3 = hecke_matrix(sp5, 5, 2), hecke_matrix(sp5, 5, 3)
     size = len(m2)
@@ -252,10 +253,10 @@ def test_acceptance_7_eigenvalue_check():
     space, cusp_basis = cuspidal_subspace(11, 2)
     hctx = hecke_context(space.symbol, (1, 0, 0, 2), gamma0_group(11))
     ncols = len(space.symbol.require_direct_table().reps)
-    vecs = [dense(b.vector, ncols) for b in cusp_basis]
+    vecs = [dense(fraction_vector(b), ncols) for b in cusp_basis]
     cols = [
-        solve_in_span(vecs, dense(from_path_evaluator(space,
-            hecke_path_map(b, hctx).eval_path).vector, ncols))
+        solve_in_span(vecs, dense(fraction_vector(from_path_evaluator(space,
+            hecke_path_map(b, hctx).eval_path)), ncols))
         for b in cusp_basis
     ]
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]

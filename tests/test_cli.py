@@ -7,6 +7,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -529,6 +530,18 @@ GOLDEN = [
      "8af340e7214c2cb9554dc759c8fe0d84e712d7c58e8bcc34fb6a6d655e7efe19"),
     (["modsym-space", "--level", "600", "--weight", "2"],
      "cd7c5b5143e3ba272cc807211e63c4f5a4d8e5b39d6386f94d3049a8c540005b"),
+    # recorded before a basis vector was held only as integer numerators
+    # over one denominator (hecke 11 12 3, above, pins the same change)
+    (["modsym-space", "--level", "60", "--weight", "4"],
+     "d5bea7662a5e0c5dc54cf79b4c2f2a6ce9361991d53dbbd7222ad2ad43c09a43"),
+    (["cuspidal", "--level", "24", "--weight", "8"],
+     "4b617e1b9fb3511c5b8cfdb7eeb8b7b10b903c5ab2e2d2d891ba2d60130ba05a"),
+    (["cuspidal", "--level", "37", "--weight", "2"],
+     "4723b601ca8aa66d1cbadfa9d5f6b1a2f45916a241a64b1d02562b2d3d8c3cd7"),
+    (["pairing-matrix", "--level", "37", "--weight", "2"],
+     "329dfb24e35c6a8f18d6c44fcede0945055d70457df1939b5d6f41639947fe27"),
+    (["pairing-matrix", "--level", "37", "--weight", "2", "--eisenstein"],
+     "dd961fe20d0eb73e14d040082e066b4ade41f136999245f6a535ed498cfffe1a"),
 ]
 
 
@@ -652,7 +665,13 @@ def test_basis_writer_matches_json_dumps(case):
     n = k - 1
     dense = [[tuple(str(v.get(c * n + s, 0)) for s in range(n)) for c in range(cosets)]
              for v in vectors]
-    basis = _BasisJSON([SimpleNamespace(vector=v) for v in vectors], cosets, k)
+    # each over the lcm of its denominators, times 1 or 2 so the writer
+    # also reduces a pair whose gcd is not 1
+    elems = []
+    for i, v in enumerate(vectors):
+        den = (1 + i % 2) * lcm(*(x.denominator for x in v.values()))
+        elems.append(SimpleNamespace(nums={j: int(x * den) for j, x in v.items()}, den=den))
+    basis = _BasisJSON(elems, cosets, k)
     wrap, expected = basis, dense
     for _ in range(depth):
         wrap, expected = {"basis": wrap, "k": k}, {"basis": expected, "k": k}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,13 +43,13 @@ def test_bernoulli_poly_reflection():
 def test_kernel_identity_and_zero():
     ident = [{i: Fraction(1)} for i in range(3)]
     assert kernel_basis(ident, 3) == []
-    assert kernel_basis([{}, {}], 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert kernel_basis([{}, {}], 3) == [({0: 1}, 1), ({1: 1}, 1), ({2: 1}, 1)]
 
 
 def test_kernel_single_relation():
     basis = kernel_basis([{0: Fraction(1), 1: Fraction(1)}], 2)
     assert len(basis) == 1
-    v = dense(basis[0], 2)
+    v = dense(basis[0][0], 2)
     assert v[0] + v[1] == 0 and any(v)
 
 
@@ -60,8 +61,8 @@ def test_kernel_vectors_annihilate_random_matrices():
         m = [[Fraction(rng.randrange(-4, 5)) for _ in range(cols)] for _ in range(rows)]
         basis = kernel_basis(map(sparse, m), cols)
         assert rank(m) + len(basis) == cols
-        for v in basis:
-            v = dense(v, cols)
+        for nums, _ in basis:
+            v = dense(nums, cols)
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
@@ -86,10 +87,13 @@ def test_frac_str():
     assert frac_str(Fraction(-5)) == "-5"
 
 
-def test_kernel_takes_int_rows_and_returns_fractions():
+def test_kernel_takes_int_rows_and_returns_integer_pairs():
     basis = kernel_basis([{0: 2, 2: -4}, {}, {0: -3, 2: 6}], 3)
-    assert basis == [{1: 1}, {0: 2, 2: 1}]
-    assert all(type(x) is Fraction for v in basis for x in v.values())
+    assert basis == [({1: 1}, 1), ({0: 2, 2: 1}, 1)]
+    assert all(type(x) is int for nums, den in basis for x in [*nums.values(), den])
+    # the pivot entry 2 is the denominator of -1/2, but -2/2 = -1 is an
+    # integer: the second vector is over 1
+    assert kernel_basis([{0: 2, 1: 1, 2: 2}], 3) == [({0: -1, 1: 2}, 2), ({0: -1, 2: 1}, 1)]
 
 
 # -- the dense Fraction elimination this package used before, as a reference
@@ -180,10 +184,15 @@ def matrices(draw):
 def test_elimination_matches_dense_fraction_reference(mat):
     rows, ncols = mat
     basis = kernel_basis(map(sparse, rows), ncols)
-    assert [dense(v, ncols) for v in basis] == _dense_kernel_basis(rows, ncols)
-    assert all(type(x) is Fraction and x for v in basis for x in v.values())
-    # keys ascending, the free column last with value 1
-    assert all(list(v) == sorted(v) and v[max(v)] == 1 for v in basis)
+    for nums, den in basis:
+        # the canonical pair: nonzero integer numerators, keys ascending,
+        # den > 0 prime to them, and the free column last with numerator den
+        assert all(type(x) is int and x for x in nums.values())
+        assert list(nums) == sorted(nums)
+        assert type(den) is int and den > 0 and gcd(den, *nums.values()) == 1
+        assert nums[max(nums)] == den
+    assert [[x / den for x in dense(nums, ncols)] for nums, den in basis] \
+        == _dense_kernel_basis(rows, ncols)
     assert rank(rows) == len(_dense_echelonize(rows)) == ncols - len(basis)
 
 

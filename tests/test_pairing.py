@@ -38,6 +38,7 @@ from .oracles import (
     double_coset_hecke_matrix,
     epsilon_conjugate_cocycle,
     epsilon_conjugate_hom,
+    fraction_vector,
     from_path_evaluator,
     hecke_context,
     hecke_cocycle,
@@ -179,14 +180,14 @@ def test_cuspidal_hecke_stability_and_boundary_intersection():
     space, cusp_basis = cuspidal_subspace(11, 2)
     sym = space.symbol
     ncols = len(sym.require_direct_table().reps)
-    vecs = [dense(b.vector, ncols) for b in cusp_basis]
+    vecs = [dense(fraction_vector(b), ncols) for b in cusp_basis]
     for ell in (2, 3):
         hctx = hecke_context(sym, (1, 0, 0, ell), gamma0_group(11))
         for b in cusp_basis:
             img = from_path_evaluator(space, hecke_path_map(b, hctx).eval_path)
-            assert solve_in_span(vecs, dense(img.vector, ncols)) is not None
+            assert solve_in_span(vecs, dense(fraction_vector(img), ncols)) is not None
     boundary_vecs = [
-        dense(from_path_evaluator(space, b0.eval_path).vector, ncols)
+        dense(fraction_vector(from_path_evaluator(space, b0.eval_path)), ncols)
         for b0 in boundary_space(sym, 2)
     ]
     joint = vecs + boundary_vecs
@@ -197,11 +198,11 @@ def test_t2_charpoly_on_11_2():
     space, cusp_basis = cuspidal_subspace(11, 2)
     hctx = hecke_context(space.symbol, (1, 0, 0, 2), gamma0_group(11))
     ncols = len(space.symbol.require_direct_table().reps)
-    vecs = [dense(b.vector, ncols) for b in cusp_basis]
+    vecs = [dense(fraction_vector(b), ncols) for b in cusp_basis]
     cols = []
     for b in cusp_basis:
         img = from_path_evaluator(space, hecke_path_map(b, hctx).eval_path)
-        cols.append(solve_in_span(vecs, dense(img.vector, ncols)))
+        cols.append(solve_in_span(vecs, dense(fraction_vector(img), ncols)))
     mat = [[cols[j][i] for j in range(2)] for i in range(2)]
     # (x + 2)^2, with -2 the q^2 coefficient of the weight-2 eta product
     assert charpoly(mat) == [Fraction(1), Fraction(4), Fraction(4)]
@@ -244,7 +245,7 @@ def test_hecke_identity_matrix_is_identity():
     assert hctx.degree() == 1
     for b in sp.basis:
         img = space_img = from_path_evaluator(sp, hecke_path_map(b, hctx).eval_path)
-        assert img.vector == b.vector
+        assert fraction_vector(img) == fraction_vector(b)
 
 
 def test_hecke_commutation():

@@ -1,6 +1,8 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,14 +19,22 @@ from petersym.farey import (
     gamma_full_group,
     subgroup_farey,
 )
-from petersym.modgroup import ID, SIGMA, TAU, act, cusp, madj, mmul, mneg
+from petersym.modgroup import ID, SIGMA, TAU, act, cusp, madj, minv, mmul, mneg
 from petersym.polyspace import Vk
-from petersym.spaces import ModularSymbolSpace, SymbolElement, boundary_space, build_space
+from petersym.spaces import (
+    ModularSymbolSpace,
+    SymbolElement,
+    boundary_space,
+    build_space,
+    coset_rows,
+)
 from .oracles import (
     coordinates,
     dense,
     eval_path_by_cosets,
     eval_tilde_arc,
+    fraction_vector,
+    from_fraction_vector,
     manin_relation_rows,
     sparse,
 )
@@ -85,22 +95,24 @@ def test_basis_vectors_reproduce_their_coset_values():
     table = sp.symbol.require_direct_table()
     n = sp.k - 1
     for phi in sp.basis:
+        vector = fraction_vector(phi)
         for i, rep in enumerate(table.reps):
             assert phi.eval_path(act(rep, (0, 1)), act(rep, (1, 0))) \
-                == Vk(sp.k, [phi.vector.get(i * n + s, 0) for s in range(n)])
+                == Vk(sp.k, [vector.get(i * n + s, 0) for s in range(n)])
 
 
 def test_coordinates_roundtrip():
     sp = build_space(gamma0_symbol(11), 2)
     ncols = len(sp.symbol.require_direct_table().reps)
-    v0, v2 = dense(sp.basis[0].vector, ncols), dense(sp.basis[2].vector, ncols)
-    combo = SymbolElement(sp, sparse([Fraction(2, 3) * a - 5 * b for a, b in zip(v0, v2)]))
+    v0, v2 = (dense(fraction_vector(sp.basis[i]), ncols) for i in (0, 2))
+    combo = from_fraction_vector(sp, sparse([Fraction(2, 3) * a - 5 * b
+                                             for a, b in zip(v0, v2)]))
     coords = coordinates(sp, combo)
     assert coords == [Fraction(2, 3), Fraction(0), Fraction(-5)]
     # a unit vector at a pivot column is zero at every free column
     pivot = min(set(range(ncols)) - set(sp.free_cols))
     with pytest.raises(ValueError):
-        coordinates(sp, SymbolElement(sp, {pivot: Fraction(1)}))
+        coordinates(sp, SymbolElement(sp, {pivot: 1}, 1))
 
 
 def test_boundary_space_dimensions():
@@ -227,7 +239,7 @@ def test_tilde_arc_value_is_one_coset_lookup_per_piece(monkeypatch, n, k):
     monkeypatch.setattr(CosetTable, "locate", counted)
     for ta in sym.tilde():
         # a fresh space per arc: the paths walked for one arc are kept
-        fresh = ModularSymbolSpace(sym, k, [b.vector for b in sp.basis])
+        fresh = ModularSymbolSpace(sym, k, [(b.nums, b.den) for b in sp.basis])
         phi, other = fresh.basis[-1], fresh.basis[0]
         calls.clear()
         value = eval_tilde_arc(phi, sym, ta)
@@ -267,6 +279,39 @@ def test_eval_path_matches_the_per_coset_walk(group, k, r, s, data):
 
 
 @settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 60), k=st.sampled_from([2, 4, 6, 8]), r=cusps, s=cusps, t=cusps,
+       data=st.data())
+def test_integer_combinations_keep_the_relations_and_the_cocycle_law(n, k, r, s, t, data):
+    sp = _group_space("gamma0", n, k)
+    coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=sp.dimension(),
+                                max_size=sp.dimension()))
+    # the combination of the basis pairs, over the lcm of their denominators
+    den = lcm(*(b.den for b in sp.basis))
+    nums = defaultdict(int)
+    for c, b in zip(coeffs, sp.basis):
+        for col, x in b.nums.items():
+            nums[col] += c * (den // b.den) * x
+    combo = SymbolElement(sp, {col: x for col, x in sorted(nums.items()) if x}, den)
+    # every sigma and tau relation, written at every coset, annihilates it
+    table = sp.symbol.require_direct_table()
+
+    def transport(g):
+        i, gamma = table.locate(g)
+        return i, minv(gamma)
+
+    for i, rep in enumerate(table.reps):
+        for parts in ([(i, ID), transport(mmul(rep, SIGMA))],
+                      [(i, ID), transport(mmul(rep, TAU)), transport(mmul(rep, TAU, TAU))]):
+            for row in coset_rows(k, parts):
+                assert sum(x * combo.nums.get(c, 0) for c, x in row.items()) == 0
+    # {r, s} + {s, t} = {r, t}
+    values, vden = combo.path_values([(r, s), (s, t), (r, t)])
+    assert vden == den
+    m = k - 1
+    assert [a + b for a, b in zip(values[:m], values[m:2 * m])] == values[2 * m:]
+
+
+@settings(deadline=None, max_examples=40)
 @given(st.one_of(
     st.tuples(st.just("gamma0"), st.integers(1, 60), st.sampled_from([2, 4, 6])),
     st.tuples(st.just("gamma1"), st.integers(1, 20), st.integers(2, 5)),
@@ -303,7 +348,8 @@ def test_one_relation_per_orbit_keeps_the_kernel(group):
                       for i, rep in enumerate(table.reps)}
         assert handed == [(k - 1) * (len(sigma_orbits) + len(tau_orbits))]
     ncols = len(table.reps) * (k - 1)
-    assert [b.vector for b in space.basis] == kernel_basis(manin_relation_rows(sym, k), ncols)
+    assert [(b.nums, b.den) for b in space.basis] \
+        == kernel_basis(manin_relation_rows(sym, k), ncols)
 
 
 @settings(deadline=None, max_examples=40)
@@ -319,9 +365,9 @@ def test_forest_basis_is_the_kernel_of_the_relations(group):
     sym = _SYMBOLS[family](n)
     ncols = len(sym.require_direct_table().reps)
     expected = kernel_basis(manin_relation_rows(sym, 2), ncols)
-    basis = [b.vector for b in build_space(sym, 2).basis]
+    basis = [(b.nums, b.den) for b in build_space(sym, 2).basis]
     assert basis == expected
-    assert [list(v) for v in basis] == [sorted(v) for v in expected]
+    assert [list(nums) for nums, _ in basis] == [sorted(nums) for nums, _ in expected]
 
 
 def _coset_graph_features(sym):
@@ -347,7 +393,7 @@ def test_forest_basis_at_fixed_cosets_and_loops(n, features):
     sym = symbol_for(n)
     assert _coset_graph_features(sym) == features
     ncols = len(sym.require_direct_table().reps)
-    basis = [b.vector for b in build_space(sym, 2).basis]
+    basis = [(b.nums, b.den) for b in build_space(sym, 2).basis]
     assert basis == kernel_basis(manin_relation_rows(sym, 2), ncols)
     assert len(basis) == dim_modular_symbols_gamma0(n, 2)
 
@@ -385,7 +431,7 @@ def test_kernel_does_not_depend_on_row_order(group, rng):
     rows = list(rows)
     rng.shuffle(rows)
     ncols = len(sym.require_direct_table().reps) * (k - 1)
-    assert kernel_basis(rows, ncols) == [b.vector for b in space.basis]
+    assert kernel_basis(rows, ncols) == [(b.nums, b.den) for b in space.basis]
 
 
 def test_sigma_rows_first_take_fewer_eliminations():

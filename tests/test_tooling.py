@@ -14,9 +14,9 @@ the action on V_k is read only where it is defined and by
 The q-expansion brackets make no group-ring arithmetic: the count of
 `CycVec` sums, scalings and rotations in one `eis_qexp` does not grow
 with the number of terms, one `cuspidal_subspace` evaluates no right
-argument of the pairing through `SymbolElement.eval_path`, and the
+argument of the pairing through `SymbolElement.eval_path`, the
 pairing reads a space element given as a left with no `hom_cocycle`
-and no `eval_path` either.  The
+and no `eval_path` either, and `build_space` makes no Fraction.  The
 last checks keep the package free of third-party numeric libraries
 and the command-line import free of `dataclasses` and `inspect`.
 """
@@ -174,6 +174,22 @@ def test_cuspidal_subspace_reads_rights_through_path_rows_only(monkeypatch):
     _, basis = cuspidal_subspace(37, 2)
     assert len(basis) == 4
     assert calls == []
+
+
+def test_build_space_makes_no_fraction(monkeypatch):
+    # a basis vector is made as integer numerators over one denominator,
+    # by the kernel above weight 2 and by the spanning forest at weight 2
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr("petersym.exact.Fraction", counted)
+    monkeypatch.setattr("petersym.spaces.Fraction", counted)
+    for n, k in ((60, 8), (180, 2)):
+        assert build_space(gamma0_symbol(n), k).dimension() > 0
+    assert made == []
 
 
 def test_space_element_lefts_skip_the_fraction_route(monkeypatch):
