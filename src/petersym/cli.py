@@ -3,13 +3,13 @@
 Exit codes: 2 for usage errors (including an input file that cannot
 be read, is not JSON, or lacks a field or has one of the wrong type,
 and an output file that cannot be written), 3 for violated
-mathematical preconditions (a level below 1 or a weight below 2, both
-refused before an input file is read, odd weight with -Id, weight-2
-data not vanishing at the origin, a Hecke index that is not prime or
-is above its bound, a group whose index exceeds the coset bound, a
-`--parent` group that does not contain the group, a weight above the
-bound of its command, a `qexp` length outside its bound, a basis with
-too many coefficients to print, ...),
+mathematical preconditions (a level below 1, a weight below 2, no
+terms, odd weight with -Id, and a job whose predicted time or output
+is above its budget, all refused by `_admit` before any unfolding,
+file read or elimination; then a group whose index exceeds the coset
+bound, a `--parent` group that does not contain the group, a Hecke
+index that is not prime, weight-2 data not vanishing at the origin,
+...),
 4 for numeric verification failures, including a quadrature that
 misses its error target.  A ValueError or FareyError raised by the
 library on the given arguments is reported as a violated precondition.
@@ -28,12 +28,12 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd, isqrt, log
 from operator import index
 from types import SimpleNamespace
 
 from .dims import (dim_cusp_forms_gamma0, dim_modular_symbols_gamma0, gamma0_index,
-                   gamma1_index, gamma_full_index)
+                   gamma0_invariants, gamma1_index, gamma_full_index)
 from .eisenstein import EisSymbol, TorsionFunction
 from .exact import frac_str
 from .farey import (
@@ -58,63 +58,12 @@ USAGE_ERROR = 2
 MATH_ERROR = 3
 PRECISION_ERROR = 4
 
-# Most indicator values (basis orbits times N^2) `eisbasis` may print,
-# about 15 MB of JSON.
-MAX_INDICATOR_CELLS = 10**6
-
-# Most group-ring cell updates `qexp` may make.  Its divisor loop adds
-# an N-entry bracket to the coefficient of q^(n m) for every n m <=
-# terms, N * sum_(n <= terms) floor(terms / n) updates in all, each an
-# integer addition over one denominator.  End to end at level 1, weight
-# 2 with 54269 terms (599992 updates) takes 0.52 s and weight 40 with
-# 54200 terms (599176 updates) 0.65 s; level 7 at weight 6 with 9231
-# terms (599942 updates) takes 0.24 s, and level 1 at weight 2 with
-# 99999 terms (1.17e6 updates, above the bound) 0.99 s (2-CPU VM).
-MAX_QEXP_CELLS = 6 * 10**5
-
-# Most weighted coefficients ((terms + 1) times N times the weight)
-# `qexp` may write.  The coefficient of q^n has about (k - 1) log10(n)
-# digits in each of its N entries, so the output grows with this
-# product.  At level 1 and weight 1000, 2999 terms take 1.9 s and write
-# 9.2 MB (most of the time is the Bernoulli number behind the constant
-# term, see MAX_QEXP_WEIGHT), and 10000 terms (above the bound) 3.4 s,
-# 36 MB and 176 MB peak RSS; at weight 100, 29999 terms take 0.45 s and
-# write 12.7 MB (2-CPU VM).
-MAX_QEXP_WEIGHTED_CELLS = 3 * 10**6
-
-# Highest weight `qexp` accepts, and `eis-symbol` at level 1.  The
-# Bernoulli numbers behind the constant term and the moments cost about
-# k^2.5: at level 1 `qexp` with 5 terms takes 3.5 s at weight 1000 and
-# 16 s at 1500, and `eis-symbol` 8.9 s at weight 1000.  The twist
-# moments of `eis-symbol` also grow with the level N, so it accepts
-# weight k when N k^3 <= MAX_QEXP_WEIGHT^3: with a dense function,
-# level 7 at weight 522 takes 2.1 s and level 30 at 321 takes 2.3 s,
-# at most 28 MB peak RSS (2-CPU VM).
-MAX_QEXP_WEIGHT = 1000
-
-# Highest weight the commands that build a symbol space accept
-# (`modsym-space`, `pairing-matrix`, `hecke`, `cuspidal`).  The space
-# has about k/6 basis vectors per coset, each of index * (k - 1)
-# coefficients: at level 1 `pairing-matrix` takes 1.5 s at weight 100,
-# 6.0 s at 150 and 26 s at 200; `modsym-space` takes 0.6 s at 100 and
-# 9.3 s at 300.
-MAX_SPACE_WEIGHT = 100
-
-# Largest `hecke --ell` accepted.  Merel's set X_ell is enumerated in
-# O(ell^2) and every free coset acts by all of it: at (N, k) = (11, 2)
-# ell = 1009 takes 2.1 s end to end, 2003 takes 6.1 s, 3001 takes 13 s.
-# The cost also grows with the weight: at ell = 1009, (11, 12) takes
-# 13 s and (11, 24) 60 s.
-MAX_HECKE_ELL = 1009
-
-# Most basis coefficients (dimension times cosets times (k - 1))
-# `modsym-space` and `cuspidal` may print, about 29 bytes of JSON each;
-# peak RSS is about three times the output.  At k = 2, Gamma0(1200)
-# (1.4e6 coefficients) takes 0.30 s end to end and writes 40 MB at
-# 135 MB peak RSS, Gamma0(2400) (5.5e6) 1.1 s, 161 MB and 483 MB
-# (2-CPU VM).  The count is checked before any work where `dims` gives
-# the dimension, and after the space is built, before any JSON is made.
-MAX_BASIS_CELLS = 6 * 10**6
+# The budgets of one job, which `_admit` checks before any work: its
+# predicted seconds end to end on a 2-CPU VM, and the predicted bytes of
+# its JSON document.  The document is held about three times over until
+# it is written, so the output budget bounds the peak RSS.
+TIME_BUDGET = 10.0
+OUTPUT_BUDGET = 4 * 10**7
 
 
 class UsageError(Exception):
@@ -146,14 +95,126 @@ _GROUPS = {
 }
 
 
-def _check_bound(option: str, value: int, bound: int) -> None:
-    if value > bound:
-        raise MathPreconditionError(f"--{option} {value} is above the bound {bound}")
+def _cost(command: str, n: int, k: int, index: int, dim: int, orbits: int,
+          ell: int, terms: int) -> tuple[float, float]:
+    """(seconds, bytes of JSON) of one job, predicted from its sizes.
+
+    The sizes are the level n, the weight k, the group's index, the
+    dimension of the space (of the printed basis for `cuspidal`, 0 where
+    it is unknown), the number of basis orbits, ell >= 2 and the number
+    of terms.  Every formula grows with each size.
+    """
+    cells = index * (k - 1)  # coefficients of one coset vector
+    # the unfolding, and the kernel above weight 2
+    space = 2e-5 * index + (
+        3.2e-8 * index ** 1.3 * k ** 3.2 + 1e-12 * index * k ** 5 if k > 2 else 0)
+    if command == "farey":
+        seconds, size = 2e-5 * index, 35 * index
+    elif command == "modsym-space":
+        seconds, size = space, dim * index * ((k - 1) * (14 + k) + 16)
+    elif command == "eisbasis":
+        seconds, size = (1.5e-7 + 4.5e-7 * orbits) * n * n, 15 * orbits * n * n
+    elif command == "eis-symbol":
+        seconds = 5.6e-9 * k ** 3 + 3.8e-9 * n ** 1.5 * k ** 2.5 + (2e-7 * k + 3e-6) * n * n
+        size = 4 * k * k
+    elif command == "pairing-matrix":
+        seconds = space + cells ** 2 * (1.5e-7 + 3e-8 * k) + 1e-7 * (cells * k) ** 1.5
+        size = (cells / 6 + 1) ** 2 * (10 + 1.5 * k)
+    elif command in ("pairing-matrix --eisenstein", "cuspidal"):
+        # the Eisenstein symbol of each basis orbit, which scans the N^2
+        # points of the level, and its pairing with the space
+        seconds = space + (6e-7 * orbits * n + 8e-7 * index * k) * n \
+            + 1.6e-9 * orbits * cells * index * k * k + 4e-8 * k ** 3
+        size = dim * index * ((k - 1) * (14 + 3 * k) + 16) if command == "cuspidal" \
+            else orbits * (cells / 6 + 1) * (10 + 5 * k)
+    elif command == "hecke":
+        # X_ell is enumerated in ell^2 / 2 steps, and each free coset acts
+        # by all of it; 3 ell log(ell) is within 10% of |X_ell| for
+        # 200 < ell < 2000 (Merel)
+        seconds = space + 5e-7 * ell * ell + 4.8e-7 * ell * log(ell) * (
+            45 * min(index, dim) + (dim + k) * (k * k + 6 * k) / 6)
+        size = dim * dim * (12 + k * log(ell))
+    else:  # qexp: the Bernoulli number, then N-entry brackets for every n m <= terms
+        seconds = 2e-9 * k ** 3 + 3e-6 * n * n \
+            + terms * log(terms + 1) * (1.3e-6 + 3e-7 * n) * (1 + k / 100)
+        size = n * (terms + 1) * (18 + (k - 1) * log(terms + 1, 10))
+    # a cold process, and the writing of the document
+    return 0.06 + seconds + 1e-8 * size, size
 
 
-def _check_weight(weight: int) -> None:
-    if weight < 2:
+def _check_cost(command: str, *sizes: int) -> None:
+    """Refuse a job whose predicted time or output is above its budget."""
+    try:
+        seconds, size = _cost(command, *sizes)
+    except OverflowError:  # a size beyond any float
+        seconds = size = float("inf")
+    if seconds > TIME_BUDGET or size > OUTPUT_BUDGET:
+        raise MathPreconditionError(
+            f"{command} would take about {seconds:.2g} s and write about {size:.2g} bytes, "
+            f"above the budget of {TIME_BUDGET:g} s or {OUTPUT_BUDGET:g} bytes"
+        )
+
+
+_SPACE_COMMANDS = ("modsym-space", "pairing-matrix", "hecke", "cuspidal")
+
+
+# The formulas of `_cost` are fitted to cold CLI runs on a 2-CPU VM, in
+# seconds measured / predicted, and the largest admitted job of each
+# command took (seconds, peak RSS):
+#   farey Gamma0(N), N = 10007, 30011, 99991: 0.20/0.26, 0.53/0.67, 1.81/2.09;
+#     Gamma0(244194) through Gamma0(6): 4.2 s, 251 MB
+#   modsym-space (1200, 2) 0.49/0.56, (30, 50) 3.50/3.69, (1, 300) 4.32/5.24;
+#     (1, 350): 9.9 s, 62 MB; (1248, 2), 35 MB written: 0.36 s, 118 MB
+#   eisbasis (100, 2) 0.31/0.16, (300, 2) 1.81/1.96, (500, 4) 4.63/4.60;
+#     (288, 2), 39 MB written: 1.2 s, 328 MB
+#   eis-symbol (7, 522) 1.35/1.31, (100, 150) 1.79/1.46, (1, 1000) 5.98/5.82;
+#     (1, 1200): 8.9 s, 24 MB
+#   pairing-matrix (1200, 2) 1.90/1.93, (60, 12) 1.79/1.68, (1, 150) 0.65/0.87;
+#     (3400, 2): 9.0 s, 263 MB; (1, 310): 10.9 s, 60 MB
+#   pairing-matrix --eisenstein (300, 2) 2.79/2.43, (500, 2) 6.10/5.30,
+#     (600, 2) 10.9/12.3; (798, 2): 4.5 s, 118 MB
+#   hecke (11, 48, 101) 13.9/14.1, (37, 4, 1009) 3.11/4.12, (11, 2, 5987)
+#     21.7/21.7; (11, 42, 101): 7.5 s, 114 MB; (11, 2, 3907): 8.0 s, 58 MB
+#   cuspidal (500, 2) 6.53/5.34, (600, 2) 10.9/12.3, (1, 300) 5.28/6.45;
+#     (1, 336): 8.5 s, 71 MB
+#   qexp (1, 2, 300000) 6.23/6.31, (7, 6, 30000) 1.19/1.26, (1, 1500, 5)
+#     7.37/6.81; (1, 2, 461000): 9.3 s, 178 MB; (1, 1706, 5): 11.1 s, 17 MB
+def _admit(args) -> None:
+    """Refuse, before any unfolding, file read or elimination, a job whose
+    arguments break a precondition or whose predicted cost is above a budget.
+    """
+    command = args.command
+    if command == "verify":
+        return
+    n, k = args.level, getattr(args, "weight", 2)
+    ell, terms = getattr(args, "ell", 2), getattr(args, "terms", 1)
+    group = getattr(args, "group", "gamma0")
+    if n < 1:
+        raise MathPreconditionError("level must be positive")
+    if k < 2:
         raise MathPreconditionError("weight must be at least 2")
+    if terms < 1:
+        raise MathPreconditionError(f"--terms must be at least 1 (got {terms})")
+    # -Id is in every Gamma0(N), and in Gamma1(N) and Gamma(N) for N <= 2 only
+    if k % 2 and command in _SPACE_COMMANDS and (group == "gamma0" or n <= 2):
+        raise MathPreconditionError("odd weight with -Id in the group: the space is zero")
+    if getattr(args, "eisenstein", False):
+        command += " --eisenstein"
+    ell = max(ell, 2)
+    # every size below is at least the one given here (the index is at
+    # least the level) and every prediction grows with each size, so a
+    # huge level is refused before it is factored
+    _check_cost(command, n, k, n, 0, 0, ell, terms)
+    index = _GROUPS[group][1](n)
+    dim = orbits = 0
+    if command in ("modsym-space", "hecke") and group == "gamma0":
+        dim = dim_modular_symbols_gamma0(n, k)
+    elif command == "cuspidal":
+        dim = 2 * dim_cusp_forms_gamma0(n, k)
+    if command in ("eisbasis", "cuspidal", "pairing-matrix --eisenstein"):
+        # one basis orbit per cusp of Gamma0(N), less one at weight 2
+        orbits = gamma0_invariants(n)["n_cusps"] - (k == 2)
+    _check_cost(command, n, k, index, dim, orbits, ell, terms)
 
 
 def _check_index(kind: str, level: int, parent_index: int = 1) -> int:
@@ -195,13 +256,7 @@ def _symbol(kind: str, level: int, parent=None):
 
 
 def _space(group: str, level: int, weight: int):
-    _check_weight(weight)
-    _check_bound("weight", weight, MAX_SPACE_WEIGHT)
     sym = _symbol(group, level)
-    if weight % 2 and sym.member((-1, 0, 0, -1)):
-        raise MathPreconditionError(
-            "odd weight with -Id in the group: the space is zero"
-        )
     return sym, build_space(sym, weight)
 
 
@@ -262,50 +317,23 @@ class _BasisJSON:
         return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def _check_basis_cells(dimension: int, cosets: int, k: int) -> None:
-    cells = dimension * cosets * (k - 1)
-    if cells > MAX_BASIS_CELLS:
-        raise MathPreconditionError(
-            f"the basis has {cells} coefficients, above the bound {MAX_BASIS_CELLS}"
-        )
-
-
-def _basis_json(basis, cosets: int, k: int) -> _BasisJSON:
-    """The coset vectors of `basis`, weight k over `cosets` cosets, for `_dumps`.
-
-    A basis of more than MAX_BASIS_CELLS coefficients is refused here,
-    before any of its text is made.
-    """
-    _check_basis_cells(len(basis), cosets, k)
-    return _BasisJSON(basis, cosets, k)
-
-
 def cmd_modsym_space(args):
-    if args.group == "gamma0" and args.weight in range(2, MAX_SPACE_WEIGHT + 1, 2):
-        _check_index("gamma0", args.level)
-        _check_basis_cells(dim_modular_symbols_gamma0(args.level, args.weight),
-                           gamma0_index(args.level), args.weight)
     sym, space = _space(args.group, args.level, args.weight)
     cosets = len(sym.require_direct_table().reps)
+    # dims gives no dimension over Gamma1(N) or Gamma(N): the output is
+    # checked again on the built space, before any JSON is made
+    _check_cost("modsym-space", args.level, args.weight, cosets, space.dimension(), 0, 2, 1)
     return {
         "level": args.level,
         "weight": args.weight,
         "dimension": space.dimension(),
         "cosets": cosets,
-        "basis": _basis_json(space.basis, cosets, args.weight),
+        "basis": _BasisJSON(space.basis, cosets, args.weight),
     }
 
 
 def cmd_eisbasis(args):
-    _check_weight(args.weight)
-    cells = args.level ** 2
-    # one N x N table per basis orbit; a level whose single table is over
-    # the bound is refused before basis_v lists its divisors
-    triples = basis_v(args.level, args.weight) if cells <= MAX_INDICATOR_CELLS else None
-    if triples is None or len(triples) * cells > MAX_INDICATOR_CELLS:
-        raise MathPreconditionError(
-            f"level {args.level} needs more than {MAX_INDICATOR_CELLS} indicator values"
-        )
+    triples = basis_v(args.level, args.weight)
     return {
         "level": args.level,
         "weight": args.weight,
@@ -318,16 +346,7 @@ def _load_fn(path: str) -> TorsionFunction:
     return _read_input(path, lambda d: TorsionFunction(index(d["N"]), d["values"]))
 
 
-def _eis_symbol_weight_bound(level: int) -> int:
-    """Largest weight k with level * k^3 <= MAX_QEXP_WEIGHT^3."""
-    cap = MAX_QEXP_WEIGHT ** 3 // max(level, 1)
-    k = round(cap ** (1 / 3))
-    return k if k ** 3 <= cap else k - 1
-
-
 def cmd_eis_symbol(args):
-    _check_weight(args.weight)
-    _check_bound("weight", args.weight, _eis_symbol_weight_bound(args.level))
     f = _load_fn(args.fn)
     if f.n != args.level:
         raise MathPreconditionError("function level does not match --level")
@@ -360,8 +379,6 @@ def _is_prime(n: int) -> bool:
 
 
 def cmd_hecke(args):
-    # bounded first: trial division of a huge --ell would not end
-    _check_bound("ell", args.ell, MAX_HECKE_ELL)
     if not _is_prime(args.ell):
         raise MathPreconditionError(
             f"--ell must be a prime (got {args.ell}); only the prime Hecke "
@@ -378,43 +395,20 @@ def cmd_hecke(args):
 
 
 def cmd_cuspidal(args):
-    _check_bound("weight", args.weight, MAX_SPACE_WEIGHT)
-    _check_index("gamma0", args.level)
     expected = 2 * dim_cusp_forms_gamma0(args.level, args.weight)
-    _check_basis_cells(expected, gamma0_index(args.level), args.weight)
     _, basis = cuspidal_subspace(args.level, args.weight)
     return {
         "level": args.level,
         "weight": args.weight,
         "dimension": len(basis),
         "expected": expected,
-        "basis": _basis_json(basis, gamma0_index(args.level), args.weight),
+        "basis": _BasisJSON(basis, gamma0_index(args.level), args.weight),
     }
-
-
-def _divisor_sum(t: int) -> int:
-    """sum_(n <= t) floor(t / n), by the hyperbola method in O(sqrt t) steps."""
-    r = isqrt(t)
-    return 2 * sum(t // n for n in range(1, r + 1)) - r * r
 
 
 def cmd_qexp(args):
     from .qexp import eis_qexp
 
-    _check_weight(args.weight)
-    if args.terms < 1:
-        raise MathPreconditionError(f"--terms must be at least 1 (got {args.terms})")
-    if args.level * _divisor_sum(args.terms) > MAX_QEXP_CELLS:
-        raise MathPreconditionError(
-            f"--terms {args.terms} at level {args.level} needs more than "
-            f"{MAX_QEXP_CELLS} group-ring updates"
-        )
-    if (args.terms + 1) * args.level * args.weight > MAX_QEXP_WEIGHTED_CELLS:
-        raise MathPreconditionError(
-            f"--terms {args.terms} at level {args.level} and weight {args.weight} "
-            f"needs more than {MAX_QEXP_WEIGHTED_CELLS} weighted coefficients"
-        )
-    _check_bound("weight", args.weight, MAX_QEXP_WEIGHT)
     f = _load_fn(args.fn)
     if f.n != args.level:
         raise MathPreconditionError("function level does not match --level")
@@ -632,9 +626,9 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     A plain argv is an optional `--output VALUE`, a command, and each
     of the command's flags at most once, in any order, with every
     required one: `--flag VALUE`, or the flag alone for a store_true
-    one.  A value does not start with "-", an int is ASCII digits, and
-    a value with choices is one of them.  Help, abbreviations, `=`
-    forms, `--` and anything else give None.
+    one.  A value does not start with "-", an int is ASCII digits that
+    int() reads, and a value with choices is one of them.  Help,
+    abbreviations, `=` forms, `--` and anything else give None.
     """
     output = None
     if argv[:1] == ["--output"] and argv[1:2] and not argv[1].startswith("-"):
@@ -657,7 +651,10 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
             is_int = opts.get("type") is int
             if value.startswith("-") or is_int and not (value.isascii() and value.isdigit()):
                 return None
-            value = int(value) if is_int else value
+            try:
+                value = int(value) if is_int else value
+            except ValueError:  # more digits than int() reads
+                return None
             if value not in opts.get("choices", [value]):
                 return None
         values[flag[2:].replace("-", "_")] = value
@@ -683,9 +680,7 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        # every command but verify takes a level; an input file is read later
-        if getattr(args, "level", 1) < 1:
-            raise MathPreconditionError("level must be positive")
+        _admit(args)
         result = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,16 +76,6 @@ class CycVec:
         v.coeffs = coeffs
         return v
 
-    @classmethod
-    def root_power(cls, n: int, j: int, scale=Fraction(1)) -> "CycVec":
-        v = cls(n)
-        v.coeffs[j % n] = Fraction(scale)
-        return v
-
-    @classmethod
-    def rational(cls, n: int, value) -> "CycVec":
-        return cls.root_power(n, 0, Fraction(value))
-
     def add_root_multiple(self, j: int, c) -> None:
         """In-place self += c * z^j (the one mutating hot-path helper)."""
         self.coeffs[j % self.n] += c

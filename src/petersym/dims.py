@@ -9,7 +9,7 @@ Farey machinery, so the two routes check each other.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -34,7 +34,9 @@ def euler_phi(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n in increasing order, found in O(sqrt n) steps."""
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def gamma0_index(n: int) -> int:

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from time import perf_counter
 from types import SimpleNamespace
 
 import pytest
@@ -17,24 +18,27 @@ from hypothesis import strategies as st
 
 import petersym
 from petersym.cli import (
-    MAX_BASIS_CELLS,
-    MAX_HECKE_ELL,
-    MAX_INDICATOR_CELLS,
-    MAX_QEXP_CELLS,
-    MAX_QEXP_WEIGHT,
-    MAX_QEXP_WEIGHTED_CELLS,
-    MAX_SPACE_WEIGHT,
+    OUTPUT_BUDGET,
+    TIME_BUDGET,
+    MathPreconditionError,
+    _admit,
     _BasisJSON,
     _commands,
+    _cost,
     _dumps,
     build_parser,
     main,
     parse_args,
 )
 from petersym.cyclo import CycVec
-from petersym.dims import gamma0_index, gamma0_invariants, gamma1_index, gamma_full_index
+from petersym.dims import (
+    dim_modular_symbols_gamma0,
+    gamma0_index,
+    gamma0_invariants,
+    gamma1_index,
+    gamma_full_index,
+)
 from petersym.eisenstein import TorsionFunction
-from petersym.orbits import basis_v
 from petersym.qexp import QExpansion
 from petersym.farey import FareyError, gamma0_symbol, subgroup_farey
 from petersym.polyspace import Vk
@@ -250,116 +254,125 @@ def test_eisbasis_below_the_size_bound(capsys):
     assert len(data["indicators"]) == len(data["triples"]) == 23
 
 
+def _admitted(argv) -> bool:
+    """Whether the admission step lets the job of argv start."""
+    try:
+        _admit(parse_args(argv))
+    except MathPreconditionError:
+        return False
+    return True
+
+
+def _first_refused(admits, lo: int, hi: int) -> int:
+    """The least x in (lo, hi] that `admits` refuses, by bisection.
+
+    The predictions grow along each family of jobs, so the jobs up to
+    the returned x are admitted and those from it on refused.
+    """
+    assert admits(lo) and not admits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admits(mid) else (lo, mid)
+    return hi
+
+
+def _admits(argv_of):
+    """Whether the job argv_of(x) is admitted, as a function of x."""
+    return lambda x: _admitted(argv_of(x))
+
+
+def _primes(lo: int, hi: int) -> list:
+    """The primes p with lo <= p < hi."""
+    sieve = bytearray([1]) * hi
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, int(hi ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    return [p for p in range(lo, hi) if sieve[p]]
+
+
+def _refused_for_budget(captured) -> bool:
+    return captured.out == "" and "above the budget" in captured.err
+
+
 @pytest.mark.parametrize("level", [300, 10**9])
 def test_eisbasis_size_bound_checked_before_classifying(capsys, monkeypatch, level):
+    # 35 basis orbits of 300^2 points would write 47 MB; nothing is
+    # listed or classified for a refused level
     def classify(*args):
         raise AssertionError("classification started")
 
-    def listing(n, k):
-        assert n * n <= MAX_INDICATOR_CELLS, "divisors listed for a refused level"
-        return basis_v(n, k)
-
     monkeypatch.setattr("petersym.cli.orbit_indicators", classify)
     monkeypatch.setattr("petersym.orbits.orbit_of", classify)
-    monkeypatch.setattr("petersym.cli.basis_v", listing)
+    monkeypatch.setattr("petersym.cli.basis_v", classify)
     code = main(["eisbasis", "--level", str(level), "--weight", "2"])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err.startswith("error: ")
+    assert _refused_for_budget(captured)
+
+
+def _zero_qexp(calls):
+    def expansion(f, k, terms):
+        # a zero expansion of the asked length, without the exact work
+        calls.append((k, terms))
+        return QExpansion(f.n, k, terms, CycVec(f.n), [CycVec(f.n)] * (terms + 1))
+    return expansion
+
+
+def _check_qexp_edge(capsys, tmp_path, monkeypatch, level, argv_of, x, accepted):
+    """Run qexp at level on argv_of(x) with the expansion stubbed."""
+    calls = []
+    monkeypatch.setattr("petersym.qexp.eis_qexp", _zero_qexp(calls))
+    fn_file = tmp_path / "fn.json"
+    if accepted:
+        fn_file.write_text(json.dumps(TorsionFunction.indicator(level, (1, 0)).to_json()))
+    # a refused job exits before the (here missing) file is read
+    argv = argv_of(x)[:-1] + [str(fn_file)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0
+        k, terms = int(argv[4]), int(argv[6])
+        assert calls == [(k, terms)]
+        data = json.loads(captured.out)
+        assert data["weight"] == k and len(data["coefficients"]) == terms
+    else:
+        assert code == 3
+        assert calls == []
+        assert _refused_for_budget(captured)
 
 
 @pytest.mark.parametrize("extra,accepted", [(-1, True), (0, False)])
 def test_qexp_terms_bound(capsys, tmp_path, monkeypatch, extra, accepted):
-    calls = []
+    # at level 7 and weight 6 the terms are bounded by their output
+    def argv_of(t):
+        return ["qexp", "--level", "7", "--weight", "6", "--terms", str(t), "--fn", "fn.json"]
 
-    def expansion(f, k, terms):
-        # a zero expansion of the asked length, without the exact work
-        calls.append(terms)
-        return QExpansion(f.n, k, terms, CycVec(f.n), [CycVec(f.n)] * (terms + 1))
-
-    monkeypatch.setattr("petersym.qexp.eis_qexp", expansion)
-    level = 7
-
-    def updates(t):
-        # group-ring updates of the divisor loop, counted term by term
-        return level * sum(t // n for n in range(1, t + 1))
-
-    lo, hi = 1, MAX_QEXP_CELLS  # updates(lo) <= bound < updates(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if updates(mid) <= MAX_QEXP_CELLS else (lo, mid)
-    terms = hi + extra  # the first refused length, or the last accepted one
-    fn_file = tmp_path / "fn.json"
-    fn_file.write_text(json.dumps(TorsionFunction.indicator(level, (1, 2)).to_json()))
-    code = main(["qexp", "--level", str(level), "--weight", "6",
-                 "--terms", str(terms), "--fn", str(fn_file)])
-    captured = capsys.readouterr()
-    if accepted:
-        assert code == 0
-        assert calls == [terms]
-        assert len(json.loads(captured.out)["coefficients"]) == terms
-    else:
-        assert code == 3
-        assert calls == []
-        assert captured.err.startswith("error: ")
+    terms = _first_refused(_admits(argv_of), 1, 10**7) + extra
+    _check_qexp_edge(capsys, tmp_path, monkeypatch, 7, argv_of, terms, accepted)
 
 
 @pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
 def test_qexp_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted):
-    calls = []
+    # the Bernoulli number behind the constant term bounds the weight
+    def argv_of(k):
+        return ["qexp", "--level", "1", "--weight", str(k), "--terms", "3", "--fn", "fn.json"]
 
-    def expansion(f, k, terms):
-        calls.append(k)
-        return QExpansion(f.n, k, terms, CycVec(f.n), [CycVec(f.n)] * (terms + 1))
-
-    monkeypatch.setattr("petersym.qexp.eis_qexp", expansion)
-    weight = MAX_QEXP_WEIGHT + extra
-    fn_file = tmp_path / "fn.json"
-    if accepted:
-        fn_file.write_text(json.dumps(TorsionFunction.constant(1).to_json()))
-    # a refused weight exits before the (here missing) file is read
-    code = main(["qexp", "--level", "1", "--weight", str(weight),
-                 "--terms", "3", "--fn", str(fn_file)])
-    captured = capsys.readouterr()
-    if accepted:
-        assert code == 0
-        assert calls == [weight]
-        assert json.loads(captured.out)["weight"] == weight
-    else:
-        assert code == 3
-        assert calls == []
-        assert captured.err.startswith("error: ")
+    weight = _first_refused(_admits(argv_of), 2, 10**4) - 1 + extra
+    _check_qexp_edge(capsys, tmp_path, monkeypatch, 1, argv_of, weight, accepted)
 
 
 @pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
 def test_qexp_weighted_cells_bound(capsys, tmp_path, monkeypatch, extra, accepted):
-    calls = []
+    # at weight 1000 the coefficients of (k - 1) log10(n) digits bound
+    # the terms by the output budget, well within the time budget
+    def argv_of(t):
+        return ["qexp", "--level", "1", "--weight", "1000", "--terms", str(t), "--fn", "fn.json"]
 
-    def expansion(f, k, terms):
-        calls.append(terms)
-        return QExpansion(f.n, k, terms, CycVec(f.n), [CycVec(f.n)] * (terms + 1))
-
-    monkeypatch.setattr("petersym.qexp.eis_qexp", expansion)
-    # (terms + 1) * level * weight crosses the bound here, far below the
-    # bounds on (terms + 1) * level and on the weight
-    level, weight = 1, MAX_QEXP_WEIGHT
-    terms = MAX_QEXP_WEIGHTED_CELLS // (level * weight) - 1 + extra
-    assert level * sum(terms // n for n in range(1, terms + 1)) <= MAX_QEXP_CELLS
-    fn_file = tmp_path / "fn.json"
-    if accepted:
-        fn_file.write_text(json.dumps(TorsionFunction.constant(level).to_json()))
-    # a refused length exits before the (here missing) file is read
-    code = main(["qexp", "--level", str(level), "--weight", str(weight),
-                 "--terms", str(terms), "--fn", str(fn_file)])
-    captured = capsys.readouterr()
-    if accepted:
-        assert code == 0
-        assert calls == [terms]
-        assert len(json.loads(captured.out)["coefficients"]) == terms
-    else:
-        assert code == 3
-        assert calls == []
-        assert f"more than {MAX_QEXP_WEIGHTED_CELLS} weighted" in captured.err
+    terms = _first_refused(_admits(argv_of), 1, 10**6) - 1 + extra
+    seconds, size = _cost("qexp", 1, 1000, 1, 0, 0, 2, terms)
+    assert seconds < TIME_BUDGET / 2 and (size > OUTPUT_BUDGET) == (not accepted)
+    _check_qexp_edge(capsys, tmp_path, monkeypatch, 1, argv_of, terms, accepted)
 
 
 @pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
@@ -385,21 +398,33 @@ def test_space_weight_bound(capsys, monkeypatch, command, extra, accepted):
     monkeypatch.setattr("petersym.cli.build_space", space)
     monkeypatch.setattr("petersym.cli.cuspidal_subspace", cuspidal)
     monkeypatch.setattr("petersym.cli.subgroup_farey", unfold)
-    weight = MAX_SPACE_WEIGHT + extra
-    code = main(command + ["--level", "11", "--weight", str(weight)])
+
+    def argv_of(half):
+        return command + ["--level", "11", "--weight", str(2 * half)]
+
+    # the largest even weight admitted at level 11, or the next one
+    weight = 2 * (_first_refused(_admits(argv_of), 1, 1000) - 1 + extra)
+    code = main(argv_of(weight // 2))
     captured = capsys.readouterr()
     if accepted:
         assert code == 0
         assert built == [weight]
         assert json.loads(captured.out)["weight"] == weight
     else:
-        # refused before the (odd-weight) group is unfolded
+        # refused before the group is unfolded
         assert code == 3
         assert built == unfolded == []
-        assert f"above the bound {MAX_SPACE_WEIGHT}" in captured.err
+        assert _refused_for_budget(captured)
 
 
-def _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, level, bound, extra, accepted):
+def _eis_symbol_argv(level, k, fn_file):
+    return ["eis-symbol", "--level", str(level), "--weight", str(k), "--fn", str(fn_file)]
+
+
+def _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, level, lo, extra, accepted):
+    """Run eis-symbol at level on the largest weight admitted, or the
+    next, with the moments stubbed; the admitted weight lo is where the
+    search starts.  Returns the first weight refused at level."""
     calls = []
 
     class Symbol:
@@ -410,13 +435,13 @@ def _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, level, bound, 
             self.c_inf = Fraction(0)
 
     monkeypatch.setattr("petersym.cli.EisSymbol", Symbol)
-    weight = bound + extra
     fn_file = tmp_path / "fn.json"
+    edge = _first_refused(_admits(lambda k: _eis_symbol_argv(level, k, fn_file)), lo, 10**4)
+    weight = edge - 1 + extra
     if accepted:
         fn_file.write_text(json.dumps(TorsionFunction.constant(level).to_json()))
     # a refused weight exits before the (here missing) file is read
-    code = main(["eis-symbol", "--level", str(level), "--weight", str(weight),
-                 "--fn", str(fn_file)])
+    code = main(_eis_symbol_argv(level, weight, fn_file))
     captured = capsys.readouterr()
     if accepted:
         assert code == 0
@@ -425,23 +450,25 @@ def _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, level, bound, 
     else:
         assert code == 3
         assert calls == []
-        assert f"above the bound {bound}" in captured.err
+        assert _refused_for_budget(captured)
+    return edge
 
 
 @pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
 def test_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, extra, accepted):
-    _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, 1, MAX_QEXP_WEIGHT,
-                                   extra, accepted)
+    _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, 1, 2, extra, accepted)
 
 
 @pytest.mark.parametrize("level,bound", [(7, 522), (30, 321), (125, 200)])
 @pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
 def test_eis_symbol_weight_bound_falls_with_the_level(
         capsys, tmp_path, monkeypatch, level, bound, extra, accepted):
-    # the largest weight k with level * k^3 <= MAX_QEXP_WEIGHT^3
-    assert level * bound ** 3 <= MAX_QEXP_WEIGHT ** 3 < level * (bound + 1) ** 3
-    _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, level, bound,
-                                   extra, accepted)
+    # bound is the largest weight k with level * k^3 <= 1000^3, the rule
+    # before the time budget: the budget still admits it, and its largest
+    # weight falls below the one at level 1
+    edge = _check_eis_symbol_weight_bound(capsys, tmp_path, monkeypatch, level, bound,
+                                          extra, accepted)
+    assert edge < _first_refused(_admits(lambda k: _eis_symbol_argv(1, k, "f")), 2, 10**4)
 
 
 # sha256 of the printed JSON, recorded before the symbol-space elements
@@ -683,40 +710,62 @@ def test_basis_writer_matches_json_dumps(case):
     ("modsym-space", 1, 2, 1),    # one coset of one coefficient
     ("modsym-space", 7, 4, 24),   # 8 cosets of 3 coefficients
     ("cuspidal", 1, 2, 1),
-    ("cuspidal", 11, 2, 12),
+    ("cuspidal", 11, 2, 12),      # 12 cosets of one coefficient
 ])
 def test_basis_cells_bound(capsys, monkeypatch, command, level, weight, per_vector,
                            extra, accepted):
-    # the basis is a range of the asked dimension: neither its vectors
-    # nor its text are made
-    dimension = MAX_BASIS_CELLS // per_vector + extra
-    cells = dimension * per_vector
-    assert cells == MAX_BASIS_CELLS + extra * per_vector
-    written = []
+    # the basis is a range of the largest dimension admitted, or the next:
+    # neither its vectors nor its text are made
+    argv = [command, "--level", str(level), "--weight", str(weight)]
+    if command == "cuspidal":
+        # predicted before the build from twice the closed-form cusp-form
+        # dimension, stubbed here
+        per_dim, stubbed = 2, [1]
+        monkeypatch.setattr("petersym.cli.dim_cusp_forms_gamma0", lambda n, k: stubbed[0])
+
+        def within(d):
+            stubbed[0] = d
+            return _admitted(argv)
+    else:
+        # the built space's output is checked again, before any JSON is made
+        per_dim, cosets = 1, per_vector // (weight - 1)
+
+        def within(d):
+            seconds, size = _cost(command, level, weight, cosets, d, 0, 2, 1)
+            return seconds <= TIME_BUDGET and size <= OUTPUT_BUDGET
+
+    edge = _first_refused(within, 1, OUTPUT_BUDGET) - 1 + extra
+    if command == "cuspidal":
+        stubbed[0] = edge
+    dimension = per_dim * edge
+    built, written = [], []
 
     def space(sym, k):
         out = ModularSymbolSpace(sym, k, [])
         out.basis = range(dimension)
         return out
 
+    def cuspidal(n, k):
+        built.append(k)
+        return None, range(dimension)
+
     def writer(basis, cosets, k):
         written.append(len(basis) * cosets * (k - 1))
         return []
 
     monkeypatch.setattr("petersym.cli.build_space", space)
-    monkeypatch.setattr("petersym.cli.cuspidal_subspace",
-                        lambda n, k: (None, range(dimension)))
+    monkeypatch.setattr("petersym.cli.cuspidal_subspace", cuspidal)
     monkeypatch.setattr("petersym.cli._BasisJSON", writer)
-    code = main([command, "--level", str(level), "--weight", str(weight)])
+    code = main(argv)
     captured = capsys.readouterr()
     if accepted:
         assert code == 0
-        assert written == [cells]
+        assert written == [dimension * per_vector]
         assert json.loads(captured.out)["dimension"] == dimension
     else:
         assert code == 3
-        assert written == [] and captured.out == ""
-        assert f"{cells} coefficients, above the bound {MAX_BASIS_CELLS}" in captured.err
+        assert written == built == []
+        assert _refused_for_budget(captured)
 
 
 @pytest.mark.parametrize("extra,accepted", [(0, True), (1, False)])
@@ -728,9 +777,17 @@ def test_basis_cells_bound(capsys, monkeypatch, command, level, weight, per_vect
 ])
 def test_basis_cells_bound_before_the_build(capsys, monkeypatch, command, dims_name,
                                             per_dim, extra, accepted):
-    # the closed-form dimension is stubbed to the bound, or above it by
-    # `extra`: above it the space is not built
-    dimension = MAX_BASIS_CELLS // per_dim + extra
+    # the closed-form dimension is stubbed to the largest one admitted, or
+    # the next: above it the space is not built
+    stubbed = [1]
+    monkeypatch.setattr(f"petersym.cli.{dims_name}", lambda n, k: stubbed[0])
+
+    def argv_of(d):
+        stubbed[0] = d
+        return [command, "--level", "1", "--weight", "2"]
+
+    dimension = _first_refused(_admits(argv_of), 1, OUTPUT_BUDGET) - 1 + extra
+    stubbed[0] = dimension
     built = []
 
     def space(sym, k):
@@ -743,7 +800,6 @@ def test_basis_cells_bound_before_the_build(capsys, monkeypatch, command, dims_n
         built.append(k)
         return None, range(dimension * per_dim)
 
-    monkeypatch.setattr(f"petersym.cli.{dims_name}", lambda n, k: dimension)
     monkeypatch.setattr("petersym.cli.build_space", space)
     monkeypatch.setattr("petersym.cli.cuspidal_subspace", cuspidal)
     monkeypatch.setattr("petersym.cli._BasisJSON", lambda basis, cosets, k: [])
@@ -753,14 +809,13 @@ def test_basis_cells_bound_before_the_build(capsys, monkeypatch, command, dims_n
         assert code == 0 and built == [2]
     else:
         assert code == 3
-        assert built == [] and captured.out == ""
-        cells = dimension * per_dim
-        assert f"{cells} coefficients, above the bound {MAX_BASIS_CELLS}" in captured.err
+        assert built == []
+        assert _refused_for_budget(captured)
 
 
 @pytest.mark.parametrize("command", ["modsym-space", "cuspidal"])
 def test_oversized_gamma0_basis_is_refused_before_any_work(capsys, monkeypatch, command):
-    # 3.1e7 coefficients at (300, 20) for modsym-space: refused from the
+    # about 10^9 bytes of basis at (300, 20): refused from the
     # closed-form dimension, with nothing unfolded or built
     def refuse(*args):
         raise AssertionError("the space was built")
@@ -769,22 +824,106 @@ def test_oversized_gamma0_basis_is_refused_before_any_work(capsys, monkeypatch, 
     monkeypatch.setattr("petersym.cli.build_space", refuse)
     monkeypatch.setattr("petersym.cli.cuspidal_subspace", refuse)
     code = main([command, "--level", "300", "--weight", "20"])
+    assert code == 3
+    assert _refused_for_budget(capsys.readouterr())
+
+
+class _Reached(Exception):
+    """Raised by a stubbed command: the job was admitted."""
+
+
+def _unreachable(args):
+    raise _Reached(args.command)
+
+
+_PRIMES = _primes(2, 600_000)
+
+
+def _family(template, value=lambda i: i):
+    """argv_of(i): the template with its "{}" set to value(i)."""
+    return lambda i: [t.format(value(i)) for t in template]
+
+
+def _prime(i):
+    return _PRIMES[i]
+
+
+def _even(i):
+    return 2 * i
+
+
+# a family of jobs whose predictions grow along it, and bounds of its
+# refusal edge: the first job admitted, the second refused
+EDGES = {
+    # Gamma0(p) has p + 1 cosets; the coset bound is checked by the stubbed command
+    "farey": (_family(["farey", "--level", "{}"], _prime), 0, len(_PRIMES) - 1),
+    "modsym-space": (_family(["modsym-space", "--level", "1", "--weight", "{}"], _even), 1, 1000),
+    "eisbasis": (_family(["eisbasis", "--level", "{}", "--weight", "4"], _prime), 0, 1000),
+    "eis-symbol": (_family(["eis-symbol", "--level", "1", "--weight", "{}", "--fn", "f"]),
+                   2, 10**4),
+    "pairing-matrix": (_family(["pairing-matrix", "--level", "1", "--weight", "{}"], _even),
+                       1, 1000),
+    "pairing-matrix-eisenstein": (_family(
+        ["pairing-matrix", "--level", "1", "--weight", "{}", "--eisenstein"], _even), 1, 1000),
+    "hecke": (_family(["hecke", "--level", "11", "--weight", "2", "--ell", "{}"]),
+              2, 10**5),
+    "cuspidal": (_family(["cuspidal", "--level", "1", "--weight", "{}"], _even), 1, 1000),
+    "qexp": (_family(["qexp", "--level", "1", "--weight", "2", "--terms", "{}", "--fn", "f"]),
+             1, 10**8),
+}
+
+
+@pytest.mark.parametrize("accepted", [True, False], ids=["under", "over"])
+@pytest.mark.parametrize("family", list(EDGES))
+def test_admission_edge(capsys, monkeypatch, family, accepted):
+    # the last job of the family that the budgets admit runs its
+    # (stubbed) command; the next one is refused before it
+    argv_of, lo, hi = EDGES[family]
+    edge = _first_refused(_admits(argv_of), lo, hi)
+    argv = argv_of(edge - accepted)
+    ran = []
+    name = "cmd_" + argv[0].replace("-", "_")
+    monkeypatch.setattr(f"petersym.cli.{name}", lambda args: ran.append(args) or {})
+    code = main(argv)
     captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert f"above the bound {MAX_BASIS_CELLS}" in captured.err
+    if accepted:
+        assert code == 0 and len(ran) == 1
+    else:
+        assert code == 3 and ran == []
+        assert _refused_for_budget(captured)
 
 
-def _next_prime(n):
-    n += 1
-    while any(n % p == 0 for p in range(2, int(n ** 0.5) + 1)):
-        n += 1
-    return n
-
-
-@pytest.mark.parametrize("ell,accepted", [
-    (MAX_HECKE_ELL, True), (MAX_HECKE_ELL + 1, False), (_next_prime(MAX_HECKE_ELL), False),
+@pytest.mark.parametrize("argv", [
+    ["hecke", "--level", "11", "--weight", "48", "--ell", "1009"],
+    ["hecke", "--level", "11", "--weight", "100", "--ell", "1009"],
+    ["cuspidal", "--level", "1000", "--weight", "2"],
+    # no O(sqrt(terms)) divisor sum: refused from the closed form at once
+    ["qexp", "--level", "1", "--weight", "2", "--terms", str(10**30), "--fn", "missing.json"],
+    ["qexp", "--level", "1", "--weight", "2", "--terms", "9" * 4000, "--fn", "missing.json"],
 ])
+def test_slow_jobs_are_refused_at_once(capsys, monkeypatch, argv):
+    for name, _, func, _ in _commands():
+        monkeypatch.setattr(f"petersym.cli.{func.__name__}", _unreachable)
+    start = perf_counter()
+    assert main(argv) == 3
+    assert perf_counter() - start < 0.5
+    assert _refused_for_budget(capsys.readouterr())
+
+
+def test_qexp_admits_what_it_once_refused():
+    # 99999 terms at level 1 take about 1 s end to end (2-CPU VM)
+    assert _admitted(["qexp", "--level", "1", "--weight", "2", "--terms", "99999",
+                      "--fn", "f.json"])
+
+
+@pytest.mark.parametrize("ell,accepted", [(1009, True), (1010, False), (1013, False)])
 def test_hecke_ell_bound(capsys, monkeypatch, ell, accepted):
+    # with the time budget set to the predicted seconds of hecke
+    # (11, 2, 1009), ell = 1009 is the last one admitted at (11, 2): a
+    # larger ell, prime or not, is refused before X_ell or the space is built
+    budget, _ = _cost("hecke", 11, 2, gamma0_index(11), dim_modular_symbols_gamma0(11, 2),
+                      0, 1009, 1)
+    monkeypatch.setattr("petersym.cli.TIME_BUDGET", budget)
     heilbronn, spaces = [], []
 
     def merel(n):
@@ -807,7 +946,7 @@ def test_hecke_ell_bound(capsys, monkeypatch, ell, accepted):
     else:
         assert code == 3
         assert spaces == [] and heilbronn == []
-        assert f"above the bound {MAX_HECKE_ELL}" in captured.err
+        assert _refused_for_budget(captured)
 
 
 def test_hecke_has_no_group_option(capsys):
@@ -883,6 +1022,7 @@ OTHER_ARGV = [
     ["hecke", "--lev", "11", "--weight", "2", "--ell", "3"], ["hecke", "--level=11", *HECKE[3:]],
     ["pairing-matrix", "--eisenstein", "yes", "--level", "11", "--weight", "2"],
     ["qexp", "--level", "4", "--weight", "4", "--fn", ""], [*HECKE[:-1]],
+    ["hecke", "--level", "1" * 5000, "--weight", "2", "--ell", "3"],
 ]
 
 
@@ -1112,3 +1252,74 @@ def test_every_command_exits_with_a_documented_code(case):
         group = argv[argv.index("--group") + 1] if "--group" in argv else "gamma0"
         level = int(argv[argv.index("--level") + 1])
         assert json.loads(out.getvalue())["invariants"]["index"] == _FUZZ_INDEX[group](level)
+
+
+# sizes up to 10**30, with the small values every command meets first
+_sizes = st.integers(-3, 40) | st.integers(0, 10**30) | st.sampled_from([10**e for e in range(31)])
+
+
+@st.composite
+def _admission_argv(draw):
+    """argv of any command but verify, with sizes up to 10**30; an input
+    file is named but never written."""
+    command = draw(st.sampled_from([name for name, *_ in _commands() if name != "verify"]))
+    argv = [command, "--level", str(draw(_sizes))]
+    if command != "farey":
+        argv += ["--weight", str(draw(_sizes))]
+    if command in ("farey", "modsym-space", "pairing-matrix"):
+        argv += ["--group", draw(st.sampled_from(["gamma0", "gamma1", "gamma"]))]
+    if command == "hecke":
+        argv += ["--ell", str(draw(_sizes))]
+    if command == "qexp":
+        argv += ["--terms", str(draw(_sizes))]
+    if command in ("eis-symbol", "qexp"):
+        argv += ["--fn", "missing.json"]
+    if command == "farey" and draw(st.booleans()):
+        argv += ["--parent", "missing.json"]
+    if command == "pairing-matrix" and draw(st.booleans()):
+        argv.append("--eisenstein")
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(_admission_argv())
+def test_admission_decides_before_any_work(argv):
+    # every command is stubbed to raise: admission either refuses the
+    # job (exit 3) or lets it reach its command, and it decides at once
+    stubs = {func.__name__: func for _, _, func, _ in _commands()}
+    err = io.StringIO()
+    try:
+        for name in stubs:
+            setattr(petersym.cli, name, _unreachable)
+        start = perf_counter()
+        with redirect_stderr(err):
+            try:
+                code = main(argv)
+            except _Reached:
+                code = None
+        elapsed = perf_counter() - start
+    finally:
+        for name, func in stubs.items():
+            setattr(petersym.cli, name, func)
+    assert elapsed < 0.5, argv
+    if code is not None:
+        assert code == 3 and err.getvalue().startswith("error: "), (argv, code)
+
+
+_COSTED = ["farey", "modsym-space", "eisbasis", "eis-symbol", "pairing-matrix",
+           "pairing-matrix --eisenstein", "hecke", "cuspidal", "qexp"]
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.sampled_from(_COSTED),
+       st.tuples(st.integers(1, 10**4), st.integers(2, 2000), st.integers(1, 10**6),
+                 st.integers(0, 10**5), st.integers(0, 500), st.integers(2, 10**5),
+                 st.integers(1, 10**7)),
+       st.integers(0, 6), st.integers(1, 10**3))
+def test_every_prediction_grows_with_each_size(command, sizes, which, step):
+    # admission bounds the sizes from below before it factors the level,
+    # which is sound only if each prediction grows with each size
+    grown = list(sizes)
+    grown[which] += step
+    before, after = _cost(command, *sizes), _cost(command, *grown)
+    assert all(a >= b for a, b in zip(after, before)), (before, after)

@@ -5,8 +5,9 @@ deletions honest are made here: every name a module exports in
 `__all__` exists and no module imports a name it never uses (on the
 package and the test-side oracle), every name a package module
 exports is used by another package module or by a test, and every
-public method of a package class and public module constant is read
-somewhere in the package or the tests, and every default parameter
+public method of a package class is read as an attribute (or imported)
+and every public module constant is read somewhere in the package or
+the tests, and every default parameter
 of a package function is passed by some call, so a default that no
 caller sets is a constant of the body instead.  The integer matrix of
 the action on V_k is read only where it is defined and by
@@ -82,6 +83,14 @@ def _names_used(path: Path) -> set:
         elif isinstance(node, ast.alias):
             used.add(node.name)
     return used
+
+
+def _attributes_read(path: Path) -> set:
+    """Every attribute read, and every imported name, in the file."""
+    return {node.attr if isinstance(node, ast.Attribute) else node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.alias)}
 
 
 def _public_definitions(path: Path) -> list:
@@ -216,9 +225,14 @@ def test_space_element_lefts_skip_the_fraction_route(monkeypatch):
 
 @pytest.mark.parametrize("name,path", PACKAGE_MODULES)
 def test_public_methods_and_constants_are_used(name, path):
+    # a method is used only where it is read as an attribute or imported:
+    # a local variable of the same name does not count
     files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.rglob("*.py"))
-    used = set().union(*(_names_used(p) for p in files))
-    assert [d for d in _public_definitions(path) if d.rsplit(".", 1)[-1] not in used] == []
+    names = set().union(*(_names_used(p) for p in files))
+    attributes = set().union(*(_attributes_read(p) for p in files))
+    unused = [d for d in _public_definitions(path)
+              if d.rsplit(".", 1)[-1] not in (attributes if "." in d else names)]
+    assert unused == []
 
 
 def _defaults(tree) -> list:
