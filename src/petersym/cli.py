@@ -106,10 +106,10 @@ def _cost(command: str, n: int, k: int, index: int, dim: int, orbits: int,
     """
     cells = index * (k - 1)  # coefficients of one coset vector
     # the unfolding, and the kernel above weight 2
-    space = 2e-5 * index + (
+    space = 1.45e-5 * index + (
         3.2e-8 * index ** 1.3 * k ** 3.2 + 1e-12 * index * k ** 5 if k > 2 else 0)
     if command == "farey":
-        seconds, size = 2e-5 * index, 35 * index
+        seconds, size = 1.45e-5 * index, 35 * index
     elif command == "modsym-space":
         seconds, size = space, dim * index * ((k - 1) * (14 + k) + 16)
     elif command == "eisbasis":
@@ -161,10 +161,10 @@ _SPACE_COMMANDS = ("modsym-space", "pairing-matrix", "hecke", "cuspidal")
 # The formulas of `_cost` are fitted to cold CLI runs on a 2-CPU VM, in
 # seconds measured / predicted, and the largest admitted job of each
 # command took (seconds, peak RSS):
-#   farey Gamma0(N), N = 10007, 30011, 99991: 0.20/0.26, 0.53/0.67, 1.81/2.09;
-#     Gamma0(244194) through Gamma0(6): 4.2 s, 251 MB
-#   modsym-space (1200, 2) 0.49/0.56, (30, 50) 3.50/3.69, (1, 300) 4.32/5.24;
-#     (1, 350): 9.9 s, 62 MB; (1248, 2), 35 MB written: 0.36 s, 118 MB
+#   farey Gamma0(N), N = 10007, 30011, 99991: 0.18/0.21, 0.39/0.51, 1.36/1.54;
+#     Gamma0(334578) through Gamma0(6): 7.5 s, 338 MB
+#   modsym-space (1200, 2) 0.46/0.55 (no output budget), (30, 50) 3.50/3.69,
+#     (1, 300) 4.32/5.24; (1, 350): 9.9 s, 62 MB; (1248, 2), 35 MB out: 0.36 s, 118 MB
 #   eisbasis (100, 2) 0.31/0.16, (300, 2) 1.81/1.96, (500, 4) 4.63/4.60;
 #     (288, 2), 39 MB written: 1.2 s, 328 MB
 #   eis-symbol (7, 522) 1.35/1.31, (100, 150) 1.79/1.46, (1, 1000) 5.98/5.82;
@@ -695,7 +695,7 @@ def main(argv=None) -> int:
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                fh.write(text + "\n")
+                fh.writelines((text, "\n"))
         except OSError as exc:
             print(f"error: output file {args.output}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)

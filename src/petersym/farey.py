@@ -33,6 +33,7 @@ from .modgroup import (
     Mat,
     act,
     cusp_str,
+    madj,
     matrix_to_cusp,
     minv,
     mmul,
@@ -99,22 +100,22 @@ def gamma0_group(n: int) -> GroupSpec:
     def member(g):
         return g[2] % n == 0
 
-    # the two tables of the key, filled on first use: (h, u) per residue
-    # c mod N, and the units w = 1 mod N/h per divisor h
-    scalings: dict[int, tuple[int, int]] = {}
-    residual_units: dict[int, list[int]] = {}
+    # the table of the key, filled on first use: (h, u, the units w = 1
+    # mod N/h, None if only 1) per residue c mod N, one units list per h
+    entries: dict[int, tuple[int, int, list[int] | None]] = {}
+    residual_units: dict[int, list[int] | None] = {}
 
-    def scaling(c):
+    def entry(c):
         h = gcd(c, n)
         m = n // h
         u = pow(c // h, -1, m)
         while gcd(u, n) != 1:
             u += m
-        units = residual_units.get(h)
-        if units is None:
-            units = residual_units[h] = [w for w in range(1, n + 1, m) if gcd(w, n) == 1]
-        scalings[c] = h, u
-        return h, u
+        if h not in residual_units:
+            units = [w for w in range(1, n + 1, m) if gcd(w, n) == 1]
+            residual_units[h] = None if units == [1] else units
+        entries[c] = h, u, residual_units[h]
+        return entries[c]
 
     def key(g):
         # Canonical form of the point (c : d) of P^1(Z/N) under scaling by
@@ -122,11 +123,11 @@ def gamma0_group(n: int) -> GroupSpec:
         # with h = gcd(c, N) and m = N/h, a unit u = (c/h)^-1 mod m sends
         # the point to (h : d'); what is left is scaling by the units
         # w = 1 mod m, which fix h, so the key costs O(h), not O(phi(N)).
-        # h and u are read from the table of c, the w from the table of h.
+        # h, u and the w are read from the one entry of c.
         c = g[2] % n
-        h, u = scalings.get(c) or scaling(c)
+        h, u, units = entries.get(c) or entry(c)
         d = u * g[3] % n
-        return h, min([d * w % n for w in residual_units[h]])
+        return h, d if units is None else min([d * w % n for w in units])
 
     return GroupSpec(member, key, f"gamma0({n})")
 
@@ -168,9 +169,12 @@ def gamma_full_group(n: int) -> GroupSpec:
 class CosetTable:
     """Right-coset representatives of a subgroup inside its parent group.
 
-    reps[0] is always the identity.  locate() answers, for g in the
-    parent group, which coset (projectively) g lies in and with which
-    subgroup element it differs from the representative.
+    reps[0] is always the identity; each rep is a product of gluing
+    matrices, so madj(rep) is its inverse.  The coset graph `step` has
+    step[a][i] = the coset of reps[i] * parent glue[a] (over SL2(Z),
+    sigma then tau).  key(g) is the spec's key, or g for find() to scan.
+    locate() answers, for g in the parent group, which coset g lies in
+    and with which subgroup element it differs from the representative.
     """
 
     def __init__(self, spec: GroupSpec, parent_symbol):
@@ -179,41 +183,48 @@ class CosetTable:
         self.member2 = _symmetrize(spec.member)
         self.parent_symbol = parent_symbol  # None means parent is SL2(Z)
         self.reps: list[Mat] = [ID]
-        self._rep_invs: list[Mat] = [ID]
+        self.step: list[list[int]] = [[None] for _ in parent_symbol.glue] \
+            if parent_symbol else [[0], [0]]  # SL2(Z) in itself: one fixed coset
+        self.key = spec.key or (lambda g: g)
         self._by_key = {spec.key(ID): 0} if spec.key else None
 
     def __len__(self):
         return len(self.reps)
 
-    def class_index(self, g: Mat):
-        """Index of the projective coset of g, or None if undiscovered."""
+    def find(self, key) -> int | None:
+        """Index of the coset whose `key` is key, or None if undiscovered."""
         if self._by_key is not None:
-            return self._by_key.get(self.spec.key(g))
-        for i, inv in enumerate(self._rep_invs):
-            if self.member2(mmul(g, inv)):
+            return self._by_key.get(key)
+        for i, rep in enumerate(self.reps):
+            if self.member2(mmul(key, madj(rep))):
                 return i
         return None
 
-    def add_rep(self, g: Mat) -> int:
-        if self.class_index(g) is not None:
+    def class_index(self, g: Mat):
+        """Index of the projective coset of g, or None if undiscovered."""
+        return self.find(self.key(g))
+
+    def add_rep(self, g: Mat, key) -> int:
+        """Index of g, whose `key` is key, as a new coset with no moves yet."""
+        if self.find(key) is not None:
             raise FareyError("attempted to add a duplicate coset representative")
         self.reps.append(g)
-        self._rep_invs.append(minv(g))
         if self._by_key is not None:
-            self._by_key[self.spec.key(g)] = len(self.reps) - 1
+            self._by_key[key] = len(self.reps) - 1
+        for row in self.step:
+            row.append(None)
         return len(self.reps) - 1
 
-    def locate(self, g: Mat) -> tuple[int, Mat]:
-        """(coset index, gamma) with g = gamma * rep up to the +/- ambiguity.
+    def factor(self, g: Mat, i: int) -> Mat:
+        """gamma with g = +/-gamma * reps[i], g in coset i, signed into the subgroup."""
+        return _sign_into(self.member, mmul(g, madj(self.reps[i])))
 
-        gamma is sign-normalized into the subgroup when possible, so
-        g == gamma * rep or g == -gamma * rep.
-        """
+    def locate(self, g: Mat) -> tuple[int, Mat]:
+        """(coset index, gamma) with g = gamma * rep up to the +/- ambiguity."""
         i = self.class_index(g)
         if i is None:
             raise FareyError("matrix is not in any discovered coset")
-        gamma = mmul(g, self._rep_invs[i])
-        return i, _sign_into(self.member, gamma)
+        return i, self.factor(g, i)
 
 
 Endpoint = tuple  # ('c', cusp) or ('e', base arc index)
@@ -463,8 +474,12 @@ def subgroup_farey(
     list of (coset, parent arc) labels: unfolding across an arc replaces
     its label by the arcs of the new cosets in time linear in their
     number, and the list is written out in order once at the end.
+    Each step keys one matrix once, and the table keeps the coset graph
+    `step` for the assembly; a new coset queues its parent arcs but the
+    one it was attached across, whose move back is known.
     """
     table = CosetTable(spec, parent)
+    reps, step, key, find = table.reps, table.step, table.key, table.find
     pg = parent.glue
     pstar = parent.star
     pmu = parent.mu
@@ -473,6 +488,7 @@ def subgroup_farey(
 
     work3 = deque((0, a) for a in range(n_parent) if a in ell3)
     work = deque((0, a) for a in range(n_parent) if a not in ell3)
+    queue_of = [work3 if b in ell3 else work for b in range(n_parent)]
     # the layout is a linked list of arc labels: succ and pred hold the
     # neighbours of every label in it, with None before the first label
     # and after the last, so a splice costs the length of what it inserts
@@ -491,88 +507,93 @@ def subgroup_farey(
             lab = succ[lab]
         return out
 
-    def splice(label, fresh, new_coset_indices):
+    def splice(label, fresh, new_coset_indices, attach):
         before, after = pred.pop(label), succ.pop(label)
         for lab, nxt in zip([before] + fresh, fresh + [after]):
             succ[lab] = nxt
             pred[nxt] = lab
-        # enqueue every arc of the new cosets, following the parent order
+        # enqueue the new cosets' arcs in parent order, but the attach arc
         for ci in new_coset_indices:
             for b in range(n_parent):
-                if b in ell3:
-                    work3.append((ci, b))
-        for ci in new_coset_indices:
-            for b in range(n_parent):
-                if b not in ell3:
-                    work.append((ci, b))
+                if b != attach:
+                    queue_of[b].append((ci, b))
 
-    def add_rep(g: Mat) -> int:
-        i = table.add_rep(g)
+    def add_rep(g: Mat, kg) -> int:
+        i = table.add_rep(g, kg)
         if len(table) > max_index:
             raise FareyError("coset bound exceeded; index too large or not a subgroup")
         return i
 
     while True:
         while work3 or work:
-            if work3:
-                ci, a = work3.popleft()
-                g = mmul(table.reps[ci], pg[a])
-                g2 = mmul(g, pg[a])
-                if table.class_index(g) is not None or table.class_index(g2) is not None:
-                    # full or partial triangle: leave the arc in place; a
-                    # partially present triangle mostly completes through
-                    # other arcs and is rectified as an order-3 pairing orbit
-                    continue
-                i1 = add_rep(g)
-                i2 = add_rep(g2)
-                splice((ci, a), arcs_of(i1, a) + arcs_of(i2, a), [i1, i2])
-            else:
-                ci, a = work.popleft()
-                g = mmul(table.reps[ci], pg[a])
-                if table.class_index(g) is not None:
-                    continue
-                i1 = add_rep(g)
-                splice((ci, a), arcs_of(i1, pstar[a]), [i1])
+            ci, a = (work3 or work).popleft()
+            g = mmul(reps[ci], pg[a])
+            kg = key(g)
+            j = step[a][ci] = find(kg)
+            if j is not None:
+                continue
+            if a not in ell3:
+                j = step[a][ci] = add_rep(g, kg)
+                step[pstar[a]][j] = ci
+                splice((ci, a), arcs_of(j, pstar[a]), [j], pstar[a])
+                continue
+            g2 = mmul(g, pg[a])
+            kg2 = key(g2)
+            if find(kg2) is not None:
+                # partial triangle: leave the arc in place; a
+                # partially present triangle mostly completes through
+                # other arcs and is rectified as an order-3 pairing orbit
+                continue
+            i1 = add_rep(g, kg)
+            i2 = add_rep(g2, kg2)
+            step[a][ci], step[a][i1], step[a][i2] = i1, i2, ci
+            splice((ci, a), arcs_of(i1, a) + arcs_of(i2, a), [i1, i2], a)
         # Only elliptic and partial triangles keep an order-3 arc in the
         # layout.  A partial one whose missing coset no other arc reached
         # gets that copy attached across one half of the arc; the other
         # half and the copy's far half leave a plain side, which pairs
-        # with the known copy's arc.
+        # with the known copy's arc.  Only a move not yet in `step` is keyed.
         for ci, a in [lab for lab in layout() if lab[1] in ell3]:
-            xi = table.reps[ci]
+            xi = reps[ci]
             s, e = parent.arcs[a]
             g = mmul(xi, pg[a])
             g2 = mmul(g, pg[a])
-            if table.class_index(g) is None:
-                i1 = add_rep(g)
+            j = step[a][ci]
+            if j is None:
+                j = step[a][ci] = table.class_index(g)
+            if j is None:
+                i1 = step[a][ci] = add_rep(g, key(g))
+                step[a][i1] = table.class_index(g2)
                 bent[(ci, a)] = (act(g, s), act(xi, e))
-                splice((ci, a), arcs_of(i1, a) + [(ci, a)], [i1])
-            elif table.class_index(g2) is None:
-                i1 = add_rep(g2)
+                splice((ci, a), arcs_of(i1, a) + [(ci, a)], [i1], a)
+            elif step[a][j] is None and table.class_index(g2) is None:
+                i1 = step[a][j] = add_rep(g2, key(g2))
+                step[a][i1] = ci
                 bent[(ci, a)] = (act(xi, s), act(g, s))
-                splice((ci, a), [(ci, a)] + arcs_of(i1, a), [i1])
+                splice((ci, a), [(ci, a)] + arcs_of(i1, a), [i1], a)
         if not (work3 or work):
             break
 
     # assemble in three maps keyed by arc label: each arc's endpoints,
-    # gluing matrix and partner under the induced pairing
+    # gluing matrix and partner under the induced pairing, read off `step`
     labels = layout()
     arc, glue, partner = {}, {}, {}
     for lab in labels:
         ci, a = lab
-        xi = table.reps[ci]
+        xi = reps[ci]
         g = mmul(xi, pg[a])
-        j, gamma = table.locate(g)
+        j = step[a][ci]
         other = (j, pstar[a])
         if other not in succ and a in ell3:
             # the known copy of a partial triangle pairs back with the bent side
-            j, gamma = table.locate(mmul(g, pg[a]))
+            g = mmul(g, pg[a])
+            j = step[a][j]
             other = (j, a)
         if other not in succ:
             raise FareyError("induced pairing leaves the polygon")
         s, e = parent.arcs[a]
         arc[lab] = bent.get(lab) or (act(xi, s), act(xi, e))
-        glue[lab] = gamma
+        glue[lab] = table.factor(g, j)
         partner[lab] = other
 
     # rectify each order-3 orbit A -> B -> C of the induced pairing into

@@ -38,6 +38,7 @@ from .modgroup import (
     act,
     cf_decompose,
     cusp_is_infinity,
+    madj,
     matrix_to_cusp,
     minv,
     mmul,
@@ -55,11 +56,9 @@ __all__ = [
 ]
 
 
-def _transport(symbol: ExtendedFareySymbol, g: Mat):
-    """(coset index, h) so a symbol value on the g-path is m(index)|h."""
-    table = symbol.require_direct_table()
-    i, gamma = table.locate(g)
-    return i, minv(gamma)
+def _transport(table, g: Mat, i: int):
+    """(i, h) with g in coset i, so a symbol value on the g-path is m(i)|h."""
+    return i, madj(table.factor(g, i))
 
 
 def coset_rows(k: int, parts) -> list[dict[int, int]]:
@@ -139,15 +138,18 @@ class ModularSymbolSpace:
             g = matrix_to_cusp(r)
             t = act(minv(g), s)
             taus = [] if cusp_is_infinity(t) else cf_decompose(Fraction(t[0], t[1]))[0][1:]
+            locate = self.symbol.require_direct_table().locate
             rows = self._paths[(r, s)] = coset_rows(
-                self.k, [_transport(self.symbol, mmul(g, tau)) for tau in taus])
+                self.k, [(i, madj(gamma)) for i, gamma in (locate(mmul(g, tau)) for tau in taus)])
         return rows
 
 
 def _cycle_basis(table) -> list[tuple[dict[int, int], int]]:
     """The weight-2 kernel read off a spanning forest of the coset graph.
 
-    At k = 2 every action matrix is 1, so the relations are
+    The graph is the table's `step`, sigma then tau on the cosets for a
+    table built directly over SL2(Z), whose glue is [SIGMA, TAU].  At
+    k = 2 every action matrix is 1, so the relations are
     x_i + x_sigma(i) = 0 and x_i + x_tau(i) + x_tau^2(i) = 0.  A
     tau-orbit of three cosets is a vertex; a sigma-orbit {i < j} is an
     edge from the vertex of i to that of j, its variable x_j = -x_i,
@@ -161,12 +163,9 @@ def _cycle_basis(table) -> list[tuple[dict[int, int], int]]:
     last key, and 0 at the other free columns, the ±1 entries over 1
     that `kernel_basis` returns for the free column j.
     """
-    reps = table.reps
-    index = table.class_index
-    sigma = [index(mmul(rep, SIGMA)) for rep in reps]
-    tau = [index(mmul(rep, TAU)) for rep in reps]
+    sigma, tau = table.step
     # vertex of a coset: the least coset of its tau-orbit, None if fixed
-    vertex = [None] * len(reps)
+    vertex = [None] * len(tau)
     for i, t in enumerate(tau):
         if t != i and vertex[i] is None:
             vertex[i] = vertex[t] = vertex[tau[t]] = i
@@ -248,16 +247,16 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     # one relation per sigma-orbit and per tau-orbit of cosets, written
     # at the orbit's first coset: at another coset of the orbit it is
     # the same relation transported by a group element, so adding it
-    # would not change the row space
+    # would not change the row space (`step` holds the cosets moved to)
+    sigma, tau = table.step
     sigma_rows, tau_rows = [], []
     for i, rep in enumerate(table.reps):
-        s = _transport(symbol, mmul(rep, SIGMA))
-        if s[0] >= i:
-            sigma_rows += coset_rows(k, [(i, ID), s])
-        t = _transport(symbol, mmul(rep, TAU))
-        tt = _transport(symbol, mmul(rep, TAU, TAU))
-        if min(t[0], tt[0]) >= i:
-            tau_rows += coset_rows(k, [(i, ID), t, tt])
+        if sigma[i] >= i:
+            sigma_rows += coset_rows(k, [(i, ID), _transport(table, mmul(rep, SIGMA), sigma[i])])
+        t = tau[i]
+        if min(t, tau[t]) >= i:
+            tau_rows += coset_rows(k, [(i, ID), _transport(table, mmul(rep, TAU), t),
+                                       _transport(table, mmul(rep, TAU, TAU), tau[t])])
     ncols = len(table.reps) * (k - 1)
     return ModularSymbolSpace(symbol, k, kernel_basis(sigma_rows + tau_rows, ncols))
 

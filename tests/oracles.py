@@ -661,7 +661,7 @@ def coset_decompose(symbol: ExtendedFareySymbol, g: Mat) -> tuple[list[Mat], Mat
         j = table.class_index(nxt)
         if j is None:
             raise FareyError("input matrix leaves the discovered coset system")
-        fac = mmul(nxt, table._rep_invs[j])
+        fac = mmul(nxt, madj(table.reps[j]))
         if fac == ID:
             pass
         elif fac == mneg(ID):

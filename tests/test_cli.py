@@ -836,7 +836,7 @@ def _unreachable(args):
     raise _Reached(args.command)
 
 
-_PRIMES = _primes(2, 600_000)
+_PRIMES = _primes(2, 700_000)
 
 
 def _family(template, value=lambda i: i):

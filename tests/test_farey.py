@@ -215,8 +215,62 @@ def test_towers_over_gamma0(n, m, family, data):
     sym, table = subgroup_farey(parent, spec)
     sym.validate()
     assert sym.invariants() == invariants(n * m)
+    assert_step_is_the_coset_graph(parent, table)
     assert_decomposes(sym, spec, data.draw(st.lists(st.sampled_from(parent.glue),
                                                     min_size=1, max_size=8)))
+
+
+def parent_and_group_id(x):
+    return x.name if isinstance(x, GroupSpec) else f"over-gamma0({x})"
+
+
+def assert_step_is_the_coset_graph(parent, table):
+    """step[a][i] is the coset of reps[i] * glue[a], for every coset and parent arc."""
+    assert [len(row) for row in table.step] == [len(table)] * parent.n_arcs()
+    for a, g in enumerate(parent.glue):
+        for i, rep in enumerate(table.reps):
+            assert table.step[a][i] == table.class_index(mmul(rep, g))
+
+
+# subgroups of the base symbol, then towers: the three over Gamma0(7)
+# reach both rectification branches of a partial triangle
+@pytest.mark.parametrize("parent_level,spec", [
+    *[(1, gamma0_group(n)) for n in range(1, 201)],
+    *[(1, gamma1_group(n)) for n in range(1, 31)],
+    *[(1, gamma_full_group(n)) for n in range(1, 9)],
+    (1, intersection_group(gamma0_group(4), gamma1_group(3))),
+    (7, conjugated_group((1, 0, 0, 5), gamma0_group(7))),
+    (7, gamma1_group(28)),
+    (7, gamma0_group(28)),
+    (2, gamma0_group(6)),
+    (3, gamma0_group(6)),
+    (10, gamma0_group(1000)),
+], ids=parent_and_group_id)
+def test_the_table_keeps_the_coset_graph(parent_level, spec):
+    parent = gamma0_symbol(parent_level) if parent_level > 1 else base_symbol_sl2z()
+    _, table = subgroup_farey(parent, spec)
+    assert_step_is_the_coset_graph(parent, table)
+
+
+def test_the_trivial_table_keeps_the_coset_graph():
+    base = base_symbol_sl2z()
+    assert_step_is_the_coset_graph(base, base.require_direct_table())
+
+
+@pytest.mark.parametrize("parent_level,spec", [
+    (1, gamma0_group(894)), (1, gamma1_group(23)), (1, gamma_full_group(8)),
+    (10, gamma0_group(1000)),
+], ids=parent_and_group_id)
+def test_one_key_per_step(parent_level, spec):
+    # each step of the unfolding keys one matrix (a new triangle two), and
+    # no new coset's arc back to the coset it was attached to is stepped
+    calls = []
+    key = spec.key
+    counted = spec._replace(key=lambda g: calls.append(g) or key(g))
+    parent = gamma0_symbol(parent_level) if parent_level > 1 else base_symbol_sl2z()
+    sym, table = subgroup_farey(parent, counted)
+    assert len(calls) <= len(table) + sym.n_arcs() + 1
+    assert table.reps == subgroup_farey(parent, spec)[1].reps
 
 
 def test_hecke_context_over_gamma0_7():
