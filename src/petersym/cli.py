@@ -45,7 +45,7 @@ from .farey import (
     gamma_full_group,
     subgroup_farey,
 )
-from .orbits import basis_v, orbit_indicators
+from .orbits import basis_v, orbit_card, orbit_indicators
 from .pairing import (
     cuspidal_subspace,
     eisenstein_pairing_matrix,
@@ -96,13 +96,13 @@ _GROUPS = {
 
 
 def _cost(command: str, n: int, k: int, index: int, dim: int, orbits: int,
-          ell: int, terms: int) -> tuple[float, float]:
+          points: int, ell: int, terms: int) -> tuple[float, float]:
     """(seconds, bytes of JSON) of one job, predicted from its sizes.
 
     The sizes are the level n, the weight k, the group's index, the
     dimension of the space (of the printed basis for `cuspidal`, 0 where
-    it is unknown), the number of basis orbits, ell >= 2 and the number
-    of terms.  Every formula grows with each size.
+    it is unknown), the number of basis orbits and of their points,
+    ell >= 2 and the number of terms.  Every formula grows with each size.
     """
     cells = index * (k - 1)  # coefficients of one coset vector
     # the unfolding, and the kernel above weight 2
@@ -121,10 +121,11 @@ def _cost(command: str, n: int, k: int, index: int, dim: int, orbits: int,
         seconds = space + cells ** 2 * (1.5e-7 + 3e-8 * k) + 1e-7 * (cells * k) ** 1.5
         size = (cells / 6 + 1) ** 2 * (10 + 1.5 * k)
     elif command in ("pairing-matrix --eisenstein", "cuspidal"):
-        # the Eisenstein symbol of each basis orbit, which scans the N^2
-        # points of the level, and its pairing with the space
-        seconds = space + (6e-7 * orbits * n + 8e-7 * index * k) * n \
-            + 1.6e-9 * orbits * cells * index * k * k + 4e-8 * k ** 3
+        # the k twist sums over each basis orbit's points at every coset
+        # its walks reach, its cocycle on the glues, and its pairing with
+        # the space
+        seconds = space + 1.8e-7 * points * index * k + 6e-7 * orbits * index * k * k \
+            + 8e-10 * orbits * cells * index * k * k + 4e-8 * k ** 3
         size = dim * index * ((k - 1) * (14 + 3 * k) + 16) if command == "cuspidal" \
             else orbits * (cells / 6 + 1) * (10 + 5 * k)
     elif command == "hecke":
@@ -171,12 +172,12 @@ _SPACE_COMMANDS = ("modsym-space", "pairing-matrix", "hecke", "cuspidal")
 #     (1, 1200): 8.9 s, 24 MB
 #   pairing-matrix (1200, 2) 1.90/1.93, (60, 12) 1.79/1.68, (1, 150) 0.65/0.87;
 #     (3400, 2): 9.0 s, 263 MB; (1, 310): 10.9 s, 60 MB
-#   pairing-matrix --eisenstein (300, 2) 2.79/2.43, (500, 2) 6.10/5.30,
-#     (600, 2) 10.9/12.3; (798, 2): 4.5 s, 118 MB
+#   pairing-matrix --eisenstein (500, 2) 1.16/1.15, (997, 2) 0.43/0.44,
+#     (1000, 2) 4.28/4.80, (30, 20) 0.51/0.58; (3462, 2): 9.6 s, 52 MB
 #   hecke (11, 48, 101) 13.9/14.1, (37, 4, 1009) 3.11/4.12, (11, 2, 5987)
 #     21.7/21.7; (11, 42, 101): 7.5 s, 114 MB; (11, 2, 3907): 8.0 s, 58 MB
-#   cuspidal (500, 2) 6.53/5.34, (600, 2) 10.9/12.3, (1, 300) 5.28/6.45;
-#     (1, 336): 8.5 s, 71 MB
+#   cuspidal (500, 2) 1.22/1.19, (997, 2) 0.47/0.50, (1000, 2) 4.60/4.97,
+#     (1, 300) 6.09/6.49; (882, 2): 9.4 s, 113 MB; (1, 334): 10.1 s, 70 MB
 #   qexp (1, 2, 300000) 6.23/6.31, (7, 6, 30000) 1.19/1.26, (1, 1500, 5)
 #     7.37/6.81; (1, 2, 461000): 9.3 s, 178 MB; (1, 1706, 5): 11.1 s, 17 MB
 def _admit(args) -> None:
@@ -204,9 +205,9 @@ def _admit(args) -> None:
     # every size below is at least the one given here (the index is at
     # least the level) and every prediction grows with each size, so a
     # huge level is refused before it is factored
-    _check_cost(command, n, k, n, 0, 0, ell, terms)
+    _check_cost(command, n, k, n, 0, 0, 0, ell, terms)
     index = _GROUPS[group][1](n)
-    dim = orbits = 0
+    dim = orbits = points = 0
     if command in ("modsym-space", "hecke") and group == "gamma0":
         dim = dim_modular_symbols_gamma0(n, k)
     elif command == "cuspidal":
@@ -214,7 +215,9 @@ def _admit(args) -> None:
     if command in ("eisbasis", "cuspidal", "pairing-matrix --eisenstein"):
         # one basis orbit per cusp of Gamma0(N), less one at weight 2
         orbits = gamma0_invariants(n)["n_cusps"] - (k == 2)
-    _check_cost(command, n, k, index, dim, orbits, ell, terms)
+    if command in ("cuspidal", "pairing-matrix --eisenstein"):
+        points = sum(orbit_card(t, n) for t in basis_v(n, k))
+    _check_cost(command, n, k, index, dim, orbits, points, ell, terms)
 
 
 def _check_index(kind: str, level: int, parent_index: int = 1) -> int:
@@ -322,7 +325,7 @@ def cmd_modsym_space(args):
     cosets = len(sym.require_direct_table().reps)
     # dims gives no dimension over Gamma1(N) or Gamma(N): the output is
     # checked again on the built space, before any JSON is made
-    _check_cost("modsym-space", args.level, args.weight, cosets, space.dimension(), 0, 2, 1)
+    _check_cost("modsym-space", args.level, args.weight, cosets, space.dimension(), 0, 0, 2, 1)
     return {
         "level": args.level,
         "weight": args.weight,

@@ -48,11 +48,13 @@ def bernoulli_number(h: int) -> Fraction:
 def bernoulli_poly(h: int, x: Fraction) -> Fraction:
     """Value of the h-th Bernoulli polynomial at a rational point."""
     x = Fraction(x)
-    return bernoulli_values(h, [x.numerator], x.denominator)[0]
+    nums, den = bernoulli_values(h, [x.numerator], x.denominator)
+    return Fraction(nums[0], den)
 
 
-def bernoulli_values(h: int, ps, q: int) -> list[Fraction]:
-    """B_h(p/q) for each integer p of ps, B_h the h-th Bernoulli polynomial.
+def bernoulli_values(h: int, ps, q: int) -> tuple[list[int], int]:
+    """B_h(p/q) for each integer p of ps, as integer numerators over one
+    denominator, B_h the h-th Bernoulli polynomial.
 
     B_h(p/q) = sum_j C(h, j) B_j p^(h-j) q^j / q^h, summed by Horner's
     rule on the integer numerators of C(h, j) B_j q^j, which are made
@@ -63,14 +65,13 @@ def bernoulli_values(h: int, ps, q: int) -> list[Fraction]:
     bs = [bernoulli_number(j) for j in range(h + 1)]
     nums, den = integer_row([comb(h, j) * b if b else b for j, b in enumerate(bs)])
     nums = [c * q ** j for j, c in enumerate(nums)]
-    den *= q ** h
     out = []
     for p in ps:
         acc = 0
         for c in nums:
             acc = acc * p + c
-        out.append(Fraction(acc, den))
-    return out
+        out.append(acc)
+    return out, den * q ** h
 
 
 def frac_str(q: Fraction) -> str:

@@ -290,7 +290,8 @@ class ExtendedFareySymbol:
             else:
                 if j == i:
                     raise FareyError("self-paired arc must carry an elliptic marking")
-                if self.glue[j] != minv(g) and self.glue[j] != mneg(minv(g)):
+                inv = minv(g)
+                if self.glue[j] != inv and self.glue[j] != mneg(inv):
                     raise FareyError("paired gluing matrices are not inverse")
                 ps, pe = self.arcs[j]
                 if act(g, pe) != self.arcs[i][0] or act(g, ps) != self.arcs[i][1]:

@@ -2,23 +2,17 @@
 
 Matrices are 4-tuples (a, b, c, d) for [[a, b], [c, d]]; cusps are
 coprime pairs (p, q) with q >= 0 and (1, 0) standing for infinity.
-Paths between infinitesimal cusps are reduced to the two base symbols
-
-    MOD_SYM      the modular symbol from infinity to 0,
-    INF_SHIFT m  the infinitesimal symbol at infinity from direction 0
-                 to direction m,
-
-via the continued-fraction decomposition (`manin_path_infty`); the
-Eisenstein cocycle consumes paths in this alphabet.  A symbol-space
-element reads only the convergent matrices of `cf_decompose`: each is
-a unimodular step, one coset path.
+A path between cusps is walked by the continued fraction of its far
+end (`cf_decompose`): each convergent matrix is a unimodular step,
+one coset path of a symbol-space element, and the Eisenstein cocycle
+reads the same matrices and quotients as translates of the path from
+infinity to 0 and of infinitesimal shifts at infinity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 Mat = tuple[int, int, int, int]
 CuspT = tuple[int, int]
@@ -140,82 +134,27 @@ def _bezout(p: int, q: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def cf_quotients(r: Fraction) -> list[Fraction]:
-    """Floor continued fraction r = [a0; a1, ..., an], positive tail."""
-    r = Fraction(r)
-    out = []
-    while True:
-        a = r.numerator // r.denominator
-        out.append(Fraction(a))
-        r -= a
-        if r == 0:
-            return out
-        r = 1 / r
+def cf_decompose(p: int, q: int) -> tuple[list[Mat], list[int]]:
+    """Convergent matrices and partial quotients of p/q, for q > 0.
 
-
-def cf_decompose(r) -> tuple[list[Mat], list[Fraction], Fraction]:
-    """Convergent matrices and partial quotients of a finite rational.
-
-    Returns (taus, quotients, tail) where taus[j] is the matrix
-    [[(-1)^(j-1) p_j, p_{j-1}], [(-1)^(j-1) q_j, q_{j-1}]] for
-    j = -1, 0, ..., n (so taus[0] is the j = -1 matrix, the identity),
-    quotients = [a_0, ..., a_n], and tail is the extra quotient
-    a_{n+1} = -q_{n-1}/q_n.  Every tau has determinant 1 and sends
-    infinity to the corresponding convergent.
+    The floor continued fraction p/q = [a_0; a_1, ..., a_n] (positive
+    tail) is made by integer divmod.  Returns (taus, quotients) where
+    taus[j] is the matrix [[(-1)^(j-1) p_j, p_{j-1}], [(-1)^(j-1) q_j,
+    q_{j-1}]] for j = -1, 0, ..., n (so taus[0] is the j = -1 matrix,
+    the identity) and quotients = [a_0, ..., a_n].  Every tau has
+    determinant 1 and sends infinity to the corresponding convergent;
+    the extra quotient a_{n+1} = -q_{n-1}/q_n is read off the last one.
     """
-    r = Fraction(r)
-    quotients = cf_quotients(r)
     p_prev2, q_prev2 = 0, 1   # p_{-2}, q_{-2}
     p_prev, q_prev = 1, 0     # p_{-1}, q_{-1}
     taus = [ID]               # j = -1
-    ps, qs = [], []
-    for j, a in enumerate(quotients):
-        p = a.numerator * p_prev + p_prev2
-        q = a.numerator * q_prev + q_prev2
-        sign = -1 if j % 2 == 0 else 1  # (-1)^(j-1)
-        taus.append((sign * p, p_prev, sign * q, q_prev))
-        ps.append(p)
-        qs.append(q)
-        p_prev2, q_prev2 = p_prev, q_prev
-        p_prev, q_prev = p, q
-    n = len(quotients) - 1
-    tail = Fraction(-qs[n - 1], qs[n]) if n >= 1 else Fraction(0, 1)
-    return taus, quotients, tail
-
-
-MOD_SYM = "mod"      # the path {infinity, 0}
-INF_SHIFT = "inf"    # the infinitesimal symbol [0, m] based at infinity
-
-
-class PathTerm(NamedTuple):
-    """One term coeff * gamma . (base symbol) of a path decomposition."""
-
-    coeff: int
-    gamma: Mat
-    kind: str           # MOD_SYM or INF_SHIFT
-    shift: Fraction = Fraction(0)
-
-
-def manin_path_infty(r) -> list[PathTerm]:
-    """Decompose the path from pi_inf(0) to pi_r(infinity), r rational.
-
-    The result is a formal sum of translated base symbols whose
-    evaluation under any SL2(Z)-equivariant homomorphism reproduces the
-    path.  Terms with zero shift on the infinitesimal symbol are
-    dropped.
-    """
-    r = Fraction(r)
-    taus, quotients, tail = cf_decompose(r)
-    n = len(quotients) - 1
-    terms = []
-    if quotients[0]:
-        terms.append(PathTerm(1, ID, INF_SHIFT, quotients[0]))
-    for j in range(0, n + 1):
-        tau = taus[j + 1]
-        m = tail if j == n else quotients[j + 1]
-        m = m if (j + 1) % 2 == 0 else -m
-        # [pi_0(inf), pi_inf(m)] = -{inf,0} + [0,m]_inf, transported by tau
-        terms.append(PathTerm(-1, tau, MOD_SYM))
-        if m:
-            terms.append(PathTerm(1, tau, INF_SHIFT, m))
-    return terms
+    quotients = []
+    sign = -1                 # (-1)^(j-1)
+    while q:
+        a, rest = divmod(p, q)
+        pj, qj = a * p_prev + p_prev2, a * q_prev + q_prev2
+        taus.append((sign * pj, p_prev, sign * qj, q_prev))
+        quotients.append(a)
+        p_prev2, q_prev2, p_prev, q_prev = p_prev, q_prev, pj, qj
+        p, q, sign = q, rest, -sign
+    return taus, quotients

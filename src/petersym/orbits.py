@@ -32,6 +32,7 @@ __all__ = [
     "cusp_to_basis",
     "orbit_indicator",
     "orbit_indicators",
+    "orbit_points",
     "descent_weight",
     "all_orbits",
 ]
@@ -221,6 +222,15 @@ def cusp_to_basis(c: CuspT, n: int) -> Triple:
     g = gcd(d, n // d)
     u = _unit_rep(x * v, g) if g > 1 else 0
     return (n // g, (n // d) // g, u)
+
+
+def orbit_points(t: Triple, n: int) -> list[tuple[int, int]]:
+    """The points (q1 a, q2 b) of the orbit t at level n: a a unit mod N/q1,
+    b mod N/q2 prime to q1/q2, and a b = u modulo gcd(N/q1, q1/q2)."""
+    q1, q2, u = t
+    g, m1, m2 = _modulus(t, n), n // q1, q1 // q2
+    return [(q1 * a, q2 * b) for a in range(m1) if gcd(a, m1) == 1
+            for b in range(n // q2) if gcd(b, m2) == 1 and (g == 1 or a * b % g == u)]
 
 
 def orbit_indicators(triples, n: int) -> list[TorsionFunction]:

@@ -1,8 +1,8 @@
 """The algebraic intersection pairing, Hecke operators, cuspidal subspace.
 
-A left argument of the pairing is a symbol-space element or a cocycle,
-a callable sending group matrices to coefficient polynomials (the exact
-cocycle of an Eisenstein period symbol, or `hom_cocycle` of a path
+A left argument of the pairing is a symbol-space element, an
+Eisenstein period symbol, or a cocycle, a callable sending group
+matrices to coefficient polynomials (such as `hom_cocycle` of a path
 map); a right argument is a symbol-space element.  The one sum over the
 tilde arcs of a Farey symbol
 
@@ -13,9 +13,9 @@ of values on whole unimodular paths, and those weights join the terms
 of the sum.  `pairing_matrix` evaluates it for lists of left and right
 arguments at once, and `pair` is its 1x1 case.  The form < , > is read
 from its integer Gram weights (`polyspace.gram`); a space element on
-either side is read by `SymbolElement.path_values`, as integer
-numerators over one denominator, and so is a cocycle's row of values,
-so each entry is one integer sum over the paths, and one Fraction.
+either side is read by `SymbolElement.path_values`, and an Eisenstein
+symbol by `EisSymbol.cocycle_values`, as integer numerators over one
+denominator, as is a cocycle's row of values: an entry is one integer sum.
 
 Hecke operators on Gamma0(N) act on the coset values directly, through
 Merel's set of Heilbronn matrices of determinant ell; no second Farey
@@ -35,7 +35,7 @@ from .eisenstein import EisSymbol
 from .exact import bernoulli_number, integer_row, kernel_basis
 from .farey import ExtendedFareySymbol, gamma0_symbol
 from .modgroup import T_MAT, CuspT, Mat, act, madj, minv, mmul
-from .orbits import basis_v, orbit_indicators
+from .orbits import basis_v, orbit_points
 from .polyspace import Vk, gram
 from .spaces import ModularSymbolSpace, SymbolElement, build_space, coset_rows
 
@@ -80,21 +80,21 @@ def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
     """Matrix of the pairing of each left against each right argument.
 
     A left is a `SymbolElement`, read as its based cocycle at infinity
-    (the value does not depend on the base point), or a cocycle, a
-    callable on group matrices; a right is a `SymbolElement`, whose
-    space may sit on another symbol of the group.  Entry (i, j) is
+    (the value does not depend on the base point), an `EisSymbol` or a
+    cocycle, a callable on group matrices; a right is a `SymbolElement`,
+    whose space may sit on another symbol of the group.  Entry (i, j) is
 
         1/2 sum_a < left_i(glue_a^-1), value of right_j on tilde arc a >,
 
     that is 1/12 of a sum over the (arc, weight, whole path) terms
     of `_arc_terms`.  A space element is read by `path_values`: a left
     on the based paths {infinity, glue_a infinity}, a right on the
-    whole paths.  A cocycle is evaluated once per inverse glue.  A
-    left's nonzero values, reversed and weighted by `gram` and by the
-    terms, are summed per path as integer numerators over one
-    denominator, so an entry is one integer dot product over the
-    right's nonzero path values, and one Fraction.  With no rights the
-    result has no rows.
+    whole paths; an `EisSymbol` by `cocycle_values`, and a cocycle
+    once, on every inverse glue.  A left's nonzero values, reversed and
+    weighted by `gram` and by the terms, are summed per path as integer
+    numerators over one denominator, so an entry is one integer dot
+    product over the right's nonzero path values, and one Fraction.
+    With no rights the result has no rows.
     """
     tilde = symbol.tilde()
     based = [((1, 0), act(ta.glue, (1, 0))) for ta in tilde]
@@ -102,6 +102,7 @@ def pairing_matrix(symbol: ExtendedFareySymbol, lefts, rights) -> list:
     rows = []  # per left: ({arc: integer numerators of its value}, denominator, k - 1)
     for left in lefts:
         nums, den = left.path_values(based) if isinstance(left, SymbolElement) \
+            else left.cocycle_values(glues) if isinstance(left, EisSymbol) \
             else integer_row([c for g in glues for c in left(g).coeffs])
         width = len(nums) // len(tilde)
         chunks = (nums[i:i + width] for i in range(0, len(nums), width))
@@ -206,8 +207,8 @@ def hecke_matrix(space: ModularSymbolSpace, level: int, ell: int) -> list:
 
 def eisenstein_pairing_matrix(symbol: ExtendedFareySymbol, n: int, k: int,
                               space: ModularSymbolSpace):
-    """Rows: basis orbits; columns: pairings against the space basis."""
-    lefts = [EisSymbol(f, k).cocycle for f in orbit_indicators(basis_v(n, k), n)]
+    """Rows: basis orbits, each a symbol of its points; columns: the space basis."""
+    lefts = EisSymbol.of_orbits(n, k, [orbit_points(t, n) for t in basis_v(n, k)])
     return pairing_matrix(symbol, lefts, space.basis)
 
 

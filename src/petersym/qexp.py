@@ -24,8 +24,8 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .cyclo import CycVec
-from .eisenstein import EisSymbol, TorsionFunction, beta_value, fourier2
-from .exact import bernoulli_number, integer_row
+from .eisenstein import EisSymbol, TorsionFunction, beta_row, beta_value, fourier2
+from .exact import bernoulli_number
 from .modgroup import SIGMA
 
 __all__ = [
@@ -178,7 +178,7 @@ def eis_qexp(f, k: int, terms: int) -> QExpansion:
     def over(ints: list[int], d: int) -> CycVec:
         return CycVec._of(n, [Fraction(x, d) for x in ints])
 
-    beta, beta_den = integer_row([beta_value(k, x, n) for x in range(n)])
+    beta, beta_den = beta_row(k, n)
     constant = [0] * n
     for x, c in enumerate(beta):
         if c:

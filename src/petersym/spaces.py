@@ -137,7 +137,7 @@ class ModularSymbolSpace:
         if rows is None:
             g = matrix_to_cusp(r)
             t = act(minv(g), s)
-            taus = [] if cusp_is_infinity(t) else cf_decompose(Fraction(t[0], t[1]))[0][1:]
+            taus = [] if cusp_is_infinity(t) else cf_decompose(*t)[0][1:]
             locate = self.symbol.require_direct_table().locate
             rows = self._paths[(r, s)] = coset_rows(
                 self.k, [(i, madj(gamma)) for i, gamma in (locate(mmul(g, tau)) for tau in taus)])

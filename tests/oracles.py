@@ -25,8 +25,12 @@ reference for the one-per-orbit rows of `build_space`, and
 `Vk.act` at each convergent, the reference for the integer path rows
 that `SymbolElement.eval_path` reads.
 
-`eis_cocycle_walk` evaluates the Eisenstein cocycle term by term over
-Fractions, the reference for the integer walk of `EisSymbol.cocycle`,
+`manin_path_infty` decomposes a path into `PathTerm`s, translates of
+the two base symbols: MOD_SYM, the path from infinity to 0, and
+INF_SHIFT m, the infinitesimal symbol at infinity from direction 0 to
+direction m.  `eis_cocycle_walk` evaluates the Eisenstein cocycle on
+those terms over Fractions, the reference for the integer walk of
+`EisSymbol.cocycle_values`,
 and `pairing_matrix_by_pairs` sums `Vk.pair` over the tilde arcs, the
 reference for the integer Gram sums of `pairing_matrix`; it reads a
 right argument on each tilde arc by `eval_tilde_arc`, the Fraction
@@ -47,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from typing import NamedTuple
 
 from petersym.cyclo import CycVec
 from petersym.eisenstein import EisSymbol, TorsionFunction
@@ -64,18 +69,14 @@ from petersym.farey import (
 from petersym.modgroup import (
     EPS,
     ID,
-    INF_SHIFT,
-    MOD_SYM,
     SIGMA,
     TAU,
     CuspT,
     Mat,
-    PathTerm,
     act,
     cf_decompose,
     cusp_is_infinity,
     madj,
-    manin_path_infty,
     matrix_to_cusp,
     mdet,
     minv,
@@ -108,6 +109,10 @@ __all__ = [
     "rank",
     "manin_relation_rows",
     "eval_path_by_cosets",
+    "MOD_SYM",
+    "INF_SHIFT",
+    "PathTerm",
+    "manin_path_infty",
     "eis_cocycle_walk",
     "eval_tilde_arc",
     "pairing_matrix_by_pairs",
@@ -427,7 +432,7 @@ def eval_path_by_cosets(phi: SymbolElement, r: CuspT, s: CuspT) -> Vk:
     out = Vk.zero(k)
     if cusp_is_infinity(t):
         return out
-    taus, _, _ = cf_decompose(Fraction(t[0], t[1]))
+    taus, _ = cf_decompose(*t)
     vector = fraction_vector(phi)
     for tau in taus[1:]:
         i, gamma = table.locate(mmul(g, tau))
@@ -437,6 +442,45 @@ def eval_path_by_cosets(phi: SymbolElement, r: CuspT, s: CuspT) -> Vk:
 
 
 # -- the Eisenstein cocycle as a Fraction walk -------------------------
+
+
+MOD_SYM = "mod"      # the path {infinity, 0}
+INF_SHIFT = "inf"    # the infinitesimal symbol [0, m] based at infinity
+
+
+class PathTerm(NamedTuple):
+    """One term coeff * gamma . (base symbol) of a path decomposition."""
+
+    coeff: int
+    gamma: Mat
+    kind: str           # MOD_SYM or INF_SHIFT
+    shift: Fraction = Fraction(0)
+
+
+def manin_path_infty(r) -> list[PathTerm]:
+    """Decompose the path from pi_inf(0) to pi_r(infinity), r rational.
+
+    The result is a formal sum of translated base symbols whose
+    evaluation under any SL2(Z)-equivariant homomorphism reproduces the
+    path.  Terms with zero shift on the infinitesimal symbol are
+    dropped.
+    """
+    r = Fraction(r)
+    taus, quotients = cf_decompose(r.numerator, r.denominator)
+    tail = Fraction(-taus[-1][3], abs(taus[-1][2]))  # a_(n+1) = -q_(n-1)/q_n
+    n = len(quotients) - 1
+    terms = []
+    if quotients[0]:
+        terms.append(PathTerm(1, ID, INF_SHIFT, quotients[0]))
+    for j in range(0, n + 1):
+        tau = taus[j + 1]
+        m = tail if j == n else quotients[j + 1]
+        m = m if (j + 1) % 2 == 0 else -m
+        # [pi_0(inf), pi_inf(m)] = -{inf,0} + [0,m]_inf, transported by tau
+        terms.append(PathTerm(-1, tau, MOD_SYM))
+        if m:
+            terms.append(PathTerm(1, tau, INF_SHIFT, m))
+    return terms
 
 
 def _inf_poly(k: int, scalar: Fraction, r: Fraction) -> Vk:

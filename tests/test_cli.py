@@ -370,7 +370,7 @@ def test_qexp_weighted_cells_bound(capsys, tmp_path, monkeypatch, extra, accepte
         return ["qexp", "--level", "1", "--weight", "1000", "--terms", str(t), "--fn", "fn.json"]
 
     terms = _first_refused(_admits(argv_of), 1, 10**6) - 1 + extra
-    seconds, size = _cost("qexp", 1, 1000, 1, 0, 0, 2, terms)
+    seconds, size = _cost("qexp", 1, 1000, 1, 0, 0, 0, 2, terms)
     assert seconds < TIME_BUDGET / 2 and (size > OUTPUT_BUDGET) == (not accepted)
     _check_qexp_edge(capsys, tmp_path, monkeypatch, 1, argv_of, terms, accepted)
 
@@ -731,7 +731,7 @@ def test_basis_cells_bound(capsys, monkeypatch, command, level, weight, per_vect
         per_dim, cosets = 1, per_vector // (weight - 1)
 
         def within(d):
-            seconds, size = _cost(command, level, weight, cosets, d, 0, 2, 1)
+            seconds, size = _cost(command, level, weight, cosets, d, 0, 0, 2, 1)
             return seconds <= TIME_BUDGET and size <= OUTPUT_BUDGET
 
     edge = _first_refused(within, 1, OUTPUT_BUDGET) - 1 + extra
@@ -896,7 +896,7 @@ def test_admission_edge(capsys, monkeypatch, family, accepted):
 @pytest.mark.parametrize("argv", [
     ["hecke", "--level", "11", "--weight", "48", "--ell", "1009"],
     ["hecke", "--level", "11", "--weight", "100", "--ell", "1009"],
-    ["cuspidal", "--level", "1000", "--weight", "2"],
+    ["cuspidal", "--level", "2000", "--weight", "2"],
     # no O(sqrt(terms)) divisor sum: refused from the closed form at once
     ["qexp", "--level", "1", "--weight", "2", "--terms", str(10**30), "--fn", "missing.json"],
     ["qexp", "--level", "1", "--weight", "2", "--terms", "9" * 4000, "--fn", "missing.json"],
@@ -922,7 +922,7 @@ def test_hecke_ell_bound(capsys, monkeypatch, ell, accepted):
     # (11, 2, 1009), ell = 1009 is the last one admitted at (11, 2): a
     # larger ell, prime or not, is refused before X_ell or the space is built
     budget, _ = _cost("hecke", 11, 2, gamma0_index(11), dim_modular_symbols_gamma0(11, 2),
-                      0, 1009, 1)
+                      0, 0, 1009, 1)
     monkeypatch.setattr("petersym.cli.TIME_BUDGET", budget)
     heilbronn, spaces = [], []
 
@@ -1313,9 +1313,9 @@ _COSTED = ["farey", "modsym-space", "eisbasis", "eis-symbol", "pairing-matrix",
 @settings(deadline=None, max_examples=500)
 @given(st.sampled_from(_COSTED),
        st.tuples(st.integers(1, 10**4), st.integers(2, 2000), st.integers(1, 10**6),
-                 st.integers(0, 10**5), st.integers(0, 500), st.integers(2, 10**5),
-                 st.integers(1, 10**7)),
-       st.integers(0, 6), st.integers(1, 10**3))
+                 st.integers(0, 10**5), st.integers(0, 500), st.integers(0, 10**6),
+                 st.integers(2, 10**5), st.integers(1, 10**7)),
+       st.integers(0, 7), st.integers(1, 10**3))
 def test_every_prediction_grows_with_each_size(command, sizes, which, step):
     # admission bounds the sizes from below before it factors the level,
     # which is sound only if each prediction grows with each size

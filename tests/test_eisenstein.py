@@ -1,21 +1,35 @@
+import math
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from petersym.eisenstein import (
     EisSymbol,
     TorsionFunction,
     beta_moment,
+    beta_row,
     beta_value,
     distribution_check,
     fourier2,
 )
-from petersym.exact import bernoulli_number
-from petersym.modgroup import EPS, ID, SIGMA, T_MAT, TAU, minv, mmul, translation
+from petersym.exact import bernoulli_number, bernoulli_poly, integer_row
+from petersym.farey import gamma0_group
+from petersym.modgroup import (
+    EPS,
+    ID,
+    SIGMA,
+    T_MAT,
+    TAU,
+    matrix_to_cusp,
+    minv,
+    mmul,
+    translation,
+)
+from petersym.orbits import basis_v, orbit_indicator, orbit_points
 from petersym.polyspace import Vk
 from .oracles import eis_cocycle_walk, hecke_fn
 from .test_modgroup import random_sl2
@@ -26,6 +40,21 @@ def random_fn(rng, n, denom=3):
         [Fraction(rng.randrange(-4, 5), rng.randrange(1, denom)) for _ in range(n)]
         for _ in range(n)
     ])
+
+
+def test_beta_rows_are_the_integer_rows_of_the_distribution():
+    for n in range(1, 13):
+        for h in range(9):
+            if h == 0:
+                row = [Fraction(1, n)] * n
+            elif h == 1:
+                row = [Fraction(1, 2) - Fraction(r, n) if r else Fraction(0) for r in range(n)]
+            else:
+                row = [-Fraction(n) ** (h - 1) / h * bernoulli_poly(h, Fraction(r, n))
+                       for r in range(n)]
+            nums, den = integer_row(row)
+            assert beta_row(h, n) == (tuple(nums), den)
+            assert [beta_value(h, r, n) for r in range(n)] == row
 
 
 def test_beta_values():
@@ -165,7 +194,7 @@ def test_cocycle_law():
         for _ in range(10):
             g1, g2 = random_sl2(rng, 6), random_sl2(rng, 6)
             lhs = e.cocycle(mmul(g1, g2))
-            rhs = e.twist(minv(g2)).cocycle(g1).act(g2) + e.cocycle(g2)
+            rhs = EisSymbol(f.act(minv(g2)), k).cocycle(g1).act(g2) + e.cocycle(g2)
             assert lhs == rhs
 
 
@@ -252,7 +281,7 @@ def test_eval_inf_difference_via_translation():
             r = Fraction(rng.randrange(-8, 9), rng.randrange(1, 5))
             t = translation(m)
             lhs = e.eval_inf(r) - e.eval_inf(m)
-            rhs = e.twist(t).eval_inf(r - m).act(_minv(t))
+            rhs = EisSymbol(f.act(t), k).eval_inf(r - m).act(_minv(t))
             assert lhs == rhs
 
 
@@ -356,3 +385,37 @@ def test_cocycle_law_on_the_principal_congruence_subgroup(data, word_g, word_h, 
     h = _principal(n, word_h, conj[3:])
     # f|g = f for g in Gamma(N), so c(g h) = c(h) + c(g)|h
     assert eis.cocycle(mmul(g, h)) == eis.cocycle(h) + eis.cocycle(g).act(h)
+
+
+@st.composite
+def same_coset_words(draw):
+    """A level 2 <= N <= 60, a weight, a basis orbit and two SL2(Z) words
+    g and gamma g, gamma in Gamma0(N), so their coset keys agree."""
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(2, 6))
+    t = draw(st.sampled_from(basis_v(n, k)))
+    g = draw(sl2_words)
+    d, c = draw(st.integers(-40, 40)), draw(st.integers(0, 4))
+    assume(math.gcd(d, n * c) == 1)
+    gamma = matrix_to_cusp((d, n * c))  # first column (d, N c)
+    return n, k, t, g, mmul(gamma, g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=same_coset_words())
+def test_orbit_twist_sums_follow_the_coset(data):
+    # an orbit symbol keys its twist sums by the Gamma0(N) coset; the
+    # table symbol of the same orbit keys them by g mod N, so it checks
+    # that words in one coset give the same sums, and that the integer
+    # cocycle rows are those of the Fraction walk
+    n, k, t, g, h = data
+    key = gamma0_group(n).key
+    assert key(g) == key(h)
+    [orbit] = EisSymbol.of_orbits(n, k, [orbit_points(t, n)])
+    table = EisSymbol(orbit_indicator(t, n), k)
+    assert table._twist_data(g) == table._twist_data(h)
+    # eps g has g's bottom row and determinant -1
+    for m in (g, h, mmul(EPS, g)):
+        assert orbit._twist_data(m) == table._twist_data(m)
+    walk = [c for m in (g, h) for c in eis_cocycle_walk(table, m).coeffs]
+    assert orbit.cocycle_values([g, h]) == tuple(integer_row(walk))

@@ -11,7 +11,6 @@ from petersym.modgroup import (
     cf_decompose,
     cusp,
     cusp_rational,
-    manin_path_infty,
     matrix_to_cusp,
     mdet,
     minv,
@@ -20,6 +19,8 @@ from petersym.modgroup import (
     psl2_order,
     translation,
 )
+
+from .oracles import manin_path_infty
 
 
 def random_sl2(rng, length=8):
@@ -71,15 +72,16 @@ def test_matrix_to_cusp():
 
 
 def test_cf_decompose_five_thirds():
-    taus, quotients, tail = cf_decompose(Fraction(5, 3))
+    taus, quotients = cf_decompose(5, 3)
     assert quotients == [1, 1, 2]
     convergents = [act(t, (1, 0)) for t in taus[1:]]
     assert convergents == [(1, 1), (2, 1), (5, 3)]
-    assert tail == Fraction(-1, 3)
+    # the extra quotient -q_(n-1)/q_n, read off the last convergent matrix
+    assert Fraction(-taus[-1][3], abs(taus[-1][2])) == Fraction(-1, 3)
 
 
 def test_cf_decompose_zero():
-    taus, quotients, tail = cf_decompose(0)
+    taus, quotients = cf_decompose(0, 1)
     assert quotients == [0]
     assert act(taus[1], (1, 0)) == (0, 1)
 
@@ -92,7 +94,8 @@ def test_cf_image_equations():
         num = rng.randrange(-50, 51)
         den = rng.randrange(1, 51)
         r = Fraction(num, den)
-        taus, quotients, tail = cf_decompose(r)
+        taus, quotients = cf_decompose(r.numerator, r.denominator)
+        tail = Fraction(-taus[-1][3], abs(taus[-1][2]))
         n = len(quotients) - 1
         convergents = [act(t, (1, 0)) for t in taus[1:]]
         assert convergents[-1] == cusp(r.numerator, r.denominator)
@@ -148,6 +151,6 @@ def test_manin_path_infty_is_the_right_divisor():
         if rc == (1, 0):
             expected = {}
         assert div == {k: v for k, v in expected.items() if v}
-        taus, quotients, _ = cf_decompose(r)
+        taus, quotients = cf_decompose(r.numerator, r.denominator)
         assert len(terms) <= 2 * (len(quotients) + 1)
 

@@ -16,6 +16,7 @@ from petersym.orbits import (
     orbit_card,
     orbit_indicator,
     orbit_of,
+    orbit_points,
     reduce_orbit,
 )
 from .test_modgroup import random_sl2
@@ -172,3 +173,17 @@ def test_orbit_indicator_returns_a_fresh_function():
     second.values[0][1] += 7
     assert second.values[1:] == expected[1:]
     assert second.values[0][1] == expected[0][1] + 7
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 30, 36, 49, 60])
+def test_orbit_points_enumerate_the_classified_orbit(n):
+    # the points listed from the triple are the orbit's cells, each once
+    classes = {}
+    for x in range(n):
+        for y in range(n):
+            classes.setdefault(orbit_of(x, y, n), []).append((x, y))
+    assert sorted(classes) == all_orbits(n)
+    for t, cells in classes.items():
+        points = orbit_points(t, n)
+        assert len(points) == len(set(points)) == orbit_card(t, n)
+        assert sorted(points) == cells

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from petersym.dims import dim_cusp_forms_gamma0
-from petersym.eisenstein import EisSymbol, TorsionFunction, _cocycle_walk
+from petersym.eisenstein import EisSymbol, TorsionFunction
 from petersym.exact import solve_in_span
 from petersym.farey import (
     base_symbol_sl2z,
@@ -17,7 +17,7 @@ from petersym.farey import (
     gamma1_symbol,
     subgroup_farey,
 )
-from petersym.modgroup import EPS, ID, act, madj, manin_path_infty, minv, mmul
+from petersym.modgroup import EPS, ID, act, cf_decompose, madj, minv, mmul
 from petersym.orbits import basis_v, orbit_indicator, orbit_indicators
 from petersym.pairing import (
     cuspidal_subspace,
@@ -470,16 +470,15 @@ def test_space_element_lefts_pair_as_their_based_cocycles(group, k, base, data):
 def test_eisenstein_rows_walk_each_glue_once(monkeypatch, n, k):
     calls = []
 
-    def counted(r):
-        calls.append(r)
-        return manin_path_infty(r)
+    def counted(p, q):
+        calls.append((p, q))
+        return cf_decompose(p, q)
 
     sym = gamma0_symbol(n)
     sp = build_space(sym, k)
     glues = {minv(ta.glue) for ta in sym.tilde()}
     assert len(basis_v(n, k)) > 1
-    _cocycle_walk.cache_clear()
-    monkeypatch.setattr("petersym.eisenstein.manin_path_infty", counted)
+    monkeypatch.setattr("petersym.eisenstein.cf_decompose", counted)
     eisenstein_pairing_matrix(sym, n, k, sp)
     assert 0 < len(calls) <= len(glues)
 

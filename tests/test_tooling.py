@@ -17,7 +17,8 @@ The q-expansion brackets make no group-ring arithmetic: the count of
 with the number of terms, one `cuspidal_subspace` evaluates no right
 argument of the pairing through `SymbolElement.eval_path`, the
 pairing reads a space element given as a left with no `hom_cocycle`
-and no `eval_path` either, and `build_space` makes no Fraction.  The
+and no `eval_path` either, `build_space` makes no Fraction, and
+`cuspidal_subspace` makes none in `petersym.eisenstein`.  The
 last checks keep the package free of third-party numeric libraries
 and the command-line import free of `dataclasses` and `inspect`.
 """
@@ -198,6 +199,21 @@ def test_build_space_makes_no_fraction(monkeypatch):
     monkeypatch.setattr("petersym.spaces.Fraction", counted)
     for n, k in ((60, 8), (180, 2)):
         assert build_space(gamma0_symbol(n), k).dimension() > 0
+    assert made == []
+
+
+def test_cuspidal_subspace_makes_no_fraction_in_eisenstein(monkeypatch):
+    # the Eisenstein lefts are integers from the orbit's points to the
+    # pairing: support, twist sums, walk and cocycle values
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr("petersym.eisenstein.Fraction", counted)
+    for n, k in ((37, 2), (12, 4)):
+        assert cuspidal_subspace(n, k)[1]
     assert made == []
 
 
