@@ -105,26 +105,33 @@ def _cost(command: str, n: int, k: int, index: int, dim: int, orbits: int,
     ell >= 2 and the number of terms.  Every formula grows with each size.
     """
     cells = index * (k - 1)  # coefficients of one coset vector
+    # above weight 2 and level 1, a coset fixed by a transported elliptic
+    # generator, whose entries grow with N, is a dense block of k-bit
+    # integers (sigma and tau themselves have entries 0 and 1): the
+    # elimination pays about k^5.5 for it, and the basis it leaves has
+    # numerators of up to 10 k digits, which a pairing reads as long
+    dense = 1.5e-11 * index ** 1.3 * k ** 5.5 * (n > 1) if k > 2 else 0
     # the unfolding, and the kernel above weight 2
-    space = 1.45e-5 * index + (
+    space = 1.45e-5 * index + dense + (
         3.2e-8 * index ** 1.3 * k ** 3.2 + 1e-12 * index * k ** 5 if k > 2 else 0)
     if command == "farey":
         seconds, size = 1.45e-5 * index, 35 * index
     elif command == "modsym-space":
         seconds, size = space, dim * index * ((k - 1) * (14 + k) + 16)
     elif command == "eisbasis":
-        seconds, size = (1.5e-7 + 4.5e-7 * orbits) * n * n, 15 * orbits * n * n
+        # each orbit's table is filled from its points and written cell by cell
+        seconds, size = 6e-7 * orbits * n * n, 15 * orbits * n * n
     elif command == "eis-symbol":
         seconds = 5.6e-9 * k ** 3 + 3.8e-9 * n ** 1.5 * k ** 2.5 + (2e-7 * k + 3e-6) * n * n
         size = 4 * k * k
     elif command == "pairing-matrix":
-        seconds = space + cells ** 2 * (1.5e-7 + 3e-8 * k) + 1e-7 * (cells * k) ** 1.5
+        seconds = space + dense + cells ** 2 * (1.5e-7 + 3e-8 * k) + 1e-7 * (cells * k) ** 1.5
         size = (cells / 6 + 1) ** 2 * (10 + 1.5 * k)
     elif command in ("pairing-matrix --eisenstein", "cuspidal"):
         # the k twist sums over each basis orbit's points at every coset
         # its walks reach, its cocycle on the glues, and its pairing with
         # the space
-        seconds = space + 1.8e-7 * points * index * k + 6e-7 * orbits * index * k * k \
+        seconds = space + dense + 1.8e-7 * points * index * k + 6e-7 * orbits * index * k * k \
             + 8e-10 * orbits * cells * index * k * k + 4e-8 * k ** 3
         size = dim * index * ((k - 1) * (14 + 3 * k) + 16) if command == "cuspidal" \
             else orbits * (cells / 6 + 1) * (10 + 5 * k)
@@ -164,10 +171,18 @@ _SPACE_COMMANDS = ("modsym-space", "pairing-matrix", "hecke", "cuspidal")
 # command took (seconds, peak RSS):
 #   farey Gamma0(N), N = 10007, 30011, 99991: 0.18/0.21, 0.39/0.51, 1.36/1.54;
 #     Gamma0(334578) through Gamma0(6): 7.5 s, 338 MB
-#   modsym-space (1200, 2) 0.46/0.55 (no output budget), (30, 50) 3.50/3.69,
-#     (1, 300) 4.32/5.24; (1, 350): 9.9 s, 62 MB; (1248, 2), 35 MB out: 0.36 s, 118 MB
-#   eisbasis (100, 2) 0.31/0.16, (300, 2) 1.81/1.96, (500, 4) 4.63/4.60;
-#     (288, 2), 39 MB written: 1.2 s, 328 MB
+#   modsym-space (1200, 2) 0.46/0.55 (no output budget), (1, 300) 4.32/5.24;
+#     (1, 350): 9.9 s, 62 MB; (1248, 2), 35 MB out: 0.36 s, 118 MB
+#   the dense elliptic term, from the kernel alone in cold processes at
+#     levels 2 to 130 and k = 30 to 150 (measured at most 0.9 of the
+#     prediction where admitted): modsym-space (2, 106) 8.0/9.1, (5, 90)
+#     5.3/9.4, (7, 84) 3.3/9.4, (13, 72) 6.6/8.7; cuspidal (2, 94) 4.7/9.4,
+#     (13, 64) 5.1/9.1; pairing-matrix (2, 94) 5.5/9.9, (13, 60) 7.0/8.6;
+#     hecke (2, 106, 2) 6.4/9.3, (37, 56, 2) 7.6/8.7.  Refused: (2, 150),
+#     whose kernel takes 37 s, and (5, 100), 6.2 s; levels without elliptic
+#     points are overpredicted, so (30, 50), 3.5 s, is refused (12.3 s)
+#   eisbasis (100, 2) 0.24/0.19, (250, 2) 0.94/0.95, (997, 4) 1.40/1.55;
+#     (288, 2), 39 MB written: 1.8 s, 291 MB; (1153, 4): 2.3 s, 389 MB
 #   eis-symbol (7, 522) 1.35/1.31, (100, 150) 1.79/1.46, (1, 1000) 5.98/5.82;
 #     (1, 1200): 8.9 s, 24 MB
 #   pairing-matrix (1200, 2) 1.90/1.93, (60, 12) 1.79/1.68, (1, 150) 0.65/0.87;
@@ -203,9 +218,10 @@ def _admit(args) -> None:
         command += " --eisenstein"
     ell = max(ell, 2)
     # every size below is at least the one given here (the index is at
-    # least the level) and every prediction grows with each size, so a
-    # huge level is refused before it is factored
-    _check_cost(command, n, k, n, 0, 0, 0, ell, terms)
+    # least the level, and above level 1 the two cusps 0 and infinity
+    # leave at least one basis orbit) and every prediction grows with
+    # each size, so a huge level is refused before it is factored
+    _check_cost(command, n, k, n, 0, int(n > 1), 0, ell, terms)
     index = _GROUPS[group][1](n)
     dim = orbits = points = 0
     if command in ("modsym-space", "hecke") and group == "gamma0":

@@ -13,8 +13,12 @@ level share (`_cocycle_walk`); the Bernoulli rows are integer
 numerators; the twist moments are integer sums over one denominator
 per symbol; and the cocycle on a list of matrices is integer
 numerators over one denominator, which the pairing reads.  The exact
-Fourier transforms return the same table class with values in the
-group ring Q[Z/NZ], the data of the q-expansions in `qexp`.
+two-variable Fourier transform `fourier2` returns the same table class
+with values in the group ring Q[Z/NZ]; `qexp` reads it for the numeric
+Mellin values.  The one-variable and partial transforms, the moment of a
+table against a pair of Bernoulli distributions and the reflection
+f-(x, y) = f(-x, -y) run on no command and are references in
+`tests/oracles.py`.
 
 The moments of a twist f|g are never tabulated over (Z/NZ)^2: since
 (f|g)-(x, y) = f(u, v) exactly when (x, y) = -(u, v) g mod N, all k of
@@ -46,10 +50,6 @@ __all__ = [
     "TorsionFunction",
     "beta_row",
     "beta_value",
-    "beta_moment",
-    "fourier1",
-    "fourier_partial1",
-    "fourier_partial2",
     "fourier2",
     "EisSymbol",
     "distribution_check",
@@ -60,8 +60,8 @@ class TorsionFunction:
     """Function on (Z/NZ)^2, values[x][y] = f(x, y).
 
     Values are rational, or in the group ring Q[Z/NZ] (`CycVec`) in the
-    tables the Fourier transforms return; the arithmetic, twists and
-    pullbacks serve both, `to_json` only rational tables.
+    tables `fourier2` returns; the arithmetic, twists and pullbacks
+    serve both, `to_json` only rational tables.
     """
 
     def __init__(self, n: int, values):
@@ -129,12 +129,6 @@ class TorsionFunction:
             for x in range(n)
         ])
 
-    def minus(self) -> "TorsionFunction":
-        n = self.n
-        return TorsionFunction._of(n, [
-            [self.values[(-x) % n][(-y) % n] for y in range(n)] for x in range(n)
-        ])
-
     def pullback(self, m: int) -> "TorsionFunction":
         """The induced function at a multiple level m = N * P."""
         if m % self.n:
@@ -145,33 +139,6 @@ class TorsionFunction:
 
     def to_json(self):
         return {"N": self.n, "values": [[frac_str(v) for v in row] for row in self.values]}
-
-
-def fourier1(values) -> list[CycVec]:
-    """One-variable transform: ghat(n) = sum g(a) z^(-a n), exactly."""
-    n = len(values)
-    out = [CycVec(n) for _ in range(n)]
-    for a, v in enumerate(values):
-        if isinstance(v, CycVec):
-            for m in range(n):
-                out[m] = out[m] + v.rotate((-a * m) % n)
-        elif v:
-            for m in range(n):
-                out[m].add_root_multiple((-a * m) % n, v)
-    return out
-
-
-def fourier_partial1(f: TorsionFunction) -> TorsionFunction:
-    """Transform in the first variable: sum_a f(a, m) z^(-a n)."""
-    n = f.n
-    cols = [fourier1([f(a, m) for a in range(n)]) for m in range(n)]
-    return TorsionFunction._of(n, [[cols[m][x] for m in range(n)] for x in range(n)])
-
-
-def fourier_partial2(f: TorsionFunction) -> TorsionFunction:
-    """Transform in the second variable: sum_b f(n, b) z^(-b m)."""
-    n = f.n
-    return TorsionFunction._of(n, [fourier1(f.values[x]) for x in range(n)])
 
 
 def fourier2(f: TorsionFunction) -> TorsionFunction:
@@ -223,22 +190,6 @@ def beta_value(h: int, r: int, n: int) -> Fraction:
     """The Bernoulli distribution of index h at the residue r mod n."""
     nums, den = beta_row(h, n)
     return Fraction(nums[r % n], den)
-
-
-def beta_moment(f: TorsionFunction, a: int, b: int, minus: bool = False) -> Fraction:
-    """Integral of f (or of f-) against beta_a x beta_b on (Z/NZ)^2."""
-    n = f.n
-    rows_a, den_a = beta_row(a, n)
-    rows_b, den_b = beta_row(b, n)
-    g = f.minus() if minus else f
-    acc = 0
-    for x in range(n):
-        wa = rows_a[x]
-        if not wa:
-            continue
-        row = g.values[x]
-        acc += wa * sum(row[y] * rows_b[y] for y in range(n) if rows_b[y])
-    return Fraction(acc, den_a * den_b)
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,15 @@
 """Exact rational arithmetic: Bernoulli numbers and linear algebra over Q.
 
-Rationals are `fractions.Fraction`.  Kernel rows are dicts {col: value}
+Rationals are `fractions.Fraction`.  Bernoulli polynomials are read
+only at many points p/q at once, as integer numerators over one
+denominator (`bernoulli_values`).  Kernel rows are dicts {col: value}
 of their nonzero entries, so the Manin relations, which touch at most
 three blocks of columns each, stay sparse.  The one elimination routine
 is fraction-free over Z: each row is scaled to a primitive integer row.
-A kernel vector is made with no Fraction, as the pair ({col: int}, den)
-of its numerators over one denominator prime to them.
+The package reads only kernels from it; a kernel vector is made with no
+Fraction, as the pair ({col: int}, den) of its numerators over one
+denominator prime to them.  The solve of a vector in a span, which only
+the tests use, is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -16,12 +20,10 @@ from math import comb, gcd, lcm
 
 __all__ = [
     "bernoulli_number",
-    "bernoulli_poly",
     "bernoulli_values",
     "frac_str",
     "integer_row",
     "kernel_basis",
-    "solve_in_span",
 ]
 
 
@@ -43,13 +45,6 @@ def bernoulli_number(h: int) -> Fraction:
         if bj:
             s += comb(h + 1, j) * bj
     return -s / (h + 1)
-
-
-def bernoulli_poly(h: int, x: Fraction) -> Fraction:
-    """Value of the h-th Bernoulli polynomial at a rational point."""
-    x = Fraction(x)
-    nums, den = bernoulli_values(h, [x.numerator], x.denominator)
-    return Fraction(nums[0], den)
 
 
 def bernoulli_values(h: int, ps, q: int) -> tuple[list[int], int]:
@@ -168,29 +163,3 @@ def integer_row(row) -> tuple[list[int], int]:
     """Numerators of a row of rationals over their least common denominator."""
     den = lcm(*(q.denominator for q in row))
     return [q.numerator * (den // q.denominator) for q in row], den
-
-
-def solve_in_span(basis, target):
-    """Coordinates of `target` in the span of `basis` vectors, or None.
-
-    `basis` is a list of equal-length dense lists of rationals; solves
-    the overdetermined system exactly.
-    """
-    if not basis:
-        return [] if not any(target) else None
-    n = len(basis[0])
-    m = len(basis)
-    # augmented columns: basis vectors as columns, then the target
-    rows = [{j: x for j, x in enumerate([*(b[r] for b in basis), target[r]]) if x}
-            for r in range(n)]
-    pivots = _echelonize(rows)
-    if m in pivots:
-        return None  # inconsistent
-    coords = [Fraction(0)] * m
-    for lead, prow in pivots.items():
-        coords[lead] = Fraction(prow.get(m, 0), prow[lead])
-    # verify (guards against rank-deficient basis input)
-    for r in range(n):
-        if sum(basis[i][r] * coords[i] for i in range(m)) != target[r]:
-            return None
-    return coords

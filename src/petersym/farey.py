@@ -174,7 +174,9 @@ class CosetTable:
     step[a][i] = the coset of reps[i] * parent glue[a] (over SL2(Z),
     sigma then tau).  key(g) is the spec's key, or g for find() to scan.
     locate() answers, for g in the parent group, which coset g lies in
-    and with which subgroup element it differs from the representative.
+    and with which subgroup element it differs from the representative;
+    transport() turns that element into the matrix that moves a symbol
+    value from the coset's path to the path of g.
     """
 
     def __init__(self, spec: GroupSpec, parent_symbol):
@@ -218,6 +220,16 @@ class CosetTable:
     def factor(self, g: Mat, i: int) -> Mat:
         """gamma with g = +/-gamma * reps[i], g in coset i, signed into the subgroup."""
         return _sign_into(self.member, mmul(g, madj(self.reps[i])))
+
+    def transport(self, g: Mat, i: int) -> tuple[int, Mat]:
+        """(i, h) with g in coset i: a symbol value on the path g{0, infinity}
+        is its value on the path of coset i, moved by h = adj(`factor`).
+
+        g is, up to sign, a matrix the member predicate accepts times
+        reps[i]: of determinant 1 for the Manin relations, of determinant
+        ell for the Hecke operators.
+        """
+        return i, madj(self.factor(g, i))
 
     def locate(self, g: Mat) -> tuple[int, Mat]:
         """(coset index, gamma) with g = gamma * rep up to the +/- ambiguity."""
@@ -403,10 +415,6 @@ class ExtendedFareySymbol:
         if parent is not None and parent.table is not None:
             raise FareyError("operation needs a symbol built directly over SL2(Z)")
         return self.table
-
-    def cusp_class_of(self, c: CuspT) -> "CuspClass":
-        """The CuspClass record whose orbit contains the cusp c."""
-        return self.cusp_transporter(c)[0]
 
     def cusp_transporter(self, c: CuspT) -> tuple["CuspClass", Mat]:
         """(class, gamma) with gamma in the group and c = gamma . class vertex.

@@ -8,6 +8,11 @@ the space of orbit sums modulo the weight-W multiplication relations,
 and `reduce_orbit` rewrites any orbit into that basis by the strictly
 decreasing descent on q2 * ((N/q1)/gcd(N/q1, q1/q2))^2.
 
+An orbit's points are listed from its triple (`orbit_points`), and its
+indicator table is filled from them (`orbit_indicators`): no function
+here classifies all N^2 points, and a triple is checked once, by
+`orbit_of` of its first point.
+
 Only this group family gets a minimal generating family here.  For
 other congruence groups (and for weights above 2) indicator functions
 of single points of exact order N also generate, through the generic
@@ -236,20 +241,24 @@ def orbit_points(t: Triple, n: int) -> list[tuple[int, int]]:
 def orbit_indicators(triples, n: int) -> list[TorsionFunction]:
     """Indicator torsion functions of distinct orbits, one per triple.
 
-    Each of the N^2 points is classified once for all the orbits.
+    Each table is filled from the triple's `orbit_points`, and the
+    triple is checked once, by the orbit of its first point: a triple
+    that labels no orbit has no points, or a first point in another
+    orbit, and raises ValueError.
     """
-    fns = {t: TorsionFunction.zero(n) for t in triples}
-    for x in range(n):
-        for y in range(n):
-            f = fns.get(orbit_of(x, y, n))
-            if f is not None:
-                f.values[x][y] = Fraction(1)
-    for t, f in fns.items():
-        if not any(map(any, f.values)):
+    out = []
+    for t in triples:
+        # q1 and q2 of an orbit divide N; orbit_points would divide by a zero one
+        points = orbit_points(t, n) if t[0] and t[1] else []
+        if not points or orbit_of(*points[0], n) != tuple(t):
             raise ValueError(f"{t} labels no orbit at level {n}")
-    return list(fns.values())
+        f = TorsionFunction.zero(n)
+        for x, y in points:
+            f.values[x][y] = Fraction(1)
+        out.append(f)
+    return out
 
 
 def orbit_indicator(t: Triple, n: int) -> TorsionFunction:
-    """Indicator torsion function of the orbit, by direct classification."""
+    """Indicator torsion function of the orbit."""
     return orbit_indicators([t], n)[0]

@@ -34,7 +34,7 @@ from .dims import gamma0_index
 from .eisenstein import EisSymbol
 from .exact import bernoulli_number, integer_row, kernel_basis
 from .farey import ExtendedFareySymbol, gamma0_symbol
-from .modgroup import T_MAT, CuspT, Mat, act, madj, minv, mmul
+from .modgroup import T_MAT, CuspT, Mat, act, minv, mmul
 from .orbits import basis_v, orbit_points
 from .polyspace import Vk, gram
 from .spaces import ModularSymbolSpace, SymbolElement, build_space, coset_rows
@@ -166,9 +166,12 @@ def hecke_matrix(space: ModularSymbolSpace, level: int, ell: int) -> list:
         sum over h in X_ell of  phi(coset path of rep_j) | rep_j adj(h) rep_i^-1,
 
     where j is the coset of the bottom row of rep_i h, and h is skipped
-    when that row is not a point of P^1(Z/level).  Coordinates are the
-    values at the free columns, so only the cosets holding one are
-    evaluated.
+    when that row is not a point of P^1(Z/level).  The part (j,
+    rep_j adj(h) rep_i^-1) is the coset table's `transport` of rep_i h,
+    which also writes the Manin relations of `build_space`: the factor
+    rep_i h adj(rep_j) has its lower left entry 0 mod level, so it keeps
+    its sign, and its adjoint is that part.  Coordinates are the values
+    at the free columns, so only the cosets holding one are evaluated.
     """
     symbol = space.symbol
     if level < 1 or symbol.index != gamma0_index(level) \
@@ -186,8 +189,7 @@ def hecke_matrix(space: ModularSymbolSpace, level: int, ell: int) -> list:
         for h in heil:
             g = mmul(rep, h)
             if gcd(g[2], g[3], level) == 1:
-                j = table.class_index(g)
-                parts.append((j, mmul(table.reps[j], madj(h), minv(rep))))
+                parts.append(table.transport(g, table.class_index(g)))
         rows = coset_rows(k, parts)
         for r, col in cols:
             for c, x in rows[col % n].items():

@@ -34,7 +34,6 @@ from .modgroup import (
     SIGMA,
     TAU,
     CuspT,
-    Mat,
     act,
     cf_decompose,
     cusp_is_infinity,
@@ -54,11 +53,6 @@ __all__ = [
     "boundary_space",
     "coset_rows",
 ]
-
-
-def _transport(table, g: Mat, i: int):
-    """(i, h) with g in coset i, so a symbol value on the g-path is m(i)|h."""
-    return i, madj(table.factor(g, i))
 
 
 def coset_rows(k: int, parts) -> list[dict[int, int]]:
@@ -252,11 +246,11 @@ def build_space(symbol: ExtendedFareySymbol, k: int) -> ModularSymbolSpace:
     sigma_rows, tau_rows = [], []
     for i, rep in enumerate(table.reps):
         if sigma[i] >= i:
-            sigma_rows += coset_rows(k, [(i, ID), _transport(table, mmul(rep, SIGMA), sigma[i])])
+            sigma_rows += coset_rows(k, [(i, ID), table.transport(mmul(rep, SIGMA), sigma[i])])
         t = tau[i]
         if min(t, tau[t]) >= i:
-            tau_rows += coset_rows(k, [(i, ID), _transport(table, mmul(rep, TAU), t),
-                                       _transport(table, mmul(rep, TAU, TAU), tau[t])])
+            tau_rows += coset_rows(k, [(i, ID), table.transport(mmul(rep, TAU), t),
+                                       table.transport(mmul(rep, TAU, TAU), tau[t])])
     ncols = len(table.reps) * (k - 1)
     return ModularSymbolSpace(symbol, k, kernel_basis(sigma_rows + tau_rows, ncols))
 

@@ -37,7 +37,15 @@ right argument on each tilde arc by `eval_tilde_arc`, the Fraction
 values of the half arcs, where `pairing_matrix` folds their 1/2 and
 1/3 weights into its term list and reads whole paths only.  `p2` is the
 partial transform in the second variable as a sum of `CycVec`s of
-Fractions, the reference for the integer brackets of `qexp.eis_qexp`.
+Fractions, the reference for the integer brackets of `qexp.eis_qexp`;
+`fourier1` is the one-variable transform and `fourier_partial1` the
+partial transform in the first variable.  `bernoulli_poly` sums
+C(h, j) B_j x^(h-j) over Fractions from `bernoulli_number`, the
+reference for the integer values of `bernoulli_values` and the rows of
+`beta_row`; `beta_moment` integrates a table, or its reflection
+`minus`, against two Bernoulli distributions cell by cell, the
+reference for the twist sums of `EisSymbol`.  `solve_in_span` finds
+coordinates in a span by the package's elimination.
 `hecke_fn` is the Hecke operator on torsion functions.
 `intersection_group` intersects group predicates, and
 `coset_decompose` factors a matrix through a symbol's coset system
@@ -54,8 +62,8 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from petersym.cyclo import CycVec
-from petersym.eisenstein import EisSymbol, TorsionFunction
-from petersym.exact import _echelonize, integer_row
+from petersym.eisenstein import EisSymbol, TorsionFunction, beta_value
+from petersym.exact import _echelonize, bernoulli_number, integer_row
 from petersym.farey import (
     CosetTable,
     ExtendedFareySymbol,
@@ -107,6 +115,7 @@ __all__ = [
     "epsilon_conjugate_cocycle",
     "charpoly",
     "rank",
+    "solve_in_span",
     "manin_relation_rows",
     "eval_path_by_cosets",
     "MOD_SYM",
@@ -116,6 +125,11 @@ __all__ = [
     "eis_cocycle_walk",
     "eval_tilde_arc",
     "pairing_matrix_by_pairs",
+    "bernoulli_poly",
+    "minus",
+    "beta_moment",
+    "fourier1",
+    "fourier_partial1",
     "p2",
     "hecke_fn",
     "intersection_group",
@@ -358,6 +372,32 @@ def epsilon_conjugate_cocycle(cocycle):
 # -- exact linear algebra ----------------------------------------------
 
 
+def solve_in_span(basis, target):
+    """Coordinates of `target` in the span of `basis` vectors, or None.
+
+    `basis` is a list of equal-length dense lists of rationals; solves
+    the overdetermined system exactly, by the package's elimination.
+    """
+    if not basis:
+        return [] if not any(target) else None
+    n = len(basis[0])
+    m = len(basis)
+    # augmented columns: basis vectors as columns, then the target
+    rows = [{j: x for j, x in enumerate([*(b[r] for b in basis), target[r]]) if x}
+            for r in range(n)]
+    pivots = _echelonize(rows)
+    if m in pivots:
+        return None  # inconsistent
+    coords = [Fraction(0)] * m
+    for lead, prow in pivots.items():
+        coords[lead] = Fraction(prow.get(m, 0), prow[lead])
+    # verify (guards against rank-deficient basis input)
+    for r in range(n):
+        if sum(basis[i][r] * coords[i] for i in range(m)) != target[r]:
+            return None
+    return coords
+
+
 def rank(rows) -> int:
     """Rank of a matrix of dense rows."""
     return len(_echelonize(map(sparse, rows)))
@@ -564,6 +604,52 @@ def pairing_matrix_by_pairs(symbol: ExtendedFareySymbol, lefts, rights) -> list:
     return [[sum((value.pair(eval_tilde_arc(right, symbol, ta))
                   for value, ta in zip(row, tilde)), Fraction(0)) / 2
              for right in rights] for row in rows]
+
+
+# -- Bernoulli values and moments, reflection, partial transforms ------
+
+
+def bernoulli_poly(h: int, x) -> Fraction:
+    """B_h(x) = sum_j C(h, j) B_j x^(h-j) at a rational point, over Fractions."""
+    x = Fraction(x)
+    return sum((comb(h, j) * bernoulli_number(j) * x ** (h - j) for j in range(h + 1)),
+               Fraction(0))
+
+
+def minus(f: TorsionFunction) -> TorsionFunction:
+    """The reflection f-(x, y) = f(-x, -y)."""
+    n = f.n
+    return TorsionFunction._of(n, [[f(-x, -y) for y in range(n)] for x in range(n)])
+
+
+def beta_moment(f: TorsionFunction, a: int, b: int, minus: bool = False) -> Fraction:
+    """Integral of f (or of f-) against beta_a x beta_b on (Z/NZ)^2, cell by
+    cell over the whole table in Fractions: the reference for the integer
+    twist sums of `EisSymbol`."""
+    n, s = f.n, -1 if minus else 1
+    return sum((beta_value(a, x, n) * beta_value(b, y, n) * f(s * x, s * y)
+                for x in range(n) for y in range(n)), Fraction(0))
+
+
+def fourier1(values) -> list[CycVec]:
+    """One-variable transform: ghat(m) = sum_a g(a) z^(-a m), exactly."""
+    n = len(values)
+    out = [CycVec(n) for _ in range(n)]
+    for a, v in enumerate(values):
+        if isinstance(v, CycVec):
+            for m in range(n):
+                out[m] = out[m] + v.rotate((-a * m) % n)
+        elif v:
+            for m in range(n):
+                out[m].add_root_multiple((-a * m) % n, v)
+    return out
+
+
+def fourier_partial1(f: TorsionFunction) -> TorsionFunction:
+    """Transform in the first variable: (x, m) -> sum_a f(a, m) z^(-a x)."""
+    n = f.n
+    cols = [fourier1([f(a, m) for a in range(n)]) for m in range(n)]
+    return TorsionFunction._of(n, [[cols[m][x] for m in range(n)] for x in range(n)])
 
 
 def p2(f: TorsionFunction, a: int, b: int) -> CycVec:

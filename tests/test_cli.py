@@ -298,12 +298,13 @@ def _refused_for_budget(captured) -> bool:
 @pytest.mark.parametrize("level", [300, 10**9])
 def test_eisbasis_size_bound_checked_before_classifying(capsys, monkeypatch, level):
     # 35 basis orbits of 300^2 points would write 47 MB; nothing is
-    # listed or classified for a refused level
+    # listed, enumerated or classified for a refused level
     def classify(*args):
         raise AssertionError("classification started")
 
     monkeypatch.setattr("petersym.cli.orbit_indicators", classify)
     monkeypatch.setattr("petersym.orbits.orbit_of", classify)
+    monkeypatch.setattr("petersym.orbits.orbit_points", classify)
     monkeypatch.setattr("petersym.cli.basis_v", classify)
     code = main(["eisbasis", "--level", str(level), "--weight", "2"])
     captured = capsys.readouterr()
@@ -858,6 +859,9 @@ EDGES = {
     # Gamma0(p) has p + 1 cosets; the coset bound is checked by the stubbed command
     "farey": (_family(["farey", "--level", "{}"], _prime), 0, len(_PRIMES) - 1),
     "modsym-space": (_family(["modsym-space", "--level", "1", "--weight", "{}"], _even), 1, 1000),
+    # above level 1 the elliptic cosets' dense blocks bound the weight
+    "modsym-space-level-2": (_family(["modsym-space", "--level", "2", "--weight", "{}"], _even),
+                             2, 1000),
     "eisbasis": (_family(["eisbasis", "--level", "{}", "--weight", "4"], _prime), 0, 1000),
     "eis-symbol": (_family(["eis-symbol", "--level", "1", "--weight", "{}", "--fn", "f"]),
                    2, 10**4),
@@ -897,6 +901,10 @@ def test_admission_edge(capsys, monkeypatch, family, accepted):
     ["hecke", "--level", "11", "--weight", "48", "--ell", "1009"],
     ["hecke", "--level", "11", "--weight", "100", "--ell", "1009"],
     ["cuspidal", "--level", "2000", "--weight", "2"],
+    # the dense elliptic blocks: 37 s and 6 s to build the space alone
+    ["modsym-space", "--level", "2", "--weight", "150"],
+    ["cuspidal", "--level", "2", "--weight", "150"],
+    ["cuspidal", "--level", "5", "--weight", "100"],
     # no O(sqrt(terms)) divisor sum: refused from the closed form at once
     ["qexp", "--level", "1", "--weight", "2", "--terms", str(10**30), "--fn", "missing.json"],
     ["qexp", "--level", "1", "--weight", "2", "--terms", "9" * 4000, "--fn", "missing.json"],

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from petersym.eisenstein import (
     EisSymbol,
     TorsionFunction,
-    beta_moment,
     beta_row,
     beta_value,
     distribution_check,
     fourier2,
 )
-from petersym.exact import bernoulli_number, bernoulli_poly, integer_row
+from petersym.exact import bernoulli_number, integer_row
 from petersym.farey import gamma0_group
 from petersym.modgroup import (
     EPS,
@@ -31,7 +30,16 @@ from petersym.modgroup import (
 )
 from petersym.orbits import basis_v, orbit_indicator, orbit_points
 from petersym.polyspace import Vk
-from .oracles import eis_cocycle_walk, hecke_fn
+from .oracles import (
+    bernoulli_poly,
+    beta_moment,
+    eis_cocycle_walk,
+    fourier1,
+    fourier_partial1,
+    hecke_fn,
+    minus,
+    p2,
+)
 from .test_modgroup import random_sl2
 
 
@@ -235,37 +243,31 @@ def _tensor(f1, f2, n):
 
 
 def test_partial_transforms_commute_with_minus():
-    from petersym.eisenstein import fourier_partial1, fourier_partial2
-
     rng = random.Random(89)
     for n in (3, 4, 6):
         f = random_fn(rng, n)
         for a in range(n):
             for b in range(n):
-                assert fourier_partial1(f.minus())(a, b) \
-                    == fourier_partial1(f).minus()(a, b)
-                assert fourier_partial2(f.minus())(a, b) \
-                    == fourier_partial2(f).minus()(a, b)
+                assert fourier_partial1(minus(f))(a, b) \
+                    == minus(fourier_partial1(f))(a, b)
+                assert p2(minus(f), a, b) == p2(f, -a, -b)
 
 
 def test_tensor_factor_identities():
-    from petersym.eisenstein import fourier1, fourier_partial1, fourier_partial2
-
     rng = random.Random(97)
     for n in (3, 4, 6):
         f1 = [Fraction(rng.randrange(-3, 4)) for _ in range(n)]
         f2 = [Fraction(rng.randrange(-3, 4)) for _ in range(n)]
         f = _tensor(f1, f2, n)
         h1, h2 = fourier1(f1), fourier1(f2)
-        p1, p2 = fourier_partial1(f), fourier_partial2(f)
         fh = fourier2(f)
-        p1h, p2h = fourier_partial1(fh), fourier_partial2(fh)
+        p1, p1h = fourier_partial1(f), fourier_partial1(fh)
         for a in range(n):
             for b in range(n):
                 assert p1(a, b) == h1[a].scale(f2[b])
-                assert p2(a, b) == h2[b].scale(f1[a])
+                assert p2(f, a, b) == h2[b].scale(f1[a])
                 assert p1h(a, b) == h1[(-b) % n].scale(f2[(-a) % n])
-                assert p2h(a, b) == h2[a].scale(f1[b])
+                assert p2(fh, a, b) == h2[a].scale(f1[b])
 
 
 def test_eval_inf_difference_via_translation():

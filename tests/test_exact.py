@@ -5,14 +5,8 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petersym.exact import (
-    bernoulli_number,
-    bernoulli_poly,
-    frac_str,
-    kernel_basis,
-    solve_in_span,
-)
-from .oracles import charpoly, dense, rank, sparse
+from petersym.exact import bernoulli_number, bernoulli_values, frac_str, kernel_basis
+from .oracles import bernoulli_poly, charpoly, dense, rank, solve_in_span, sparse
 
 
 def test_bernoulli_small_values():
@@ -23,21 +17,35 @@ def test_bernoulli_small_values():
 
 
 def test_bernoulli_poly_values():
-    assert bernoulli_poly(2, Fraction(0)) == Fraction(1, 6)
-    assert bernoulli_poly(1, Fraction(1, 2)) == 0
+    nums, den = bernoulli_values(2, [0], 1)
+    assert Fraction(nums[0], den) == Fraction(1, 6)
+    nums, den = bernoulli_values(1, [1], 2)
+    assert nums == [0]
 
 
 def test_bernoulli_poly_at_zero_is_bernoulli_number():
     for h in range(31):
-        assert bernoulli_poly(h, Fraction(0)) == bernoulli_number(h)
+        nums, den = bernoulli_values(h, [0], 1)
+        assert Fraction(nums[0], den) == bernoulli_number(h)
 
 
 def test_bernoulli_poly_reflection():
+    # B_h(1 - p/q) = (-1)^h B_h(p/q), read as numerators over one denominator
     rng = random.Random(7)
     for _ in range(20):
         h = rng.randrange(0, 12)
-        r = Fraction(rng.randrange(-20, 20), rng.randrange(1, 9))
-        assert bernoulli_poly(h, 1 - r) == (-1) ** h * bernoulli_poly(h, r)
+        p, q = rng.randrange(-20, 20), rng.randrange(1, 9)
+        nums, _ = bernoulli_values(h, [p, q - p], q)
+        assert nums[1] == (-1) ** h * nums[0]
+
+
+def test_bernoulli_values_match_the_fraction_sum():
+    rng = random.Random(11)
+    for h in range(16):
+        q = rng.randrange(1, 13)
+        ps = [rng.randrange(-30, 30) for _ in range(6)]
+        nums, den = bernoulli_values(h, ps, q)
+        assert [Fraction(x, den) for x in nums] == [bernoulli_poly(h, Fraction(p, q)) for p in ps]
 
 
 def test_kernel_identity_and_zero():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from petersym.dims import gamma0_invariants
-from petersym.eisenstein import EisSymbol
+from petersym.eisenstein import EisSymbol, TorsionFunction
 from petersym.farey import gamma0_symbol
 from petersym.modgroup import ID, act, cusp, madj, mmul
 from petersym.orbits import (
@@ -15,6 +15,7 @@ from petersym.orbits import (
     member_basis,
     orbit_card,
     orbit_indicator,
+    orbit_indicators,
     orbit_of,
     orbit_points,
     reduce_orbit,
@@ -187,3 +188,42 @@ def test_orbit_points_enumerate_the_classified_orbit(n):
         points = orbit_points(t, n)
         assert len(points) == len(set(points)) == orbit_card(t, n)
         assert sorted(points) == cells
+
+
+def _classified_indicators(triples, n):
+    """The indicators of the orbits by classifying each of the N^2 points."""
+    fns = {t: TorsionFunction.zero(n) for t in triples}
+    for x in range(n):
+        for y in range(n):
+            f = fns.get(orbit_of(x, y, n))
+            if f is not None:
+                f.values[x][y] = Fraction(1)
+    return list(fns.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 30, 36, 49, 60])
+def test_orbit_indicators_match_the_classification(n):
+    triples = all_orbits(n)
+    assert orbit_indicators(triples, n) == _classified_indicators(triples, n)
+
+
+@pytest.mark.parametrize("t", [(5, 1, 0), (4, 2, 1), (12, 0, 0), (0, 1, 0), (12, 5, 0),
+                               (6, 1, 3), (-12, -12, 0), (24, 24, 0)])
+def test_orbit_indicators_refuse_a_triple_that_labels_no_orbit(t):
+    with pytest.raises(ValueError, match="labels no orbit"):
+        orbit_indicators([basis_v(12, 4)[0], t], 12)
+
+
+def test_orbit_indicators_check_each_triple_once(monkeypatch):
+    import petersym.orbits as orbits
+
+    calls = []
+
+    def counted(x, y, n):
+        calls.append((x, y))
+        return orbit_of(x, y, n)
+
+    monkeypatch.setattr(orbits, "orbit_of", counted)
+    triples = basis_v(60, 2)
+    orbit_indicators(triples, 60)
+    assert len(calls) == len(triples)

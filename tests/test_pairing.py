@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from petersym.dims import dim_cusp_forms_gamma0
 from petersym.eisenstein import EisSymbol, TorsionFunction
-from petersym.exact import solve_in_span
 from petersym.farey import (
     base_symbol_sl2z,
     gamma0_group,
@@ -48,6 +47,7 @@ from .oracles import (
     pair_eis_via_cusps,
     pairing_matrix_by_pairs,
     rank,
+    solve_in_span,
 )
 from .test_spaces import _group_space, cusps, random_cusp, symbol_for
 

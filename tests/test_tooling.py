@@ -9,7 +9,9 @@ public method of a package class is read as an attribute (or imported)
 and every public module constant is read somewhere in the package or
 the tests, and every default parameter
 of a package function is passed by some call, so a default that no
-caller sets is a constant of the body instead.  The integer matrix of
+caller sets is a constant of the body instead.  An export of a module
+that the command line loads is read by another package module, or is
+listed with the claim it backs in `TEST_ONLY_EXPORTS`.  The integer matrix of
 the action on V_k is read only where it is defined and by
 `spaces.coset_rows`, the one sum of action matrices over coset blocks.
 The q-expansion brackets make no group-ring arithmetic: the count of
@@ -113,6 +115,41 @@ def test_exports_are_used_elsewhere(name, path):
     others = [p for p in sorted(PACKAGE.glob("*.py")) if p != path] + sorted(TESTS.rglob("*.py"))
     used = set().union(*(_names_used(p) for p in others))
     assert sorted(set(exported) - used) == []
+
+
+# The exports of the modules `import petersym.cli` loads that no other
+# package module reads, each with the claim or check it backs in the tests
+TEST_ONLY_EXPORTS = (
+    ("cyclo.cyclotomic_poly", "Q(zeta_N) arithmetic reduces modulo the N-th cyclotomic polynomial"),
+    ("eisenstein.distribution_check", "the distribution relations of the Eisenstein symbols"),
+    ("farey.CosetTable", "the double-coset Hecke reference unfolds a conjugated group"),
+    ("farey.GroupSpec", "a group given by a membership predicate alone is unfolded"),
+    ("farey.gamma1_symbol", "the Farey symbols of Gamma1(N) have the classical invariants"),
+    ("orbits.all_orbits", "the orbits of (Z/NZ)^2 partition it, cardinalities and labels"),
+    ("orbits.cusp_to_basis", "the basis orbits are indexed by the cusps of Gamma0(N)"),
+    ("orbits.descent_weight", "the rewriting into basis orbits terminates"),
+    ("orbits.member_basis", "the local criterion cuts out the basis orbits"),
+    ("orbits.orbit_indicator", "the orbit identities of the Eisenstein symbols"),
+    ("orbits.orbit_of", "the orbit label of a point, which checks each orbit_indicators triple"),
+    ("orbits.reduce_orbit", "every orbit sum is a combination of basis orbits"),
+    ("pairing.heilbronn_merel", "Merel's set X_ell gives the double-coset Hecke operator"),
+    ("pairing.hom_cocycle", "Hecke adjointness and Eisenstein duality of the pairing"),
+    ("spaces.BoundarySymbol", "boundary symbols lie in the radical of the pairing"),
+    ("spaces.boundary_space", "boundary symbols lie in the radical of the pairing"),
+)
+
+
+def test_cli_exports_are_read_by_the_package_or_back_a_claim():
+    # an export no other package module reads is test-only code in the
+    # package: it moves to tests/oracles.py unless it backs a claim above
+    package = tuple(f"petersym.{p.stem}" for p in sorted(PACKAGE.glob("*.py")))
+    unread = []
+    for name in ast.literal_eval(_loaded_after_import("petersym.cli", package)):
+        path = PACKAGE / f"{name.rsplit('.', 1)[1]}.py"
+        used = set().union(*(_names_used(p) for p in sorted(PACKAGE.glob("*.py")) if p != path))
+        unread += [f"{path.stem}.{n}" for n in getattr(importlib.import_module(name), "__all__", [])
+                   if n not in used]
+    assert sorted(unread) == [name for name, _ in TEST_ONLY_EXPORTS]
 
 
 def test_action_matrix_is_read_by_polyspace_and_spaces_only():
